@@ -51,6 +51,7 @@ from .continuous import (  # noqa: F401
     Domain,
     EarlyTerminationError,
     SmoothMap,
+    StepLimitError,
     StepSizeUnderflowError,
     Trajectory,
     check_equilibrium_morphism,
@@ -85,7 +86,3 @@ from .tau import (  # noqa: F401
     from_continuous,
     from_discrete,
 )
-
-# discrete.solve intentionally not re-exported at top level: both the
-# discrete and continuous modules have solver entry points, so callers pick
-# the module explicitly (dynsys.discrete.solve vs dynsys.continuous.integrate).

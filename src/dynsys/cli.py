@@ -41,7 +41,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("--rtol", type=float, default=1e-9)
     solve.add_argument("--atol", type=float, default=1e-12)
     solve.add_argument("--escape-threshold", type=float, default=C.DEFAULT_ESCAPE)
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--output", help="output path (default stdout)")
 
     check = sub.add_parser("check-morphism", help="test a candidate map between two systems")
@@ -54,7 +53,6 @@ def _build_parser() -> _Parser:
     check.add_argument("--preserve-tol", type=float, default=1e-5)
     check.add_argument("--rtol", type=float, default=1e-9)
     check.add_argument("--atol", type=float, default=1e-12)
-    check.add_argument("--seed", type=int, default=0)
     check.add_argument("--output", help="report path (default stdout)")
 
     laws = sub.add_parser("laws", help="run the property suites that apply to the spec kind")
@@ -64,7 +62,6 @@ def _build_parser() -> _Parser:
     laws.add_argument("--rtol", type=float, default=1e-9)
     laws.add_argument("--atol", type=float, default=1e-12)
     laws.add_argument("--period", type=float, help="also check a periodic orbit at this period")
-    laws.add_argument("--seed", type=int, default=0)
     laws.add_argument("--output", help="report path (default stdout)")
     return parser
 
@@ -95,7 +92,7 @@ def _cmd_solve(args) -> int:
             raise SpecError("give --c0 or a basepoint in the spec file")
         if args.horizon is None:
             raise SpecError("discrete systems need --horizon")
-        orbit = discrete.solve(loaded.system, c0, args.horizon)
+        orbit = discrete.iterate(loaded.system, c0, args.horizon)
         _emit(" ".join(orbit.points) + "\n", args.output)
         return 0
     n = loaded.system.dimension
@@ -108,15 +105,7 @@ def _cmd_solve(args) -> int:
         loaded.system, x0, args.span,
         rtol=args.rtol, atol=args.atol, escape_threshold=args.escape_threshold,
     )
-    if args.output:
-        traj.to_csv(args.output)
-    else:
-        header = "t," + ",".join(f"x{i}" for i in range(1, n + 1))
-        rows = [header] + [
-            ",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
-            for t, row in zip(traj.times, traj.states)
-        ]
-        sys.stdout.write("\n".join(rows) + "\n")
+    traj.to_csv(args.output or None)
     if traj.termination != C.TERM_SPAN:
         end = traj.t_hi if args.span > 0 else traj.t_lo
         print(f"early termination: {traj.termination} at t={end:.9g}", file=sys.stderr)
@@ -130,7 +119,7 @@ def _cmd_check_morphism(args) -> int:
     mapping = load_map(args.map, src, dst)
     config = {
         "tol": args.tol, "rtol": args.rtol, "atol": args.atol,
-        "preserve_tol": args.preserve_tol, "seed": args.seed,
+        "preserve_tol": args.preserve_tol,
     }
     checks = []
     if src.is_discrete:
@@ -159,7 +148,7 @@ def _laws_for_discrete(loaded: LoadedSystem, args, checks, notes, label: str) ->
     sys_ = loaded.system
     checks.append((f"{label}section-law", tau.check_section(loaded.tau_system)))
     checks.append((f"{label}identity-morphism", discrete.check_dt_morphism(
-        discrete.identity_table(sys_), sys_, sys_)))
+        core.identity_morphism(sys_).mapping, sys_, sys_)))
     # the endomap is itself an endomorphism; associate its cube both ways
     x_cand = core.MorphismCandidate(dict(sys_.endomap), sys_, sys_)
     left = core.compose_morphisms(core.compose_morphisms(x_cand, x_cand), x_cand)
@@ -235,7 +224,7 @@ def _cmd_laws(args) -> int:
             _laws_for_continuous(loaded, args, checks, notes, label)
     config = {
         "horizon": args.horizon, "tol": args.tol, "rtol": args.rtol,
-        "atol": args.atol, "period": args.period, "seed": args.seed,
+        "atol": args.atol, "period": args.period,
     }
     command = "laws " + " ".join(args.systems)
     _emit(render_report(command, config, checks, notes), args.output)
@@ -250,10 +239,8 @@ def main(argv=None) -> int:
         if args.command == "check-morphism":
             return _cmd_check_morphism(args)
         return _cmd_laws(args)
-    except (SpecError, E.ExprError, germ.NonMonotoneError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except C.StepSizeUnderflowError as exc:
+    except (SpecError, E.ExprError, germ.NonMonotoneError, ValueError,
+            C.StepSizeUnderflowError, C.StepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

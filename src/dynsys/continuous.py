@@ -12,7 +12,9 @@ declared open domain; the crossing time is located by bisection.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +28,7 @@ TERM_LEFT_DOMAIN = "left-domain"
 
 #: states whose norm exceeds this are reported as blown up
 DEFAULT_ESCAPE = 1e8
-#: domain-exit crossings are bisected to this width in t
+#: domain-exit crossings are bisected to this width in t (or to float resolution)
 EXIT_BISECT_TOL = 1e-9
 
 _SAMPLE_CLIP = 5.0  # unbounded domains are sampled inside [-clip, clip]
@@ -38,6 +40,10 @@ class StepSizeUnderflowError(RuntimeError):
 
 class EarlyTerminationError(RuntimeError):
     """A trajectory ended (blow-up or domain exit) before the requested span."""
+
+
+class StepLimitError(RuntimeError):
+    """Integration needed more than ``max_steps`` accepted or rejected steps."""
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,14 @@ class SmoothMap:
     def __call__(self, point, t: float = 0.0) -> list[float]:
         return E.evaluate_vector(self.components, point, t)
 
+    @cached_property
+    def _jacobian(self) -> tuple[tuple[E.Expr, ...], ...]:
+        return E.jacobian(self.components)
+
+    def jacobian_at(self, point, t: float = 0.0) -> np.ndarray:
+        """The Jacobian matrix at a point, from symbolic partials built once per map."""
+        return np.array([[E.evaluate(entry, point, t) for entry in row] for row in self._jacobian])
+
 
 def smooth_map(sources: Sequence[str], arity: int) -> SmoothMap:
     return SmoothMap(E.parse_vector(sources, arity))
@@ -165,14 +179,14 @@ class Trajectory:
             self.derivs[i], self.derivs[i + 1],
         )
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path=None) -> None:
+        """Write ``t,x1,...,xn`` rows at full precision to ``path``, or to
+        the current standard output when ``path`` is None."""
         n = self.states.shape[1]
-        header = "t," + ",".join(f"x{i}" for i in range(1, n + 1))
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
+        with open(path, "w") if path is not None else nullcontext() as fh:
+            print("t," + ",".join(f"x{i}" for i in range(1, n + 1)), file=fh)
             for t, row in zip(self.times, self.states):
-                cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in row]
-                fh.write(",".join(cells) + "\n")
+                print(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row]), file=fh)
 
 
 def _hermite(t, t0, t1, y0, y1, f0, f1):
@@ -244,15 +258,24 @@ def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, limit):
     return min(100 * h0, h1, limit)
 
 
-def _bisect_event(occurred, t_ok: float, t_bad: float, tol: float) -> float:
-    """First time (in integration order) at which ``occurred`` flips true."""
-    while abs(t_bad - t_ok) > tol:
-        mid = 0.5 * (t_ok + t_bad)
-        if occurred(mid):
-            t_bad = mid
+def _bisect(flipped, good: float, bad: float, tol: float = 0.0) -> float:
+    """Narrow a bracket on which ``flipped`` is false at ``good`` and true at
+    ``bad`` (either may be the larger end); returns the final ``bad``.
+
+    Halving stops at the first of: the bracket is no wider than ``tol``; the
+    midpoint rounds onto an end (float resolution); 200 halvings.
+    """
+    for _ in range(200):
+        if abs(bad - good) <= tol:
+            break
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            break
+        if flipped(mid):
+            bad = mid
         else:
-            t_ok = mid
-    return t_bad
+            good = mid
+    return bad
 
 
 def integrate(
@@ -271,6 +294,7 @@ def integrate(
     with termination "blow-up" once |x| exceeds ``escape_threshold`` and
     with "left-domain" when the state exits the open domain; the boundary
     crossing is bisected to EXIT_BISECT_TOL and becomes the final knot.
+    Raises :class:`StepLimitError` after ``max_steps`` steps.
     """
     y0 = np.asarray(x0, dtype=float)
     if y0.shape != (sys.dimension,):
@@ -294,7 +318,7 @@ def integrate(
     while direction * (T - t) > 1e-14 * max(1.0, abs(T)):
         steps += 1
         if steps > max_steps:
-            raise RuntimeError(f"exceeded {max_steps} steps at t={t}")
+            raise StepLimitError(f"exceeded {max_steps} steps at t={t}")
         h = direction * min(abs(h), max_step, abs(T - t))
         if abs(h) < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflowError(f"step size underflow at t={t} (stiffness failure)")
@@ -361,7 +385,7 @@ def _first_exit(sys, punctures_1d, t0, t1, y0, y1, f0, f1):
         return all(lo < v < hi for v, (lo, hi) in zip(yv, sys.domain.bounds))
 
     if not in_box(y1):
-        events.append(_bisect_event(lambda tau: not in_box(dense(tau)), t0, t1, EXIT_BISECT_TOL))
+        events.append(_bisect(lambda tau: not in_box(dense(tau)), t0, t1, EXIT_BISECT_TOL))
     for p in punctures_1d:
         a, b = y0[0] - p, y1[0] - p
         if a == 0.0:
@@ -369,7 +393,7 @@ def _first_exit(sys, punctures_1d, t0, t1, y0, y1, f0, f1):
         if a * b < 0.0 or b == 0.0:
             sign0 = a > 0.0
             events.append(
-                _bisect_event(
+                _bisect(
                     lambda tau: ((dense(tau)[0] - p) > 0.0) != sign0 or dense(tau)[0] == p,
                     t0, t1, EXIT_BISECT_TOL,
                 )
@@ -426,10 +450,6 @@ def default_samples(domain: Domain, count: int = 200) -> list[tuple[float, ...]]
 # --- the f-relatedness story -------------------------------------------------
 
 
-def _jacobian_at(jac, point, t: float = 0.0) -> np.ndarray:
-    return np.array([[E.evaluate(entry, point, t) for entry in row] for row in jac])
-
-
 def check_f_relatedness(
     f: SmoothMap,
     x_sys: ContinuousSystem,
@@ -446,11 +466,10 @@ def check_f_relatedness(
     if f.target_dim != y_sys.dimension:
         raise E.ArityError(f"map produces {f.target_dim} outputs, target has {y_sys.dimension}")
     pts = list(samples) if samples is not None else default_samples(x_sys.domain)
-    jac = E.jacobian(f.components)
     residual, worst = 0.0, None
     for x in pts:
         v = np.array(E.evaluate_vector(x_sys.field, x))
-        jmat = _jacobian_at(jac, x)
+        jmat = f.jacobian_at(x)
         y = f(x)
         if not y_sys.domain.contains(y):
             raise E.DomainError(f"f({tuple(x)}) = {tuple(y)} leaves the target domain")
@@ -555,7 +574,7 @@ def find_equilibria(
         if is_min:
             seeds.append(np.array([axes[a][idx[a]] for a in range(n)]))
 
-    jac = E.jacobian(sys.field)
+    field_map = SmoothMap(sys.field)
     roots: list[tuple[float, ...]] = []
     for seed in seeds:
         x = seed.copy()
@@ -567,7 +586,7 @@ def find_equilibria(
                 if nv <= tol:
                     ok = True
                     break
-                jmat = _jacobian_at(jac, x)
+                jmat = field_map.jacobian_at(x)
                 try:
                     dx = np.linalg.solve(jmat, -v)
                 except np.linalg.LinAlgError:

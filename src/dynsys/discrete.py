@@ -63,11 +63,6 @@ def iterate(sys: DiscreteSystem, c0: str, horizon: int) -> Orbit:
     return Orbit(c0, tuple(points))
 
 
-def solve(sys: DiscreteSystem, c0: str, horizon: int) -> Orbit:
-    """Alias of :func:`iterate`, read as the unique solution map on 0..horizon."""
-    return iterate(sys, c0, horizon)
-
-
 def check_dt_morphism(
     alpha: Mapping[str, str], src: DiscreteSystem, dst: DiscreteSystem
 ) -> CheckReport:
@@ -79,7 +74,8 @@ def check_dt_morphism(
     missing = [x for x in src.carrier if x not in alpha]
     if missing:
         raise ValueError(f"morphism table not total: missing {missing}")
-    stray = [x for x in src.carrier if alpha[x] not in set(dst.carrier)]
+    targets = set(dst.carrier)
+    stray = [x for x in src.carrier if alpha[x] not in targets]
     if stray:
         raise ValueError(f"morphism table maps {stray} outside the target carrier")
     violations = 0
@@ -98,14 +94,3 @@ def check_dt_morphism(
 def fixed_points(sys: DiscreteSystem) -> set[str]:
     """Elements with X(x) = x; these are the morphisms from the one-point system."""
     return {x for x in sys.carrier if sys.endomap[x] == x}
-
-
-def identity_table(sys: DiscreteSystem) -> dict[str, str]:
-    return {x: x for x in sys.carrier}
-
-
-def compose_tables(
-    first: Mapping[str, str], second: Mapping[str, str]
-) -> dict[str, str]:
-    """Table of second(first(x)); first is applied first."""
-    return {x: second[y] for x, y in first.items()}

@@ -180,7 +180,10 @@ def _tokenize(src: str) -> list[tuple[str, object, int]]:
             i += 1
         elif c.isdigit():
             m = _NUM_RE.match(src, i)
-            out.append(("num", float(m.group()), i))
+            value = float(m.group())
+            if not math.isfinite(value):
+                raise ParseError(f"number {m.group()} is not finite", i)
+            out.append(("num", value, i))
             i = m.end()
         elif c.isalpha() or c == "_":
             m = _NAME_RE.match(src, i)
@@ -360,15 +363,8 @@ def _finite(v: float, node: Node) -> float:
 
 
 def _pow_value(b: float, x: float, node: Node) -> float:
-    if x == int(x) and abs(x) < 2**31:
-        if b == 0.0 and x < 0:
-            raise DomainError("zero base with negative exponent", _fmt_node(node))
-        try:
-            return _finite(b ** x, node)
-        except OverflowError:
-            raise DomainError("overflow", _fmt_node(node)) from None
-    # real exponent: smoothness needs a strictly positive base
-    if b < 0.0:
+    # a real exponent (or an integer one of 2^31 or more) needs a positive base
+    if b < 0.0 and not (float(x).is_integer() and abs(x) < 2**31):
         raise DomainError("negative base with non-integer exponent", _fmt_node(node))
     if b == 0.0 and x < 0:
         raise DomainError("zero base with negative exponent", _fmt_node(node))
@@ -674,7 +670,3 @@ def compose(outer: VectorExpr, inner: VectorExpr) -> VectorExpr:
 
 def identity_map(n: int) -> VectorExpr:
     return VectorExpr(tuple(Expr(Var(i), n) for i in range(1, n + 1)))
-
-
-def constant_vector(values: Sequence[float], arity: int) -> VectorExpr:
-    return VectorExpr(tuple(Expr(Num(float(v)), arity) for v in values))

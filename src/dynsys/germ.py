@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr as E
-from .continuous import ContinuousSystem, Trajectory, integrate
+from .continuous import ContinuousSystem, Trajectory, _bisect, integrate
 from .core import CheckReport
 
 _CLIP = 1e8  # infinite interval ends are explored up to here
@@ -191,18 +191,6 @@ def _limit_value(m: E.Expr, x: float, inward: float, width: float) -> float:
     raise NonMonotoneError(f"cannot evaluate {m} near {x}")
 
 
-def _bisect_root(f, lo: float, hi: float, positive_at_hi: bool) -> float:
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if (f(mid) > 0.0) == positive_at_hi:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 @lru_cache(maxsize=512)
 def _monotone_pieces(pm: PartialMap) -> tuple[tuple[float, float, float, float, int], ...]:
     """Split the domain at critical points: (lo, hi, v_lo, v_hi, direction)
@@ -236,11 +224,10 @@ def _monotone_pieces(pm: PartialMap) -> tuple[tuple[float, float, float, float, 
             if sign == 0:
                 continue  # a sample exactly on a critical point is not a crossing
             if prev_sign != 0 and sign != prev_sign:
-                root = _bisect_root(
-                    lambda x: _scalar(dm, x),
-                    float(grid[prev_idx]), float(grid[i]), positive_at_hi=sign > 0,
-                )
-                crossings.append(root)
+                crossings.append(_bisect(
+                    lambda x: (_scalar(dm, x) > 0.0) == (sign > 0),
+                    float(grid[prev_idx]), float(grid[i]),
+                ))
             prev_idx, prev_sign = i, sign
         cuts = [lo] + crossings + [hi]
         for p_lo, p_hi in zip(cuts, cuts[1:]):
@@ -266,22 +253,10 @@ def _monotone_pieces(pm: PartialMap) -> tuple[tuple[float, float, float, float, 
 
 def _solve_crossing(m: E.Expr, lo: float, hi: float, y: float, increasing: bool) -> float:
     """x in (lo, hi) where the monotone map crosses level y (bisection)."""
-    blo, bhi = max(lo, -_CLIP), min(hi, _CLIP)
-
-    def above(x: float) -> bool:
-        return _scalar(m, x) >= y
-
-    # keep the bracket property: above() flips exactly once on a monotone piece
-    t_lo, t_hi = blo, bhi
-    for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        if mid == t_lo or mid == t_hi:
-            break
-        if above(mid) == increasing:
-            t_hi = mid
-        else:
-            t_lo = mid
-    return t_hi
+    # the predicate flips exactly once on a monotone piece
+    return _bisect(
+        lambda x: (_scalar(m, x) >= y) == increasing, max(lo, -_CLIP), min(hi, _CLIP)
+    )
 
 
 def _piece_preimage(m: E.Expr, piece, target: tuple[float, float]):

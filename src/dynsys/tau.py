@@ -35,7 +35,6 @@ class TauInstance:
 
     name: str
     exact: bool
-    has_solutions: bool
     apply_section: Callable
     project: Callable
     apply_map_carrier: Callable
@@ -44,6 +43,11 @@ class TauInstance:
     total_distance: Callable
     default_points: Callable
     canonical_section: Callable
+
+
+def _project(total):
+    """Footing of a total-space point; the same for every instance."""
+    return total[0]
 
 
 @dataclass(frozen=True)
@@ -75,18 +79,13 @@ def _cont_apply_section(section: TangentSection, x):
     return (base, vec)
 
 
-def _cont_project(total):
-    return total[0]
-
-
 def _cont_apply_map_carrier(f: SmoothMap, x):
     return np.array(f(np.asarray(x, dtype=float)))
 
 
 def _cont_apply_map_total(f: SmoothMap, total):
     x, v = total
-    jac = E.jacobian(f.components)
-    jmat = np.array([[E.evaluate(entry, x) for entry in row] for row in jac])
+    jmat = f.jacobian_at(x)
     return (np.array(f(x)), jmat @ np.asarray(v, dtype=float))
 
 
@@ -98,10 +97,6 @@ def _cont_total_distance(p, q) -> float:
     return max(_cont_carrier_distance(p[0], q[0]), _cont_carrier_distance(p[1], q[1]))
 
 
-def _cont_default_points(carrier: Domain, count: int = 200):
-    return default_samples(carrier, count)
-
-
 def _cont_canonical_section(carrier: Domain) -> TangentSection:
     zero = E.parse_vector(["0"] * carrier.dimension, carrier.dimension)
     return TangentSection(zero)
@@ -110,14 +105,13 @@ def _cont_canonical_section(carrier: Domain) -> TangentSection:
 CONTINUOUS = TauInstance(
     name="continuous",
     exact=False,
-    has_solutions=True,
     apply_section=_cont_apply_section,
-    project=_cont_project,
+    project=_project,
     apply_map_carrier=_cont_apply_map_carrier,
     apply_map_total=_cont_apply_map_total,
     carrier_distance=_cont_carrier_distance,
     total_distance=_cont_total_distance,
-    default_points=_cont_default_points,
+    default_points=default_samples,
     canonical_section=_cont_canonical_section,
 )
 
@@ -127,10 +121,6 @@ CONTINUOUS = TauInstance(
 
 def _disc_apply_section(section: Mapping[str, tuple[str, str]], x: str):
     return tuple(section[x])
-
-
-def _disc_project(total):
-    return total[0]
 
 
 def _disc_apply_map_carrier(alpha: Mapping[str, str], x: str) -> str:
@@ -156,9 +146,8 @@ def _disc_canonical_section(carrier: Sequence[str]):
 DISCRETE = TauInstance(
     name="discrete",
     exact=True,
-    has_solutions=True,
     apply_section=_disc_apply_section,
-    project=_disc_project,
+    project=_project,
     apply_map_carrier=_disc_apply_map_carrier,
     apply_map_total=_disc_apply_map_total,
     carrier_distance=_disc_distance,
@@ -166,9 +155,6 @@ DISCRETE = TauInstance(
     default_points=_disc_default_points,
     canonical_section=_disc_canonical_section,
 )
-
-
-INSTANCES: dict[str, TauInstance] = {"continuous": CONTINUOUS, "discrete": DISCRETE}
 
 
 def from_continuous(system: ContinuousSystem) -> TauSystem:

@@ -82,6 +82,14 @@ def test_left_domain_bisected():
     assert traj.states[-1][0] == pytest.approx(2.0, abs=1e-6)
 
 
+def test_exit_time_beyond_bisection_resolution():
+    # the exit at t = 5e7 has an ulp (~7e-9) wider than EXIT_BISECT_TOL, so
+    # the crossing bisection must stop at float resolution
+    traj = C.integrate(line("1e-8", lo=0.0, hi=1.0), [0.5], 1e8)
+    assert traj.termination == "left-domain"
+    assert traj.t_hi == pytest.approx(5e7, rel=1e-9)
+
+
 def test_puncture_crossing_detected():
     # moving left from 1 on the punctured line stops at the puncture
     traj = C.integrate(line("1", punctures=(0.0,)), [1.0], -3.0)
@@ -128,6 +136,11 @@ def test_step_underflow_is_stiffness_failure():
     # backward toward the 1/x singularity at t = -1/2: no step can cross it
     with pytest.raises(C.StepSizeUnderflowError):
         C.integrate(line("1/x1"), [1.0], -2.0)
+
+
+def test_step_limit_is_typed():
+    with pytest.raises(C.StepLimitError, match="exceeded 5 steps"):
+        C.integrate(line("sin(1000*t)*1000"), [0.0], 1e4, max_steps=5)
 
 
 def test_csv_export(tmp_path):

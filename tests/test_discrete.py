@@ -44,13 +44,9 @@ def test_iterate_unknown_element():
         discrete.iterate(funnel(), "z", 2)
 
 
-def test_solve_is_iterate():
-    assert discrete.solve(mod3(), "1", 4) == discrete.iterate(mod3(), "1", 4)
-
-
 def test_morphism_identity_passes():
     sys = funnel()
-    rep = discrete.check_dt_morphism(discrete.identity_table(sys), sys, sys)
+    rep = discrete.check_dt_morphism(core.identity_morphism(sys).mapping, sys, sys)
     assert rep.passed and rep.residual == 0.0
 
 

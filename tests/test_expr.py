@@ -73,6 +73,17 @@ def test_eval_division_by_zero():
         E.evaluate(E.parse("1/x1", 1), [0.0])
 
 
+def test_parse_non_finite_literal():
+    with pytest.raises(E.ParseError) as info:
+        E.parse("x1^1e999", 1)
+    assert info.value.offset == 3
+
+
+def test_eval_infinite_exponent():
+    with pytest.raises(E.DomainError):
+        E.evaluate(E.parse("x1^x2", 2), [2.0, math.inf])
+
+
 def test_eval_sqrt_negative():
     with pytest.raises(E.DomainError):
         E.evaluate(E.parse("sqrt(x1)", 1), [-4.0])
