@@ -243,6 +243,9 @@ def main(argv=None) -> int:
             C.StepSizeUnderflowError, C.StepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:  # printing, differentiating or parsing a deep tree
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

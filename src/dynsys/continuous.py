@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -128,12 +128,15 @@ class SmoothMap:
         return E.evaluate_vector(self.components, point, t)
 
     @cached_property
-    def _jacobian(self) -> tuple[tuple[E.Expr, ...], ...]:
-        return E.jacobian(self.components)
+    def _jacobian(self) -> E.VectorExpr:
+        """The symbolic partials, row-major in one vector expression so that
+        all entries compile to one function and share subexpressions."""
+        return E.VectorExpr(tuple(entry for row in E.jacobian(self.components) for entry in row))
 
     def jacobian_at(self, point, t: float = 0.0) -> np.ndarray:
         """The Jacobian matrix at a point, from symbolic partials built once per map."""
-        return np.array([[E.evaluate(entry, point, t) for entry in row] for row in self._jacobian])
+        values = E.evaluate_vector(self._jacobian, point, t)
+        return np.array(values).reshape(self.target_dim, self.source_dim)
 
 
 def smooth_map(sources: Sequence[str], arity: int) -> SmoothMap:
@@ -152,6 +155,16 @@ def compose_smooth_maps(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
 
 
 @dataclass
+class IntegrationStats:
+    """What one :func:`integrate` call did; telemetry, written to no file."""
+
+    nfev: int = 0  # right-hand-side evaluations started
+    accepted: int = 0  # steps that passed the error test
+    rejected: int = 0  # steps refused by the error test
+    domain_retries: int = 0  # steps shrunk because a stage left the field's domain
+
+
+@dataclass
 class Trajectory:
     """Sampled solution curve with its domain-of-definition metadata.
 
@@ -166,6 +179,7 @@ class Trajectory:
     t_lo: float
     t_hi: float
     termination: str
+    stats: IntegrationStats = field(default_factory=IntegrationStats)
 
     def sample(self, t: float) -> np.ndarray:
         """Dense output: cubic Hermite on the accepted step containing t."""
@@ -211,7 +225,7 @@ def _hermite_deriv(t, t0, t1, y0, y1, f0, f1):
 
 # --- Dormand-Prince 5(4) ----------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _DP_A = (
     np.array([1 / 5]),
     np.array([3 / 40, 9 / 40]),
@@ -227,16 +241,8 @@ _DP_E = np.concatenate([_DP_B, [0.0]]) - _DP_B4
 
 
 def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(x))))
-
-
-def _make_rhs(sys: ContinuousSystem):
-    comps = sys.field.components
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array([E._eval(c.root, y, t) for c in comps])
-
-    return rhs
+    # the sum and quotient np.mean takes, without its overhead
+    return math.sqrt(np.add.reduce(x * x) / x.size)
 
 
 def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, limit):
@@ -306,43 +312,55 @@ def integrate(
         raise ValueError("span must be a nonzero finite time")
     direction = 1.0 if T > 0 else -1.0
 
-    rhs = _make_rhs(sys)
+    field = sys.field._compiled  # the whole field in one compiled call
+
+    def rhs(t_stage: float, y_stage: np.ndarray) -> np.ndarray:
+        return np.array(field(y_stage, t_stage))
+
     t, y = 0.0, y0.copy()
     k1 = rhs(t, y)
-    ts, ys, fs = [t], [y.copy()], [k1.copy()]
+    ts, ys, fs = [t], [y], [k1]
     termination = TERM_SPAN
     punctures_1d = [p[0] for p in sys.domain.punctures] if sys.dimension == 1 else []
 
     h = direction * _initial_step(rhs, t, y, k1, direction, rtol, atol, min(abs(T), max_step))
-    steps = 0
+    nfev, accepted, rejected, retries = 2, 0, 0, 0
+    stages = np.empty((7, sys.dimension))  # k1..k6 and the derivative at the new state
+    stages[0] = k1
+    abs_y = np.abs(y)
     while direction * (T - t) > 1e-14 * max(1.0, abs(T)):
-        steps += 1
-        if steps > max_steps:
+        if accepted + rejected + retries >= max_steps:
             raise StepLimitError(f"exceeded {max_steps} steps at t={t}")
         h = direction * min(abs(h), max_step, abs(T - t))
         if abs(h) < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflowError(f"step size underflow at t={t} (stiffness failure)")
 
         try:
-            ks = [k1]
-            for stage in range(5):
-                dy = h * (_DP_A[stage] @ np.array(ks[: stage + 1]))
-                ks.append(rhs(t + _DP_C[stage + 1] * h, y + dy))
-            y_new = y + h * (_DP_B @ np.array(ks))
+            for stage in range(1, 6):
+                nfev += 1
+                y_stage = y + h * (_DP_A[stage - 1] @ stages[:stage])
+                stages[stage] = field(y_stage.tolist(), t + _DP_C[stage] * h)
+            y_new = y + h * (_DP_B @ stages[:6])
+            nfev += 1
             k_new = rhs(t + h, y_new)
         except E.DomainError:
+            retries += 1
             h *= 0.3
             continue
 
-        err = h * (_DP_E @ np.array(ks + [k_new]))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        stages[6] = k_new
+        err = h * (_DP_E @ stages)
+        abs_new = np.abs(y_new)
+        scale = atol + rtol * np.maximum(abs_y, abs_new)
         err_norm = _rms(err / scale)
         if err_norm > 1.0:
+            rejected += 1
             h *= min(max(0.9 * err_norm ** -0.2, 0.2), 1.0)
             continue
 
+        accepted += 1
         t_new = t + h
-        crossing = _first_exit(sys, punctures_1d, t, t_new, y, y_new, k1, k_new)
+        crossing = _first_exit(sys.domain, punctures_1d, t, t_new, y, y_new, k1, k_new)
         if crossing is not None:
             t_x, y_x = crossing
             f_x = _hermite_deriv(t_x, t, t_new, y, y_new, k1, k_new)
@@ -353,12 +371,13 @@ def integrate(
             break
 
         ts.append(t_new)
-        ys.append(y_new.copy())
-        fs.append(k_new.copy())
-        if float(np.linalg.norm(y_new)) > escape_threshold:
+        ys.append(y_new)
+        fs.append(k_new)
+        if math.sqrt(y_new.dot(y_new)) > escape_threshold:  # np.linalg.norm's arithmetic
             termination = TERM_BLOWUP
             break
-        t, y, k1 = t_new, y_new, k_new
+        t, y, k1, abs_y = t_new, y_new, k_new, abs_new
+        stages[0] = k1
         factor = 10.0 if err_norm == 0.0 else min(max(0.9 * err_norm ** -0.2, 0.2), 10.0)
         h *= factor
 
@@ -373,19 +392,25 @@ def integrate(
         t_lo=float(times[0]),
         t_hi=float(times[-1]),
         termination=termination,
+        stats=IntegrationStats(nfev, accepted, rejected, retries),
     )
 
 
-def _first_exit(sys, punctures_1d, t0, t1, y0, y1, f0, f1):
+def _in_box(values, bounds) -> bool:
+    return all(lo < v < hi for v, (lo, hi) in zip(values, bounds))
+
+
+def _first_exit(domain, punctures_1d, t0, t1, y0, y1, f0, f1):
     """Earliest domain-exit event inside an accepted step, if any."""
+    end = y1.tolist()
+    leaves_box = not _in_box(end, domain.bounds)
+    on_puncture = len(end) > 1 and tuple(end) in domain.punctures
+    if not (leaves_box or on_puncture or punctures_1d):
+        return None
     dense = lambda tau: _hermite(tau, t0, t1, y0, y1, f0, f1)
     events: list[float] = []
-
-    def in_box(yv) -> bool:
-        return all(lo < v < hi for v, (lo, hi) in zip(yv, sys.domain.bounds))
-
-    if not in_box(y1):
-        events.append(_bisect(lambda tau: not in_box(dense(tau)), t0, t1, EXIT_BISECT_TOL))
+    if leaves_box:
+        events.append(_bisect(lambda tau: not _in_box(dense(tau), domain.bounds), t0, t1, EXIT_BISECT_TOL))
     for p in punctures_1d:
         a, b = y0[0] - p, y1[0] - p
         if a == 0.0:
@@ -398,7 +423,7 @@ def _first_exit(sys, punctures_1d, t0, t1, y0, y1, f0, f1):
                     t0, t1, EXIT_BISECT_TOL,
                 )
             )
-    if sys.dimension > 1 and tuple(y1) in sys.domain.punctures:
+    if on_puncture:
         events.append(t1)
     if not events:
         return None

@@ -11,6 +11,20 @@ Grammar (whitespace insensitive)::
 Variables are 1-indexed (``x1``, ``x2``, ...) up to a declared arity; ``t``
 is the time variable.  Every value here is immutable after construction, so
 parsing, evaluation and differentiation are safe for concurrent callers.
+
+Scalar evaluation (:func:`evaluate`, :func:`evaluate_vector`) compiles each
+expression once, lazily on its first evaluation, to straight-line Python and
+caches the function on the ``Expr`` or ``VectorExpr`` instance; a vector
+expression compiles all its components into one function that computes
+each shared subexpression once.  The compiled code makes the same IEEE
+operations in the same order, and the same domain checks, as a recursive
+walk of the tree would.  Building the code has no recursion, so deep trees
+evaluate; printing, differentiation, substitution and parsing still recurse.
+
+The batched :func:`evaluate_many` stays a numpy tree walker with no domain
+checks: the germ code calls it on many expressions (derivatives and
+composites built on the fly) a few times each, where compiling would cost
+more than it saves.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -111,18 +126,26 @@ class Call(Node):
     arg: Node
 
 
-def _max_var(node: Node) -> int:
-    match node:
-        case Var(index=i):
-            return i
-        case Neg(arg=a) | Call(arg=a):
-            return _max_var(a)
-        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
-            return max(_max_var(l), _max_var(r))
-        case Pow(base=l, exponent=r):
-            return max(_max_var(l), _max_var(r))
-        case _:
-            return 0
+def _children(node: Node) -> tuple[Node, ...]:
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    if isinstance(node, Pow):
+        return (node.base, node.exponent)
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return (node.left, node.right)
+    return ()
+
+
+def _max_var(root: Node) -> int:
+    used, stack, seen = 0, [root], set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            used = max(used, node.index)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(_children(node))
+    return used
 
 
 @dataclass(frozen=True)
@@ -139,6 +162,10 @@ class Expr:
 
     def __str__(self) -> str:
         return to_string(self)
+
+    @cached_property
+    def _compiled(self):
+        return _compile((self.root,), vector=False)
 
 
 @dataclass(frozen=True)
@@ -162,6 +189,10 @@ class VectorExpr:
     @property
     def size(self) -> int:
         return len(self.components)
+
+    @cached_property
+    def _compiled(self):
+        return _compile([c.root for c in self.components], vector=True)
 
 
 # --- parsing --------------------------------------------------------------
@@ -354,75 +385,140 @@ def to_string(e: Expr) -> str:
 
 
 # --- evaluation -----------------------------------------------------------
+#
+# Scalar evaluation compiles an expression (or all components of a vector
+# expression together) once, on first use, into straight-line Python: one
+# assignment per distinct subexpression, hash-consed so that repeated terms
+# and shared subtrees are computed once, in the order a left-to-right walk
+# of the tree computes them (a quotient's denominator first), each followed
+# by the domain check of its operation.  The function is cached on the
+# instance.  A culprit string is formatted from its node only when a check
+# fails.
 
 
-def _finite(v: float, node: Node) -> float:
-    if not math.isfinite(v):
-        raise DomainError("non-finite result", _fmt_node(node))
-    return v
+def _fail(message: str, node: Node) -> DomainError:
+    return DomainError(message, _fmt_node(node))
 
 
 def _pow_value(b: float, x: float, node: Node) -> float:
-    # a real exponent (or an integer one of 2^31 or more) needs a positive base
-    if b < 0.0 and not (float(x).is_integer() and abs(x) < 2**31):
-        raise DomainError("negative base with non-integer exponent", _fmt_node(node))
+    # a negative base needs an integer-valued exponent
+    if b < 0.0 and not float(x).is_integer():
+        raise _fail("negative base with non-integer exponent", node)
     if b == 0.0 and x < 0:
-        raise DomainError("zero base with negative exponent", _fmt_node(node))
+        raise _fail("zero base with negative exponent", node)
     try:
-        return _finite(b ** x, node)
+        v = b ** x
     except OverflowError:
-        raise DomainError("overflow", _fmt_node(node)) from None
+        raise _fail("overflow", node) from None
+    if not math.isfinite(v):
+        raise _fail("non-finite result", node)
+    return v
 
 
-def _call_value(func: str, a: float, node: Node) -> float:
-    if func == "sin":
-        return math.sin(a)
-    if func == "cos":
-        return math.cos(a)
-    if func == "tanh":
-        return math.tanh(a)
-    if func == "exp":
-        try:
-            return math.exp(a)
-        except OverflowError:
-            raise DomainError("overflow", _fmt_node(node)) from None
-    if func == "log":
-        if a <= 0.0:
-            raise DomainError("log of a non-positive number", _fmt_node(node))
-        return math.log(a)
-    if func == "sqrt":
-        if a < 0.0:
-            raise DomainError("sqrt of a negative number", _fmt_node(node))
-        return math.sqrt(a)
-    raise ValueError(f"unknown function {func!r}")
+# names the compiled code refers to, besides ``nodes`` and constants
+_RUNTIME = {
+    "isfinite": math.isfinite, "_fail": _fail, "_pow_value": _pow_value,
+    **{f: getattr(math, f) for f in FUNCTIONS},
+}
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+# argument tests of the partial functions, as (condition on the argument, message)
+_CALL_GUARDS = {
+    "log": ("<= 0.0", "log of a non-positive number"),
+    "sqrt": ("< 0.0", "sqrt of a negative number"),
+}
 
 
-def _eval(node: Node, point, t: float) -> float:
-    match node:
-        case Num(value=v):
-            return v
-        case Var(index=i):
-            return float(point[i - 1])
-        case TimeVar():
-            return t
-        case Neg(arg=a):
-            return -_eval(a, point, t)
-        case Add(left=l, right=r):
-            return _finite(_eval(l, point, t) + _eval(r, point, t), node)
-        case Sub(left=l, right=r):
-            return _finite(_eval(l, point, t) - _eval(r, point, t), node)
-        case Mul(left=l, right=r):
-            return _finite(_eval(l, point, t) * _eval(r, point, t), node)
-        case Div(left=l, right=r):
-            den = _eval(r, point, t)
-            if den == 0.0:
-                raise DomainError("division by zero", _fmt_node(node))
-            return _finite(_eval(l, point, t) / den, node)
-        case Pow(base=b, exponent=x):
-            return _pow_value(_eval(b, point, t), _eval(x, point, t), node)
-        case Call(func=f, arg=a):
-            return _call_value(f, _eval(a, point, t), node)
-    raise TypeError(f"unknown node {node!r}")
+class _Emitter:
+    """Builds the body of one compiled function; see the section comment."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.names: dict[tuple, str] = {}  # structural key -> operand text
+        self.seen: dict[int, str] = {}  # id(node) -> operand text
+        self.nonzero: set[str] = set()  # operands already tested against zero
+        self.namespace: dict[str, object] = {}  # constants, by name
+        self.culprits: list[Node] = []  # nodes whose text an error may need
+
+    def _culprit(self, node: Node) -> str:
+        self.culprits.append(node)
+        return f"nodes[{len(self.culprits) - 1}]"
+
+    def _raise(self, message: str, node: Node) -> str:
+        return f"raise _fail({message!r}, {self._culprit(node)})"
+
+    def _constant(self, v) -> str:
+        key = (type(v), repr(v))  # repr tells 0.0 from -0.0
+        if key not in self.names:
+            self.names[key] = f"k{len(self.namespace)}"
+            self.namespace[self.names[key]] = v
+        return self.names[key]
+
+    def operand(self, root: Node) -> str:
+        """Emit the code that computes ``root``; return the name holding it."""
+        stack: list[tuple[Node, int]] = [(root, 0)]
+        while stack:
+            node, phase = stack.pop()
+            if phase == 0:
+                if id(node) in self.seen:
+                    continue
+                stack.append((node, 2))
+                if isinstance(node, Div):
+                    stack += [(node.left, 0), (node, 1), (node.right, 0)]
+                else:
+                    stack += [(kid, 0) for kid in reversed(_children(node))]
+            elif phase == 1:
+                den = self.seen[id(node.right)]
+                if den not in self.nonzero:
+                    self.nonzero.add(den)
+                    self.lines.append(f"if {den} == 0.0: " + self._raise("division by zero", node))
+            else:
+                self.seen[id(node)] = self._emit(node)
+        return self.seen[id(root)]
+
+    def _emit(self, node: Node) -> str:
+        if isinstance(node, Num):
+            return self._constant(node.value)
+        if isinstance(node, TimeVar):
+            return "t"
+        args = [self.seen[id(kid)] for kid in _children(node)]
+        key = (type(node), getattr(node, "func", None), getattr(node, "index", None), *args)
+        if key in self.names:
+            return self.names[key]
+        v = self.names[key] = f"v{len(self.names)}"
+        emit = self.lines.append
+        if isinstance(node, Var):
+            emit(f"{v} = float(point[{node.index - 1}])")
+        elif isinstance(node, Neg):
+            emit(f"{v} = -{args[0]}")
+        elif type(node) in _BINARY_OPS:
+            emit(f"{v} = {args[0]} {_BINARY_OPS[type(node)]} {args[1]}")
+            emit(f"if not isfinite({v}): " + self._raise("non-finite result", node))
+        elif isinstance(node, Pow):
+            emit(f"{v} = _pow_value({args[0]}, {args[1]}, {self._culprit(node)})")
+        elif isinstance(node, Call) and node.func == "exp":
+            emit(f"try: {v} = exp({args[0]})")
+            emit("except OverflowError: " + self._raise("overflow", node) + " from None")
+        elif isinstance(node, Call) and node.func in FUNCTIONS:
+            if node.func in _CALL_GUARDS:
+                test, message = _CALL_GUARDS[node.func]
+                emit(f"if {args[0]} {test}: " + self._raise(message, node))
+            emit(f"{v} = {node.func}({args[0]})")
+        elif isinstance(node, Call):
+            emit(f"raise ValueError({f'unknown function {node.func!r}'!r})")
+        else:
+            emit(f"raise TypeError({f'unknown node {node!r}'!r})")
+        return v
+
+
+def _compile(roots: Sequence[Node], vector: bool):
+    """One function ``(point, t)`` computing every root: a list if ``vector``."""
+    em = _Emitter()
+    results = [em.operand(root) for root in roots]
+    ret = f"[{', '.join(results)}]" if vector else results[0]
+    src = "def compiled(point, t):\n" + "".join(f"    {line}\n" for line in em.lines + [f"return {ret}"])
+    namespace = {**_RUNTIME, **em.namespace, "nodes": tuple(em.culprits)}
+    exec(compile(src, "<dynsys.expr>", "exec"), namespace)
+    return namespace["compiled"]
 
 
 def evaluate(e: Expr, point: Sequence[float], t: float = 0.0) -> float:
@@ -433,11 +529,14 @@ def evaluate(e: Expr, point: Sequence[float], t: float = 0.0) -> float:
     """
     if len(point) != e.arity:
         raise ArityError(f"point has {len(point)} coordinates, expected {e.arity}")
-    return _eval(e.root, point, float(t))
+    return e._compiled(point, float(t))
 
 
 def evaluate_vector(f: VectorExpr, point: Sequence[float], t: float = 0.0) -> list[float]:
-    return [evaluate(c, point, t) for c in f.components]
+    """Every component at once, with the checks and errors of :func:`evaluate`."""
+    if len(point) != f.arity:
+        raise ArityError(f"point has {len(point)} coordinates, expected {f.arity}")
+    return f._compiled(point, float(t))
 
 
 def _eval_np(node: Node, pts: np.ndarray, t) -> np.ndarray:

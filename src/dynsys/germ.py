@@ -67,7 +67,8 @@ class OpenSet1D:
             return np.zeros(xs.shape, dtype=bool)
         left = np.searchsorted(flat, xs, side="left")
         right = np.searchsorted(flat, xs, side="right")
-        return (left % 2 == 1) & (right % 2 == 1)
+        # inside an interval, and not on an endpoint (two intervals may share one)
+        return (left % 2 == 1) & (left == right)
 
     def intersect(self, other: "OpenSet1D") -> "OpenSet1D":
         out = []

@@ -1,4 +1,7 @@
-"""Seeded random expression generator shared by the expr and acceptance suites."""
+"""Seeded random expression generator shared by the expr and acceptance suites,
+and the tree-walking evaluator that the compiled one is checked against."""
+
+import math
 
 import numpy as np
 
@@ -49,3 +52,62 @@ def central_difference(e: E.Expr, var: int, point, t: float = 0.0, h: float = 1e
     hi[var - 1] += h
     lo[var - 1] -= h
     return (E.evaluate(e, hi, t) - E.evaluate(e, lo, t)) / (2.0 * h)
+
+
+def _finite(v: float, node: E.Node) -> float:
+    if not math.isfinite(v):
+        raise E.DomainError("non-finite result", E._fmt_node(node))
+    return v
+
+
+def _call_value(func: str, a: float, node: E.Node) -> float:
+    if func == "sin":
+        return math.sin(a)
+    if func == "cos":
+        return math.cos(a)
+    if func == "tanh":
+        return math.tanh(a)
+    if func == "exp":
+        try:
+            return math.exp(a)
+        except OverflowError:
+            raise E.DomainError("overflow", E._fmt_node(node)) from None
+    if func == "log":
+        if a <= 0.0:
+            raise E.DomainError("log of a non-positive number", E._fmt_node(node))
+        return math.log(a)
+    if func == "sqrt":
+        if a < 0.0:
+            raise E.DomainError("sqrt of a negative number", E._fmt_node(node))
+        return math.sqrt(a)
+    raise ValueError(f"unknown function {func!r}")
+
+
+def reference_eval(node: E.Node, point, t: float) -> float:
+    """Oracle for :func:`dynsys.expr.evaluate`: a recursive walk with the same
+    domain checks, computing every occurrence of a subexpression anew."""
+    match node:
+        case E.Num(value=v):
+            return v
+        case E.Var(index=i):
+            return float(point[i - 1])
+        case E.TimeVar():
+            return t
+        case E.Neg(arg=a):
+            return -reference_eval(a, point, t)
+        case E.Add(left=l, right=r):
+            return _finite(reference_eval(l, point, t) + reference_eval(r, point, t), node)
+        case E.Sub(left=l, right=r):
+            return _finite(reference_eval(l, point, t) - reference_eval(r, point, t), node)
+        case E.Mul(left=l, right=r):
+            return _finite(reference_eval(l, point, t) * reference_eval(r, point, t), node)
+        case E.Div(left=l, right=r):
+            den = reference_eval(r, point, t)
+            if den == 0.0:
+                raise E.DomainError("division by zero", E._fmt_node(node))
+            return _finite(reference_eval(l, point, t) / den, node)
+        case E.Pow(base=b, exponent=x):
+            return E._pow_value(reference_eval(b, point, t), reference_eval(x, point, t), node)
+        case E.Call(func=f, arg=a):
+            return _call_value(f, reference_eval(a, point, t), node)
+    raise TypeError(f"unknown node {node!r}")

@@ -75,6 +75,37 @@ def test_solve_exit_beyond_bisection_resolution(tmp_path):
     assert "left-domain at t=50000000" in res.stderr
 
 
+DEEP_SUM = " + ".join(["0.001*x1"] * 3000)
+
+
+def test_solve_deep_sum_matches_closed_form(tmp_path):
+    spec = tmp_path / "deep.txt"
+    spec.write_text(f"kind: continuous\ndimension: 1\nfield: {DEEP_SUM}\nbasepoint: 1\n")
+    res = run_cli("solve", str(spec), "--span", "1")
+    assert res.returncode == 0, res.stderr
+    rows = [[float(v) for v in line.split(",")] for line in res.stdout.splitlines()[1:]]
+    assert rows[-1][0] == 1.0
+    for t, x in rows:
+        assert x == pytest.approx(math.exp(3.0 * t), rel=1e-7)
+
+
+def test_solve_deeply_nested_parentheses_is_input_error(tmp_path):
+    spec = tmp_path / "parens.txt"
+    field = "(" * 3000 + "x1" + ")" * 3000
+    spec.write_text(f"kind: continuous\ndimension: 1\nfield: {field}\nbasepoint: 1\n")
+    res = run_cli("solve", str(spec), "--span", "1")
+    assert res.returncode == 1
+    assert res.stderr == "error: expression nested too deeply\n"
+
+
+def test_deep_map_derivative_is_input_error(specs, tmp_path):
+    mapping = tmp_path / "deepmap.txt"
+    mapping.write_text(f"kind: map\ncomponent: {DEEP_SUM}\n")
+    res = run_cli("check-morphism", specs["time"], specs["time"], str(mapping))
+    assert res.returncode == 1
+    assert res.stderr == "error: expression nested too deeply\n"
+
+
 @pytest.mark.parametrize("field", ["1e999", "x1^1e999"])
 def test_solve_non_finite_literal_is_input_error(tmp_path, capsys, field):
     spec = tmp_path / "bad.txt"

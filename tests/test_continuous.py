@@ -143,6 +143,39 @@ def test_step_limit_is_typed():
         C.integrate(line("sin(1000*t)*1000"), [0.0], 1e4, max_steps=5)
 
 
+# --- solver statistics --------------------------------------------------------
+
+
+def _assert_stats_consistent(traj):
+    s = traj.stats
+    assert s.accepted == len(traj.times) - 1
+    assert s.nfev <= 6 * (s.accepted + s.rejected + s.domain_retries) + 2
+
+
+def test_stats_oscillator_reached_span():
+    traj = C.integrate(oscillator(), [1.0, 0.0], 2 * math.pi)
+    assert traj.termination == "reached-span"
+    _assert_stats_consistent(traj)
+    s = traj.stats
+    assert s.rejected > 0 and s.domain_retries == 0
+    # with no domain retry every step attempt evaluates the field six times
+    assert s.nfev == 6 * (s.accepted + s.rejected) + 2
+
+
+def test_stats_box_exit():
+    traj = C.integrate(line("1", hi=2.0), [1.0], 5.0)
+    assert traj.termination == "left-domain"
+    _assert_stats_consistent(traj)
+
+
+def test_stats_count_domain_retries():
+    # x1 reaches 1 at t=2, and stages that overshoot it leave sqrt's domain
+    traj = C.integrate(line("sqrt(1 - x1)"), [0.0], 3.0)
+    assert traj.termination == "reached-span"
+    assert traj.stats.domain_retries > 0
+    _assert_stats_consistent(traj)
+
+
 def test_csv_export(tmp_path):
     traj = C.integrate(C.time_system(), [0.0], 1.0)
     path = tmp_path / "traj.csv"

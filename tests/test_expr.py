@@ -1,4 +1,5 @@
 import math
+import struct
 
 import hypothesis
 import hypothesis.strategies as st
@@ -6,7 +7,30 @@ import numpy as np
 import pytest
 
 from dynsys import expr as E
-from exprgen import central_difference, random_expr
+from exprgen import central_difference, random_expr, reference_eval
+
+# random ASTs over x1..x3 and t
+
+_leaves = st.one_of(
+    st.builds(E.Num, st.floats(min_value=-50, max_value=50, allow_nan=False)),
+    st.builds(E.Var, st.integers(1, 3)),
+    st.just(E.TimeVar()),
+)
+
+
+def _compound(children):
+    return st.one_of(
+        st.builds(E.Add, children, children),
+        st.builds(E.Sub, children, children),
+        st.builds(E.Mul, children, children),
+        st.builds(E.Div, children, children),
+        st.builds(E.Pow, children, children),
+        st.builds(E.Neg, children.filter(lambda n: not isinstance(n, E.Num))),
+        st.builds(E.Call, st.sampled_from(E.FUNCTIONS), children),
+    )
+
+
+_asts = st.recursive(_leaves, _compound, max_leaves=25)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -107,6 +131,99 @@ def test_eval_overflow_reported():
 
 def test_eval_time_variable():
     assert E.evaluate(E.parse("x1 + t", 1), [1.0], t=2.5) == 3.5
+
+
+def test_eval_negative_base_huge_even_exponent():
+    assert E.evaluate(E.parse("(0 - 0.5)^x1", 1), [4e9]) == 0.0
+
+
+def test_eval_negative_base_huge_exponent_overflows():
+    with pytest.raises(E.DomainError) as info:
+        E.evaluate(E.parse("(0 - 2)^x1", 1), [3e9])
+    assert str(info.value) == "overflow in (0 - 2)^x1"
+
+
+@pytest.mark.parametrize("base", [-2.0, -1.5, -0.5, -1.0])
+@pytest.mark.parametrize("exponent", [3.0, 30.0, -7.0, 1021.0, 2.0**31 - 1])
+def test_eval_negative_base_integer_exponent_is_float_pow(base, exponent):
+    e = E.parse("x1^x2", 2)
+    try:
+        expected = base ** exponent
+    except OverflowError:
+        with pytest.raises(E.DomainError):
+            E.evaluate(e, [base, exponent])
+        return
+    assert _bits(E.evaluate(e, [base, exponent])) == _bits(expected)
+
+
+# --- the compiled evaluator against the tree walker ---------------------------
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+def _outcome(fn, *args):
+    """A value's bits, or the type and text of what was raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # any failure must match the walker's exactly
+        return type(exc), str(exc)
+    if isinstance(result, list):
+        return [_bits(v) for v in result]
+    return _bits(result)
+
+
+def _reference_vector(roots, point, t):
+    return [reference_eval(root, point, float(t)) for root in roots]
+
+
+# values that reach log <= 0, division by zero, overflow and negative bases
+_specials = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.0, -2.5, 0.5, 1e-300, 710.0, -710.0, 1e200, -1e200, 1e308]
+)
+_coords = st.one_of(_specials, st.floats(min_value=-60, max_value=60, allow_nan=False))
+
+
+@hypothesis.given(st.lists(_asts, min_size=1, max_size=4), st.lists(_coords, min_size=3, max_size=3),
+                  _coords)
+@hypothesis.settings(max_examples=400, deadline=None)
+def test_compiled_matches_reference_walker(asts, point, t):
+    exprs = [E.Expr(a, 3) for a in asts]
+    for e in exprs:
+        assert _outcome(E.evaluate, e, point, t) == _outcome(reference_eval, e.root, point, float(t))
+    field = E.VectorExpr(exprs)
+    assert _outcome(E.evaluate_vector, field, point, t) == _outcome(_reference_vector, asts, point, t)
+
+
+@pytest.mark.parametrize("src, point, message", [
+    ("log(x1 - x2) + x1", [1.0, 1.0], "log of a non-positive number in log(x1 - x2)"),
+    ("x2 + 1/(x1 - x2)", [2.0, 2.0], "division by zero in 1 / (x1 - x2)"),
+    ("(x1 - 1)/0 + log(x1)", [-1.0, 0.0], "division by zero in (x1 - 1) / 0"),
+    ("exp(x1) * x2", [710.0, 1.0], "overflow in exp(x1)"),
+    ("x1 * x1 * x2", [1e200, 1.0], "non-finite result in x1 * x1"),
+    ("x1^x2 + x1", [-2.0, 0.5], "negative base with non-integer exponent in x1^x2"),
+    ("x2 + x1^(0 - 1)", [0.0, 1.0], "zero base with negative exponent in x1^(0 - 1)"),
+    ("sqrt(x1) * sqrt(x1)", [-1.0, 0.0], "sqrt of a negative number in sqrt(x1)"),
+])
+def test_compiled_domain_errors_match_reference(src, point, message):
+    e = E.parse(src, 2)
+    expected = (E.DomainError, message)
+    assert _outcome(reference_eval, e.root, point, 0.0) == expected
+    assert _outcome(E.evaluate, e, point) == expected
+    assert _outcome(E.evaluate_vector, E.VectorExpr((e, e)), point) == expected
+
+
+def test_compiled_jacobian_shares_subexpressions_exactly():
+    # Jacobian entries share subtrees; evaluating them as one vector must
+    # still give each entry's walker value bit for bit
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        field = E.VectorExpr(tuple(random_expr(rng, arity=2, depth=3) for _ in range(2)))
+        entries = [entry for row in E.jacobian(field) for entry in row]
+        point = [float(v) for v in rng.uniform(-1.5, 1.5, size=2)]
+        got = _outcome(E.evaluate_vector, E.VectorExpr(tuple(entries)), point, 0.3)
+        assert got == _outcome(_reference_vector, [e.root for e in entries], point, 0.3)
 
 
 def test_evaluate_many_matches_scalar():
@@ -221,27 +338,6 @@ def test_jacobian_vector_product_against_fd():
 
 
 # --- printing and composition ----------------------------------------------
-
-_leaves = st.one_of(
-    st.builds(E.Num, st.floats(min_value=-50, max_value=50, allow_nan=False)),
-    st.builds(E.Var, st.integers(1, 3)),
-    st.just(E.TimeVar()),
-)
-
-
-def _compound(children):
-    return st.one_of(
-        st.builds(E.Add, children, children),
-        st.builds(E.Sub, children, children),
-        st.builds(E.Mul, children, children),
-        st.builds(E.Div, children, children),
-        st.builds(E.Pow, children, children),
-        st.builds(E.Neg, children.filter(lambda n: not isinstance(n, E.Num))),
-        st.builds(E.Call, st.sampled_from(E.FUNCTIONS), children),
-    )
-
-
-_asts = st.recursive(_leaves, _compound, max_leaves=25)
 
 
 @hypothesis.given(_asts)

@@ -52,6 +52,11 @@ def test_contains_array_matches_scalar(ivs, x):
     assert bool(s.contains_array(np.array([x]))[0]) == s.contains(x)
 
 
+def test_contains_array_excludes_shared_endpoint():
+    s = G.open_set((-2.0, -1.0), (-1.0, 0.0))
+    assert s.contains_array(np.array([-1.5, -1.0, -0.5, 0.0])).tolist() == [True, False, True, False]
+
+
 def test_intersect_and_union():
     a = G.open_set((0.0, 5.0))
     b = G.open_set((-math.inf, 1.0), (2.0, math.inf))
