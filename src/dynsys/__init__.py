@@ -4,7 +4,12 @@ Discrete endomaps, continuous-time ODE systems and germed (partial-domain)
 systems share one morphism story: maps of carriers whose dynamics commute.
 This package instantiates each kind, checks morphisms, computes solutions,
 and verifies the algebraic laws that make time universal among systems.
+
+The names from :mod:`dynsys.germ` are resolved on first access, so that
+``import dynsys`` loads no numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -29,6 +34,7 @@ from .core import (  # noqa: F401
     CheckReport,
     EnumerationCapError,
     MorphismCandidate,
+    NonMonotoneError,
     PointedSystem,
     SystemMismatchError,
     check_composition_closure,
@@ -63,20 +69,6 @@ from .continuous import (  # noqa: F401
     smooth_map,
     time_system,
 )
-from .germ import (  # noqa: F401
-    FULL_LINE,
-    Germ,
-    NonMonotoneError,
-    OpenSet1D,
-    PartialMap,
-    SolutionDomain,
-    compose_partial,
-    germ_equal,
-    maximal_solution_domain,
-    open_set,
-    partial_map,
-    preimage,
-)
 from .tau import (  # noqa: F401
     TangentSection,
     TauInstance,
@@ -86,3 +78,33 @@ from .tau import (  # noqa: F401
     from_continuous,
     from_discrete,
 )
+
+# names defined in dynsys.germ, imported on first access (PEP 562)
+_GERM_NAMES = frozenset((
+    "FULL_LINE",
+    "Germ",
+    "OpenSet1D",
+    "PartialMap",
+    "SolutionDomain",
+    "compose_partial",
+    "germ_equal",
+    "maximal_solution_domain",
+    "open_set",
+    "partial_map",
+    "preimage",
+))
+
+
+def __getattr__(name):
+    if name == "germ":
+        value = importlib.import_module(".germ", __name__)
+    elif name in _GERM_NAMES:
+        value = getattr(importlib.import_module(".germ", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _GERM_NAMES | {"germ"})

@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import continuous as C
-from . import core, discrete, germ, tau
+from . import core, discrete, tau
 from . import expr as E
 from .specio import LoadedSystem, SpecError, load_map, load_system, render_report
 
@@ -169,6 +167,8 @@ def _laws_for_discrete(loaded: LoadedSystem, args, checks, notes, label: str) ->
 
 
 def _laws_for_continuous(loaded: LoadedSystem, args, checks, notes, label: str) -> None:
+    import numpy as np
+
     sys_ = loaded.system
     checks.append((f"{label}section-law", tau.check_section(loaded.tau_system)))
     checks.append((f"{label}identity-morphism", C.check_f_relatedness(
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
         if args.command == "check-morphism":
             return _cmd_check_morphism(args)
         return _cmd_laws(args)
-    except (SpecError, E.ExprError, germ.NonMonotoneError, ValueError,
+    except (SpecError, E.ExprError, core.NonMonotoneError, ValueError,
             C.StepSizeUnderflowError, C.StepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

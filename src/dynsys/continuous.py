@@ -6,21 +6,26 @@ Prince coefficients): the 5th-order solution is propagated and the
 difference to the embedded 4th-order one drives the step size.  Dense
 output between accepted steps is cubic Hermite.  Integration stops early
 when the state escapes past a norm threshold (blow-up) or leaves the
-declared open domain; the crossing time is located by bisection.
+declared open domain: the dense output crosses the box boundary, or hits a
+puncture (see PUNCTURE_TOL); the exit time is located by bisection.
+The integrator works on plain lists of floats and loads no numpy; the
+checks built on it do.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import expr as E
 from .core import CheckReport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TERM_SPAN = "reached-span"
 TERM_BLOWUP = "blow-up"
@@ -135,6 +140,8 @@ class SmoothMap:
 
     def jacobian_at(self, point, t: float = 0.0) -> np.ndarray:
         """The Jacobian matrix at a point, from symbolic partials built once per map."""
+        import numpy as np
+
         values = E.evaluate_vector(self._jacobian, point, t)
         return np.array(values).reshape(self.target_dim, self.source_dim)
 
@@ -162,99 +169,148 @@ class IntegrationStats:
     accepted: int = 0  # steps that passed the error test
     rejected: int = 0  # steps refused by the error test
     domain_retries: int = 0  # steps shrunk because a stage left the field's domain
+    event_bisections: int = 0  # halvings spent locating domain exits inside steps
 
 
-@dataclass
 class Trajectory:
     """Sampled solution curve with its domain-of-definition metadata.
 
     ``times`` is strictly increasing regardless of integration direction;
     ``termination`` explains why integration stopped at the far end (t_hi
-    when integrating forward, t_lo backward).
+    when integrating forward, t_lo backward).  The knots are kept as given
+    (the integrator passes plain lists); ``times``, ``states`` and
+    ``derivs`` are numpy arrays built on first access.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    derivs: np.ndarray
-    t_lo: float
-    t_hi: float
-    termination: str
-    stats: IntegrationStats = field(default_factory=IntegrationStats)
+    def __init__(self, times, states, derivs, t_lo: float, t_hi: float,
+                 termination: str, stats: IntegrationStats | None = None):
+        self._times, self._states, self._derivs = times, states, derivs
+        self.t_lo = t_lo
+        self.t_hi = t_hi
+        self.termination = termination
+        self.stats = IntegrationStats() if stats is None else stats
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return _array(self._times)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        return _array(self._states)
+
+    @cached_property
+    def derivs(self) -> np.ndarray:
+        return _array(self._derivs)
 
     def sample(self, t: float) -> np.ndarray:
         """Dense output: cubic Hermite on the accepted step containing t."""
-        ts = self.times
+        import numpy as np
+
+        ts = self._times
         if not ts[0] <= t <= ts[-1]:
             raise ValueError(f"t={t} outside recorded span [{ts[0]}, {ts[-1]}]")
-        i = int(np.searchsorted(ts, t, side="right")) - 1
+        i = bisect.bisect_right(ts, t) - 1
         i = min(max(i, 0), len(ts) - 2)
-        return _hermite(
-            t, ts[i], ts[i + 1], self.states[i], self.states[i + 1],
-            self.derivs[i], self.derivs[i + 1],
-        )
+        return np.array(_hermite(
+            t, ts[i], ts[i + 1], self._states[i], self._states[i + 1],
+            self._derivs[i], self._derivs[i + 1],
+        ))
 
     def to_csv(self, path=None) -> None:
         """Write ``t,x1,...,xn`` rows at full precision to ``path``, or to
         the current standard output when ``path`` is None."""
-        n = self.states.shape[1]
+        n = len(self._states[0])
         with open(path, "w") if path is not None else nullcontext() as fh:
             print("t," + ",".join(f"x{i}" for i in range(1, n + 1)), file=fh)
-            for t, row in zip(self.times, self.states):
+            for t, row in zip(self._times, self._states):
                 print(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row]), file=fh)
 
 
-def _hermite(t, t0, t1, y0, y1, f0, f1):
+def _array(knots) -> np.ndarray:
+    import numpy as np
+
+    return np.array(knots, dtype=float)
+
+
+def _hermite(t, t0, t1, y0, y1, f0, f1) -> list[float]:
     h = t1 - t0
     s = (t - t0) / h
     h00 = 2 * s**3 - 3 * s**2 + 1
-    h10 = s**3 - 2 * s**2 + s
+    h10 = h * (s**3 - 2 * s**2 + s)
     h01 = -2 * s**3 + 3 * s**2
-    h11 = s**3 - s**2
-    return h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1
+    h11 = h * (s**3 - s**2)
+    return [h00 * a + h10 * da + h01 * b + h11 * db for a, b, da, db in zip(y0, y1, f0, f1)]
 
 
-def _hermite_deriv(t, t0, t1, y0, y1, f0, f1):
+def _hermite_deriv(t, t0, t1, y0, y1, f0, f1) -> list[float]:
     h = t1 - t0
     s = (t - t0) / h
     d00 = (6 * s**2 - 6 * s) / h
     d10 = 3 * s**2 - 4 * s + 1
     d01 = (-6 * s**2 + 6 * s) / h
     d11 = 3 * s**2 - 2 * s
-    return d00 * y0 + d10 * f0 + d01 * y1 + d11 * f1
+    return [d00 * a + d10 * da + d01 * b + d11 * db for a, b, da, db in zip(y0, y1, f0, f1)]
 
 
 # --- Dormand-Prince 5(4) ----------------------------------------------------
+#
+# The step works on lists of floats.  Every stage combination is a sum taken
+# left to right over the nonzero coefficients, so a step gives the same bits
+# on every IEEE-754 machine, and negating coordinates that the field maps
+# equivariantly negates the computed trajectory exactly.
 
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)  # nodes of stages 2..5; stages 6 and 7 sit at t + h
 _DP_A = (
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_DP_E = np.concatenate([_DP_B, [0.0]]) - _DP_B4
+# weights of k1, k3, k4, k5, k6 (k2 has weight zero in both solutions)
+_DP_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+# the embedded 4th-order weights of k1, k3, ..., k7
+_DP_B4 = (5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# error weights: 5th minus 4th order, of k1, k3, ..., k7
+_DP_E = tuple(b - b4 for b, b4 in zip(_DP_B + (0.0,), _DP_B4))
+
+#: in 2-D and up, a step's dense segment that comes within this euclidean
+#: distance of a puncture hits it, and the solution leaves the domain at the
+#: closest approach.  A computed path misses a point by about its integration
+#: error, so an exact test would never fire; this tolerance sits well above
+#: that error at the default tolerances and well below any deliberate miss.
+#: In 1-D a path hits a puncture only by reaching it (crossing it or landing
+#: on it), so a solution that merely creeps up on one is never stopped.
+PUNCTURE_TOL = 1e-6
+_APPROACH_GRID = 16  # samples per step that bracket the closest approaches
+#: after this many trial steps that left the field's domain while no accepted
+#: step moved the state, the run is stalled at the edge of the field's domain
+#: (each accepted step is too short to change a coordinate, each longer one
+#: leaves the domain) and raises StepSizeUnderflowError
+STALL_RETRIES = 50
 
 
-def _rms(x: np.ndarray) -> float:
-    # the sum and quotient np.mean takes, without its overhead
-    return math.sqrt(np.add.reduce(x * x) / x.size)
+def _dot(a, b) -> float:
+    total = 0.0
+    for u, v in zip(a, b):
+        total += u * v
+    return total
 
 
-def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, limit):
-    scale = atol + rtol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+def _rms(values) -> float:
+    return math.sqrt(_dot(values, values) / len(values))
+
+
+def _initial_step(field, t0, y0, f0, direction, rtol, atol, limit):
+    scale = [atol + rtol * abs(v) for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, limit)
     try:
-        y1 = y0 + h0 * direction * f0
-        f1 = rhs(t0 + h0 * direction, y1)
-        d2 = _rms((f1 - f0) / scale) / h0
+        y1 = [v + h0 * direction * f for v, f in zip(y0, f0)]
+        f1 = field(y1, t0 + h0 * direction)
+        d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     except E.DomainError:
         d2 = d1
     if max(d1, d2) <= 1e-15:
@@ -298,36 +354,42 @@ def integrate(
 
     Local error per step is held to about atol + rtol*|x|.  Stops early
     with termination "blow-up" once |x| exceeds ``escape_threshold`` and
-    with "left-domain" when the state exits the open domain; the boundary
-    crossing is bisected to EXIT_BISECT_TOL and becomes the final knot.
-    Raises :class:`StepLimitError` after ``max_steps`` steps.
+    with "left-domain" when the state exits the open box (the crossing is
+    bisected to EXIT_BISECT_TOL) or hits a puncture (at the closest
+    approach; see PUNCTURE_TOL); the exit becomes the final knot.
+    Raises :class:`StepLimitError` after ``max_steps`` steps, and
+    :class:`StepSizeUnderflowError` when the step size underflows or the
+    state stalls at the edge of the field's domain (STALL_RETRIES).
     """
-    y0 = np.asarray(x0, dtype=float)
-    if y0.shape != (sys.dimension,):
-        raise E.ArityError(f"x0 has shape {y0.shape}, expected ({sys.dimension},)")
-    if not sys.domain.contains(y0):
-        raise ValueError(f"x0 {tuple(y0)} outside the domain")
+    n = sys.dimension
+    try:
+        y = [float(v) for v in x0]
+    except TypeError:
+        raise E.ArityError(f"x0 must be a sequence of {n} coordinates") from None
+    if len(y) != n:
+        raise E.ArityError(f"x0 has {len(y)} coordinates, expected {n}")
+    if not sys.domain.contains(y):
+        raise ValueError(f"x0 {tuple(y)} outside the domain")
     T = float(span)
     if T == 0.0 or not math.isfinite(T):
         raise ValueError("span must be a nonzero finite time")
     direction = 1.0 if T > 0 else -1.0
 
     field = sys.field._compiled  # the whole field in one compiled call
+    c2, c3, c4, c5 = _DP_C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _DP_A
+    b1, b3, b4, b5, b6 = _DP_B
+    e1, e3, e4, e5, e6, e7 = _DP_E
 
-    def rhs(t_stage: float, y_stage: np.ndarray) -> np.ndarray:
-        return np.array(field(y_stage, t_stage))
-
-    t, y = 0.0, y0.copy()
-    k1 = rhs(t, y)
+    t = 0.0
+    k1 = field(y, t)
     ts, ys, fs = [t], [y], [k1]
     termination = TERM_SPAN
-    punctures_1d = [p[0] for p in sys.domain.punctures] if sys.dimension == 1 else []
+    stats = IntegrationStats()
 
-    h = direction * _initial_step(rhs, t, y, k1, direction, rtol, atol, min(abs(T), max_step))
+    h = direction * _initial_step(field, t, y, k1, direction, rtol, atol, min(abs(T), max_step))
     nfev, accepted, rejected, retries = 2, 0, 0, 0
-    stages = np.empty((7, sys.dimension))  # k1..k6 and the derivative at the new state
-    stages[0] = k1
-    abs_y = np.abs(y)
+    stalled = 0  # domain retries since an accepted step last moved the state
     while direction * (T - t) > 1e-14 * max(1.0, abs(T)):
         if accepted + rejected + retries >= max_steps:
             raise StepLimitError(f"exceeded {max_steps} steps at t={t}")
@@ -336,99 +398,167 @@ def integrate(
             raise StepSizeUnderflowError(f"step size underflow at t={t} (stiffness failure)")
 
         try:
-            for stage in range(1, 6):
-                nfev += 1
-                y_stage = y + h * (_DP_A[stage - 1] @ stages[:stage])
-                stages[stage] = field(y_stage.tolist(), t + _DP_C[stage] * h)
-            y_new = y + h * (_DP_B @ stages[:6])
             nfev += 1
-            k_new = rhs(t + h, y_new)
+            k2 = field([v + h * (a21 * p) for v, p in zip(y, k1)], t + c2 * h)
+            nfev += 1
+            k3 = field([v + h * (a31 * p + a32 * q) for v, p, q in zip(y, k1, k2)], t + c3 * h)
+            nfev += 1
+            k4 = field([v + h * (a41 * p + a42 * q + a43 * r)
+                        for v, p, q, r in zip(y, k1, k2, k3)], t + c4 * h)
+            nfev += 1
+            k5 = field([v + h * (a51 * p + a52 * q + a53 * r + a54 * s)
+                        for v, p, q, r, s in zip(y, k1, k2, k3, k4)], t + c5 * h)
+            nfev += 1
+            k6 = field([v + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
+                        for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)], t + h)
+            y_new = [v + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
+                     for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
+            nfev += 1
+            k7 = field(y_new, t + h)
         except E.DomainError:
             retries += 1
+            stalled += 1
+            if stalled > STALL_RETRIES:
+                raise StepSizeUnderflowError(
+                    f"step stalled at t={t}: every step from {tuple(y)} either leaves "
+                    f"the state unchanged or leaves the field's domain") from None
             h *= 0.3
             continue
 
-        stages[6] = k_new
-        err = h * (_DP_E @ stages)
-        abs_new = np.abs(y_new)
-        scale = atol + rtol * np.maximum(abs_y, abs_new)
-        err_norm = _rms(err / scale)
+        err_norm = _rms([
+            h * (e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z)
+            / (atol + rtol * max(abs(v), abs(x)))
+            for v, x, p, r, s, u, w, z in zip(y, y_new, k1, k3, k4, k5, k6, k7)
+        ])
         if err_norm > 1.0:
             rejected += 1
             h *= min(max(0.9 * err_norm ** -0.2, 0.2), 1.0)
             continue
 
         accepted += 1
+        if y_new != y:
+            stalled = 0
         t_new = t + h
-        crossing = _first_exit(sys.domain, punctures_1d, t, t_new, y, y_new, k1, k_new)
+        crossing = _first_exit(sys.domain, t, t_new, y, y_new, k1, k7, stats)
         if crossing is not None:
             t_x, y_x = crossing
-            f_x = _hermite_deriv(t_x, t, t_new, y, y_new, k1, k_new)
             ts.append(t_x)
             ys.append(y_x)
-            fs.append(f_x)
+            fs.append(_hermite_deriv(t_x, t, t_new, y, y_new, k1, k7))
             termination = TERM_LEFT_DOMAIN
             break
 
         ts.append(t_new)
         ys.append(y_new)
-        fs.append(k_new)
-        if math.sqrt(y_new.dot(y_new)) > escape_threshold:  # np.linalg.norm's arithmetic
+        fs.append(k7)
+        if math.sqrt(_dot(y_new, y_new)) > escape_threshold:
             termination = TERM_BLOWUP
             break
-        t, y, k1, abs_y = t_new, y_new, k_new, abs_new
-        stages[0] = k1
+        t, y, k1 = t_new, y_new, k7
         factor = 10.0 if err_norm == 0.0 else min(max(0.9 * err_norm ** -0.2, 0.2), 10.0)
         h *= factor
 
-    order = np.argsort(np.array(ts))  # backward runs are stored time-ascending
-    times = np.array(ts)[order]
-    states = np.array(ys)[order]
-    derivs = np.array(fs)[order]
-    return Trajectory(
-        times=times,
-        states=states,
-        derivs=derivs,
-        t_lo=float(times[0]),
-        t_hi=float(times[-1]),
-        termination=termination,
-        stats=IntegrationStats(nfev, accepted, rejected, retries),
-    )
+    if direction < 0:  # backward runs are stored time-ascending
+        ts.reverse()
+        ys.reverse()
+        fs.reverse()
+    stats.nfev, stats.accepted, stats.rejected, stats.domain_retries = nfev, accepted, rejected, retries
+    return Trajectory(ts, ys, fs, t_lo=ts[0], t_hi=ts[-1], termination=termination, stats=stats)
 
 
 def _in_box(values, bounds) -> bool:
     return all(lo < v < hi for v, (lo, hi) in zip(values, bounds))
 
 
-def _first_exit(domain, punctures_1d, t0, t1, y0, y1, f0, f1):
-    """Earliest domain-exit event inside an accepted step, if any."""
-    end = y1.tolist()
-    leaves_box = not _in_box(end, domain.bounds)
-    on_puncture = len(end) > 1 and tuple(end) in domain.punctures
-    if not (leaves_box or on_puncture or punctures_1d):
+def _hull_near(q, y0, y1, f0, f1, h) -> bool:
+    """False when the step's segment cannot come within PUNCTURE_TOL of q.
+
+    A cubic Hermite segment lies in the convex hull of its Bezier control
+    points y0, y0 + h*f0/3, y1 - h*f1/3, y1, so in their bounding box.
+    """
+    third = h / 3.0
+    for c, a, b, da, db in zip(q, y0, y1, f0, f1):
+        p1, p2 = a + third * da, b - third * db
+        if c < min(a, p1, p2, b) - PUNCTURE_TOL or c > max(a, p1, p2, b) + PUNCTURE_TOL:
+            return False
+    return True
+
+
+def _first_exit(domain, t0, t1, y0, y1, f0, f1, stats):
+    """Earliest domain-exit event inside an accepted step, if any: the box
+    boundary crossing, or the closest approach that hits a puncture (see
+    PUNCTURE_TOL).  Counts each bisection halving in ``stats``."""
+    leaves_box = not _in_box(y1, domain.bounds)
+    near = [q for q in domain.punctures if _hull_near(q, y0, y1, f0, f1, t1 - t0)]
+    if not (leaves_box or near):
         return None
-    dense = lambda tau: _hermite(tau, t0, t1, y0, y1, f0, f1)
+
+    def dense(tau):
+        return _hermite(tau, t0, t1, y0, y1, f0, f1)
+
+    def outside(tau):
+        stats.event_bisections += 1
+        return not _in_box(dense(tau), domain.bounds)
+
     events: list[float] = []
     if leaves_box:
-        events.append(_bisect(lambda tau: not _in_box(dense(tau), domain.bounds), t0, t1, EXIT_BISECT_TOL))
-    for p in punctures_1d:
-        a, b = y0[0] - p, y1[0] - p
-        if a == 0.0:
-            continue  # started exactly on the puncture: already handled upstream
-        if a * b < 0.0 or b == 0.0:
-            sign0 = a > 0.0
-            events.append(
-                _bisect(
-                    lambda tau: ((dense(tau)[0] - p) > 0.0) != sign0 or dense(tau)[0] == p,
-                    t0, t1, EXIT_BISECT_TOL,
-                )
-            )
-    if on_puncture:
-        events.append(t1)
+        events.append(_bisect(outside, t0, t1, EXIT_BISECT_TOL))
+    for q in near:
+        hit = _closest_approach(q, t0, t1, y0, y1, f0, f1, stats)
+        if hit is not None:
+            events.append(hit)
     if not events:
         return None
     t_x = min(events) if t1 > t0 else max(events)
     return t_x, dense(t_x)
+
+
+def _closest_approach(q, t0, t1, y0, y1, f0, f1, stats):
+    """The first time in (t0, t1] at which the dense segment is at a local
+    minimum of its distance to ``q`` that hits ``q``, or None: in 1-D the
+    segment has reached ``q`` there, in 2-D and up it is within PUNCTURE_TOL.
+
+    Grid samples bracket the minima (the distance stops falling in the
+    direction of integration), and each bracket is bisected to float
+    resolution.
+    """
+    h = t1 - t0
+
+    def offset(tau) -> list[float]:
+        return [a - c for a, c in zip(_hermite(tau, t0, t1, y0, y1, f0, f1), q)]
+
+    if len(q) == 1:
+        side = y0[0] > q[0]
+
+        def hits(tau) -> bool:  # on the puncture, or past it
+            d = offset(tau)[0]
+            return d == 0.0 or (d > 0.0) != side
+    else:
+        def hits(tau) -> bool:
+            d = offset(tau)
+            return _dot(d, d) <= PUNCTURE_TOL**2
+
+    def receding(tau) -> bool:  # d/dtau |y - q|^2 / 2, taken along the integration
+        return h * _dot(offset(tau), _hermite_deriv(tau, t0, t1, y0, y1, f0, f1)) >= 0.0
+
+    def counted(tau) -> bool:
+        stats.event_bisections += 1
+        return receding(tau)
+
+    prev, approaching = t0, not receding(t0)
+    for j in range(1, _APPROACH_GRID + 1):
+        tau = t1 if j == _APPROACH_GRID else t0 + (j / _APPROACH_GRID) * h
+        if not receding(tau):
+            approaching = True
+        elif approaching:
+            t_c = _bisect(counted, prev, tau)
+            if hits(t_c):
+                return t_c
+            approaching = False
+        prev = tau
+    if approaching and hits(t1):
+        return t1
+    return None
 
 
 # --- sampling ---------------------------------------------------------------
@@ -486,6 +616,8 @@ def check_f_relatedness(
 
     The residual is the sup over samples of the euclidean defect norm.
     """
+    import numpy as np
+
     if f.source_dim != x_sys.dimension:
         raise E.ArityError(f"map expects {f.source_dim} inputs, system has {x_sys.dimension}")
     if f.target_dim != y_sys.dimension:
@@ -525,6 +657,8 @@ def check_solution_preservation(
     If either trajectory ends early the comparison covers the common span
     actually reached, reported in the note.
     """
+    import numpy as np
+
     traj_x = integrate(x_sys, x0, span, rtol=rtol, atol=atol)
     y0 = f(list(np.asarray(x0, dtype=float)))
     traj_y = integrate(y_sys, y0, span, rtol=rtol, atol=atol)
@@ -563,6 +697,8 @@ def find_equilibria(
     the symbolic jacobian; converged roots are deduplicated within 1e-6 and
     returned sorted.  Seeds that diverge are skipped.
     """
+    import numpy as np
+
     n = sys.dimension
     if box is None:
         box = [
@@ -644,6 +780,8 @@ def check_equilibrium_morphism(
     sys: ContinuousSystem, x_e, tol: float = 1e-8
 ) -> CheckReport:
     """The one-point system maps into (M, X) at x_e exactly when X(x_e) = 0."""
+    import numpy as np
+
     pt = tuple(float(v) for v in x_e)
     if not sys.domain.contains(pt):
         raise ValueError(f"candidate {pt} outside the domain")
@@ -667,6 +805,8 @@ def check_periodic_orbit(
     with its endpoints identified, rescaled to circumference ``period``);
     a true solution is automatically related, so closure is the content.
     """
+    import numpy as np
+
     if period <= 0:
         raise ValueError("period must be positive")
     traj = integrate(sys, x0, period, rtol=rtol, atol=atol)
@@ -690,6 +830,8 @@ def solution_morphism_report(
     Only interior knots whose 5-point stencil has uniform spacing are used
     (integrate with max_step to get a uniform grid).
     """
+    import numpy as np
+
     ts, ys = traj.times, traj.states
     residual, used = 0.0, 0
     for i in range(2, len(ts) - 2):

@@ -24,6 +24,11 @@ class EnumerationCapError(RuntimeError):
     """The brute-force search space exceeds the configured cap."""
 
 
+class NonMonotoneError(RuntimeError):
+    """Root isolation could not split the map into monotone pieces (raised
+    by :mod:`dynsys.germ`; defined here so that catching it loads no numpy)."""
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Structured verdict of a single check.

@@ -18,13 +18,14 @@ caches the function on the ``Expr`` or ``VectorExpr`` instance; a vector
 expression compiles all its components into one function that computes
 each shared subexpression once.  The compiled code makes the same IEEE
 operations in the same order, and the same domain checks, as a recursive
-walk of the tree would.  Building the code has no recursion, so deep trees
-evaluate; printing, differentiation, substitution and parsing still recurse.
+walk of the tree would.  Building the code and printing have no recursion,
+so deep trees evaluate and print; differentiation, substitution and parsing
+still recurse.
 
 The batched :func:`evaluate_many` stays a numpy tree walker with no domain
 checks: the germ code calls it on many expressions (derivatives and
 composites built on the fly) a few times each, where compiling would cost
-more than it saves.
+more than it saves.  It is the one function here that loads numpy.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
@@ -56,11 +58,26 @@ class ArityError(ExprError):
 
 class DomainError(ExprError):
     """Evaluation left the domain of definition: log of a non-positive
-    number, division by zero, overflow to a non-finite value, ..."""
+    number, division by zero, overflow to a non-finite value, ...
 
-    def __init__(self, message: str, culprit: str = ""):
-        super().__init__(f"{message} in {culprit}" if culprit else message)
-        self.culprit = culprit
+    ``culprit`` may be the offending node itself; it is rendered to text
+    only when the message is read, so an error that a caller catches and
+    retries past costs no printing of a large tree.
+    """
+
+    def __init__(self, message: str, culprit: "str | Node" = ""):
+        super().__init__(message)
+        self.message = message
+        self._culprit = culprit
+
+    @property
+    def culprit(self) -> str:
+        if not isinstance(self._culprit, str):
+            self._culprit = _fmt_node(self._culprit)
+        return self._culprit
+
+    def __str__(self) -> str:
+        return f"{self.message} in {self.culprit}" if self.culprit else self.message
 
 
 # --- AST ------------------------------------------------------------------
@@ -347,36 +364,48 @@ def _fmt_number(v: float) -> str:
     return repr(v)
 
 
-def _fmt(node: Node, required: int) -> str:
-    text = _fmt_node(node)
-    if _level(node) < required:
-        return f"({text})"
-    return text
-
-
-def _fmt_node(node: Node) -> str:
+def _fmt_parts(node: Node) -> list:
+    """The text of one node: strings, and (child, required level) pairs."""
     match node:
         case Num(value=v):
-            return _fmt_number(v)
+            return [_fmt_number(v)]
         case Var(index=i):
-            return f"x{i}"
+            return [f"x{i}"]
         case TimeVar():
-            return "t"
+            return ["t"]
         case Neg(arg=a):
-            return "-" + _fmt(a, _LEVEL_ATOM)
+            return ["-", (a, _LEVEL_ATOM)]
         case Add(left=l, right=r):
-            return f"{_fmt(l, _LEVEL_EXPR)} + {_fmt(r, _LEVEL_TERM)}"
+            return [(l, _LEVEL_EXPR), " + ", (r, _LEVEL_TERM)]
         case Sub(left=l, right=r):
-            return f"{_fmt(l, _LEVEL_EXPR)} - {_fmt(r, _LEVEL_TERM)}"
+            return [(l, _LEVEL_EXPR), " - ", (r, _LEVEL_TERM)]
         case Mul(left=l, right=r):
-            return f"{_fmt(l, _LEVEL_TERM)} * {_fmt(r, _LEVEL_FACTOR)}"
+            return [(l, _LEVEL_TERM), " * ", (r, _LEVEL_FACTOR)]
         case Div(left=l, right=r):
-            return f"{_fmt(l, _LEVEL_TERM)} / {_fmt(r, _LEVEL_FACTOR)}"
+            return [(l, _LEVEL_TERM), " / ", (r, _LEVEL_FACTOR)]
         case Pow(base=b, exponent=x):
-            return f"{_fmt(b, _LEVEL_ATOM)}^{_fmt(x, _LEVEL_ATOM)}"
+            return [(b, _LEVEL_ATOM), "^", (x, _LEVEL_ATOM)]
         case Call(func=f, arg=a):
-            return f"{f}({_fmt(a, _LEVEL_EXPR)})"
+            return [f"{f}(", (a, _LEVEL_EXPR), ")"]
     raise TypeError(f"unknown node {node!r}")
+
+
+def _fmt_node(root: Node) -> str:
+    """Render a tree, parenthesizing a child whose level is below what its
+    parent requires; an explicit stack, so any depth prints."""
+    out: list[str] = []
+    stack: list = [(root, _LEVEL_EXPR)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, required = item
+        parts = _fmt_parts(node)
+        if _level(node) < required:
+            parts = ["(", *parts, ")"]
+        stack.extend(reversed(parts))
+    return "".join(out)
 
 
 def to_string(e: Expr) -> str:
@@ -392,12 +421,12 @@ def to_string(e: Expr) -> str:
 # and shared subtrees are computed once, in the order a left-to-right walk
 # of the tree computes them (a quotient's denominator first), each followed
 # by the domain check of its operation.  The function is cached on the
-# instance.  A culprit string is formatted from its node only when a check
-# fails.
+# instance.  A culprit's text is formatted from its node only when the
+# error's message is read.
 
 
 def _fail(message: str, node: Node) -> DomainError:
-    return DomainError(message, _fmt_node(node))
+    return DomainError(message, node)
 
 
 def _pow_value(b: float, x: float, node: Node) -> float:
@@ -539,7 +568,8 @@ def evaluate_vector(f: VectorExpr, point: Sequence[float], t: float = 0.0) -> li
     return f._compiled(point, float(t))
 
 
-def _eval_np(node: Node, pts: np.ndarray, t) -> np.ndarray:
+def _eval_np(np, node: Node, pts: np.ndarray, t) -> np.ndarray:
+    # ``np`` is the numpy module, imported once per evaluate_many call
     match node:
         case Num(value=v):
             return np.full(pts.shape[0], v)
@@ -548,19 +578,19 @@ def _eval_np(node: Node, pts: np.ndarray, t) -> np.ndarray:
         case TimeVar():
             return np.broadcast_to(np.asarray(t, dtype=float), (pts.shape[0],)).copy()
         case Neg(arg=a):
-            return -_eval_np(a, pts, t)
+            return -_eval_np(np, a, pts, t)
         case Add(left=l, right=r):
-            return _eval_np(l, pts, t) + _eval_np(r, pts, t)
+            return _eval_np(np, l, pts, t) + _eval_np(np, r, pts, t)
         case Sub(left=l, right=r):
-            return _eval_np(l, pts, t) - _eval_np(r, pts, t)
+            return _eval_np(np, l, pts, t) - _eval_np(np, r, pts, t)
         case Mul(left=l, right=r):
-            return _eval_np(l, pts, t) * _eval_np(r, pts, t)
+            return _eval_np(np, l, pts, t) * _eval_np(np, r, pts, t)
         case Div(left=l, right=r):
-            return _eval_np(l, pts, t) / _eval_np(r, pts, t)
+            return _eval_np(np, l, pts, t) / _eval_np(np, r, pts, t)
         case Pow(base=b, exponent=x):
-            return np.power(_eval_np(b, pts, t), _eval_np(x, pts, t))
+            return np.power(_eval_np(np, b, pts, t), _eval_np(np, x, pts, t))
         case Call(func=f, arg=a):
-            return getattr(np, f)(_eval_np(a, pts, t))
+            return getattr(np, f)(_eval_np(np, a, pts, t))
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -570,6 +600,8 @@ def evaluate_many(e: Expr, points, t=0.0) -> np.ndarray:
     Unlike :func:`evaluate` this does not police the domain: invalid
     operations propagate as nan/inf for the caller to mask.
     """
+    import numpy as np
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         if e.arity != 1:
@@ -578,7 +610,7 @@ def evaluate_many(e: Expr, points, t=0.0) -> np.ndarray:
     if pts.shape[1] != e.arity:
         raise ArityError(f"points have {pts.shape[1]} coordinates, expected {e.arity}")
     with np.errstate(all="ignore"):
-        return _eval_np(e.root, pts, t)
+        return _eval_np(np, e.root, pts, t)
 
 
 # --- differentiation ------------------------------------------------------

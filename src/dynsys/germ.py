@@ -20,14 +20,10 @@ import numpy as np
 
 from . import expr as E
 from .continuous import ContinuousSystem, Trajectory, _bisect, integrate
-from .core import CheckReport
+from .core import CheckReport, NonMonotoneError
 
 _CLIP = 1e8  # infinite interval ends are explored up to here
 _GRID = 513  # derivative sign samples per domain component
-
-
-class NonMonotoneError(RuntimeError):
-    """Root isolation could not split the map into monotone pieces."""
 
 
 @dataclass(frozen=True)

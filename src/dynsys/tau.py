@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from . import expr as E
 from .continuous import ContinuousSystem, Domain, SmoothMap, default_samples
 from .core import CheckReport
@@ -73,6 +71,8 @@ class TangentSection:
 
 
 def _cont_apply_section(section: TangentSection, x):
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     base = x if section.base is None else np.array(E.evaluate_vector(section.base, x))
     vec = np.array(E.evaluate_vector(section.vector, x))
@@ -80,16 +80,22 @@ def _cont_apply_section(section: TangentSection, x):
 
 
 def _cont_apply_map_carrier(f: SmoothMap, x):
+    import numpy as np
+
     return np.array(f(np.asarray(x, dtype=float)))
 
 
 def _cont_apply_map_total(f: SmoothMap, total):
+    import numpy as np
+
     x, v = total
     jmat = f.jacobian_at(x)
     return (np.array(f(x)), jmat @ np.asarray(v, dtype=float))
 
 
 def _cont_carrier_distance(x, y) -> float:
+    import numpy as np
+
     return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
 
 

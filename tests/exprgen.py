@@ -111,3 +111,34 @@ def reference_eval(node: E.Node, point, t: float) -> float:
         case E.Call(func=f, arg=a):
             return _call_value(f, reference_eval(a, point, t), node)
     raise TypeError(f"unknown node {node!r}")
+
+
+def reference_to_string(node: E.Node) -> str:
+    """Oracle for :func:`dynsys.expr.to_string`: the recursive printer."""
+
+    def fmt(child: E.Node, required: int) -> str:
+        text = reference_to_string(child)
+        return f"({text})" if E._level(child) < required else text
+
+    match node:
+        case E.Num(value=v):
+            return E._fmt_number(v)
+        case E.Var(index=i):
+            return f"x{i}"
+        case E.TimeVar():
+            return "t"
+        case E.Neg(arg=a):
+            return "-" + fmt(a, E._LEVEL_ATOM)
+        case E.Add(left=l, right=r):
+            return f"{fmt(l, E._LEVEL_EXPR)} + {fmt(r, E._LEVEL_TERM)}"
+        case E.Sub(left=l, right=r):
+            return f"{fmt(l, E._LEVEL_EXPR)} - {fmt(r, E._LEVEL_TERM)}"
+        case E.Mul(left=l, right=r):
+            return f"{fmt(l, E._LEVEL_TERM)} * {fmt(r, E._LEVEL_FACTOR)}"
+        case E.Div(left=l, right=r):
+            return f"{fmt(l, E._LEVEL_TERM)} / {fmt(r, E._LEVEL_FACTOR)}"
+        case E.Pow(base=b, exponent=x):
+            return f"{fmt(b, E._LEVEL_ATOM)}^{fmt(x, E._LEVEL_ATOM)}"
+        case E.Call(func=f, arg=a):
+            return f"{f}({fmt(a, E._LEVEL_EXPR)})"
+    raise TypeError(f"unknown node {node!r}")

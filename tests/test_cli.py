@@ -89,6 +89,41 @@ def test_solve_deep_sum_matches_closed_form(tmp_path):
         assert x == pytest.approx(math.exp(3.0 * t), rel=1e-7)
 
 
+def test_solve_deep_field_domain_retries(tmp_path):
+    # backward, stages leave sqrt's domain near x1 = 1/3 and the step is
+    # retried; the 3,000-level field (same values) must solve like the shallow one
+    deep = tmp_path / "deep.txt"
+    zeros = " + ".join(["0*x1"] * 3000)
+    deep.write_text(f"kind: continuous\ndimension: 1\nfield: sqrt(3*x1 - 1 + {zeros})\nbasepoint: 1\n")
+    shallow = tmp_path / "shallow.txt"
+    shallow.write_text("kind: continuous\ndimension: 1\nfield: sqrt(3*x1 - 1)\nbasepoint: 1\n")
+    outs = []
+    for spec in (deep, shallow):
+        res = run_cli("solve", str(spec), "--span", "-2")
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
+
+
+def test_solve_deep_field_stall_is_input_error(tmp_path):
+    # the rounded 3,000-term sum minus 1 is never 0 near x1 = 1/3, so the
+    # state stalls at the edge of sqrt's domain instead of crawling on
+    spec = tmp_path / "deep.txt"
+    spec.write_text(f"kind: continuous\ndimension: 1\nfield: sqrt({DEEP_SUM} - 1)\nbasepoint: 1\n")
+    res = subprocess.run([sys.executable, "-m", "dynsys", "solve", str(spec), "--span", "-2"],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: step stalled at t=-0.94280891")
+
+
+def test_solve_puncture_2d_left_domain(tmp_path, capsys):
+    spec = tmp_path / "puncture.txt"
+    spec.write_text("kind: continuous\ndimension: 2\npuncture: 0 0\nfield: -1\nfield: -1\n"
+                    "basepoint: 1 1\n")
+    assert cli.main(["solve", str(spec), "--span", "2", "--output", str(tmp_path / "p.csv")]) == 2
+    assert capsys.readouterr().err == "early termination: left-domain at t=1\n"
+
+
 def test_solve_deeply_nested_parentheses_is_input_error(tmp_path):
     spec = tmp_path / "parens.txt"
     field = "(" * 3000 + "x1" + ")" * 3000

@@ -97,6 +97,46 @@ def test_puncture_crossing_detected():
     assert abs(traj.t_lo + 1.0) < 1e-6
 
 
+def test_puncture_1d_creeping_solution_runs_on():
+    # x0*e^-t nears the puncture at 0 but never reaches it
+    for x0 in (1.0, 1e-7):
+        traj = C.integrate(line("-x1", punctures=(0.0,)), [x0], 30.0)
+        assert traj.termination == "reached-span"
+        assert traj.t_hi == 30.0
+        assert traj.states[-1][0] == pytest.approx(x0 * math.exp(-30.0), rel=1e-6)
+
+
+def test_puncture_2d_path_through():
+    # (1 - t, 1 - t) reaches the puncture at the origin at t = 1
+    sys = C.ContinuousSystem(C.Domain(((-math.inf, math.inf),) * 2, ((0.0, 0.0),)),
+                             E.parse_vector(["-1", "-1"], 2))
+    traj = C.integrate(sys, [1.0, 1.0], 2.0)
+    assert traj.termination == "left-domain"
+    assert traj.t_hi == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(traj.states[-1]) < 1e-12
+    assert traj.stats.event_bisections > 0
+
+
+def test_puncture_2d_near_miss():
+    # (1 - t, 0) passes the puncture (0, 1e-3) at distance 1e-3
+    sys = C.ContinuousSystem(C.Domain(((-math.inf, math.inf),) * 2, ((0.0, 1e-3),)),
+                             E.parse_vector(["-1", "0"], 2))
+    traj = C.integrate(sys, [1.0, 0.0], 2.0)
+    assert traj.termination == "reached-span"
+    assert traj.t_hi == 2.0
+
+
+def test_puncture_3d_on_curved_path():
+    # the oscillator circle (cos t, -sin t, t) passes (0, -1, pi/2)
+    sys = C.ContinuousSystem(
+        C.Domain(((-math.inf, math.inf),) * 3, ((0.0, -1.0, math.pi / 2),)),
+        E.parse_vector(["x2", "-x1", "1"], 3),
+    )
+    traj = C.integrate(sys, [1.0, 0.0, 0.0], 3.0)
+    assert traj.termination == "left-domain"
+    assert traj.t_hi == pytest.approx(math.pi / 2, abs=1e-8)
+
+
 def test_convergence_order_battery():
     cases = [
         (line("1"), [0.0], 1.0, lambda t: t),
@@ -122,6 +162,40 @@ def test_convergence_order_battery():
         assert b <= 4 * a + 1e-13
 
 
+LORENZ = ["10*(x2 - x1)", "x1*(28 - x3) - x2", "x1*x2 - 8/3*x3"]
+
+
+@pytest.mark.parametrize("fields, x0, rhs", [
+    (LORENZ, [1.0, 1.0, 1.0],
+     lambda t, x: [10 * (x[1] - x[0]), x[0] * (28 - x[2]) - x[1], x[0] * x[1] - 8 / 3 * x[2]]),
+    (["x2", "2*(1 - x1^2)*x2 - x1"], [2.0, 0.0],
+     lambda t, x: [x[1], 2 * (1 - x[0] ** 2) * x[1] - x[0]]),
+    (["x2", "-x1"], [1.0, 0.0], lambda t, x: [x[1], -x[0]]),
+    (["x2", "-0.25*x2 + x1 - x1^3"], [0.5, -0.3],
+     lambda t, x: [x[1], -0.25 * x[1] + x[0] - x[0] ** 3]),
+], ids=["lorenz", "van-der-pol", "oscillator", "duffing"])
+def test_integrate_matches_scipy_dop853(fields, x0, rhs):
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    sys = C.ContinuousSystem(C.full_space(len(x0)), E.parse_vector(fields, len(x0)))
+    traj = C.integrate(sys, x0, 3.0)
+    ref = solve_ivp(rhs, (0.0, 3.0), x0, method="DOP853", rtol=1e-13, atol=1e-13,
+                    t_eval=traj.times).y.T
+    scale = np.max(np.abs(ref), axis=1)
+    assert np.max(np.max(np.abs(traj.states - ref), axis=1) / scale) <= 1e-6
+
+
+def test_lorenz_mirror_is_exact():
+    # (x1, x2, x3) -> (-x1, -x2, x3) is a symmetry of the Lorenz field, and
+    # the step's arithmetic commutes with negation bit for bit
+    sys = C.ContinuousSystem(C.full_space(3), E.parse_vector(LORENZ, 3))
+    traj = C.integrate(sys, [1.3, 0.7, 1.1], 5.0)
+    mirror = C.integrate(sys, [-1.3, -0.7, 1.1], 5.0)
+    assert np.array_equal(mirror.times, traj.times)
+    assert np.array_equal(mirror.states, traj.states * [-1.0, -1.0, 1.0])
+    for t in np.linspace(0.0, 5.0, 11):
+        assert np.array_equal(mirror.sample(t), traj.sample(t) * [-1.0, -1.0, 1.0])
+
+
 def test_solution_is_a_morphism():
     # discretized relatedness via 4th-order differences on a uniform grid
     rtol, atol = 1e-9, 1e-12
@@ -136,6 +210,13 @@ def test_step_underflow_is_stiffness_failure():
     # backward toward the 1/x singularity at t = -1/2: no step can cross it
     with pytest.raises(C.StepSizeUnderflowError):
         C.integrate(line("1/x1"), [1.0], -2.0)
+
+
+def test_stall_at_field_domain_edge_is_underflow():
+    # backward from 2, x1 nears sqrt(2), where the rounded x1*x1 - 2 is never
+    # 0: the state stops at the last float inside sqrt's domain
+    with pytest.raises(C.StepSizeUnderflowError, match="stalled at t=-0.88137"):
+        C.integrate(line("sqrt(x1*x1 - 2)"), [2.0], -3.0)
 
 
 def test_step_limit_is_typed():
@@ -160,12 +241,14 @@ def test_stats_oscillator_reached_span():
     assert s.rejected > 0 and s.domain_retries == 0
     # with no domain retry every step attempt evaluates the field six times
     assert s.nfev == 6 * (s.accepted + s.rejected) + 2
+    assert s.event_bisections == 0
 
 
 def test_stats_box_exit():
     traj = C.integrate(line("1", hi=2.0), [1.0], 5.0)
     assert traj.termination == "left-domain"
     _assert_stats_consistent(traj)
+    assert traj.stats.event_bisections > 0
 
 
 def test_stats_count_domain_retries():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dynsys import expr as E
-from exprgen import central_difference, random_expr, reference_eval
+from exprgen import central_difference, random_expr, reference_eval, reference_to_string
 
 # random ASTs over x1..x3 and t
 
@@ -344,6 +344,20 @@ def test_jacobian_vector_product_against_fd():
 def test_parse_print_roundtrip(ast):
     e = E.Expr(ast, 3)
     assert E.parse(E.to_string(e), 3) == e
+
+
+@hypothesis.given(_asts)
+def test_printer_matches_recursive_reference(ast):
+    assert E.to_string(E.Expr(ast, 3)) == reference_to_string(ast)
+
+
+def test_print_deep_tree_and_culprit():
+    e = E.parse("sqrt(" + " + ".join(["0.001*x1"] * 3000) + " - 4)", 1)
+    text = E.to_string(e)
+    assert text == "sqrt(" + " + ".join(["0.001 * x1"] * 3000) + " - 4)"
+    with pytest.raises(E.DomainError) as info:
+        E.evaluate(e, [1.0])
+    assert str(info.value) == "sqrt of a negative number in " + text
 
 
 @hypothesis.given(_asts, _asts, st.floats(min_value=-3, max_value=3, allow_nan=False))

@@ -222,6 +222,15 @@ def test_unpunctured_line_runs_to_horizon():
     assert lo == pytest.approx(-5.0) and hi == pytest.approx(5.0)
 
 
+def test_punctured_line_decay_never_reaches_puncture():
+    # x' = -x from 1: e^-t stays positive, so the solution exists on the horizon
+    dom = C.Domain(((-math.inf, math.inf),), ((0.0,),))
+    res = G.maximal_solution_domain(C.ContinuousSystem(dom, E.parse_vector(["-x1"], 1)),
+                                    t0=1.0, horizon=15.0)
+    assert res.interval.intervals == ((-15.0, 15.0),)
+    assert res.forward.termination == res.backward.termination == "reached-span"
+
+
 def test_punctured_line_negative_start():
     res = G.maximal_solution_domain(punctured_time(), t0=-2.0, horizon=5.0)
     (lo, hi), = res.interval.intervals
