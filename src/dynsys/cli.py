@@ -11,6 +11,7 @@ Exit codes: 0 success/pass, 1 input error, 2 early termination of a solve
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -25,6 +26,17 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
+def _tolerance(text: str) -> float:
+    """The type of the tolerance options: a finite number, zero or more."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dynsys", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dynsys {__version__}")
@@ -36,8 +48,8 @@ def _build_parser() -> _Parser:
     solve.add_argument("--c0", help="initial element (discrete systems)")
     solve.add_argument("--span", type=float, help="time span T (or -T for backward)")
     solve.add_argument("--horizon", type=int, help="iteration count (discrete systems)")
-    solve.add_argument("--rtol", type=float, default=1e-9)
-    solve.add_argument("--atol", type=float, default=1e-12)
+    solve.add_argument("--rtol", type=_tolerance, default=1e-9)
+    solve.add_argument("--atol", type=_tolerance, default=1e-12)
     solve.add_argument("--escape-threshold", type=float, default=C.DEFAULT_ESCAPE)
     solve.add_argument("--output", help="output path (default stdout)")
 
@@ -45,20 +57,20 @@ def _build_parser() -> _Parser:
     check.add_argument("src", help="source system spec file")
     check.add_argument("dst", help="target system spec file")
     check.add_argument("map", help="morphism spec file")
-    check.add_argument("--tol", type=float, default=1e-8, help="relatedness tolerance")
+    check.add_argument("--tol", type=_tolerance, default=1e-8, help="relatedness tolerance")
     check.add_argument("--preserve-solutions", nargs="+", metavar="V",
                        help="x0 coordinates followed by T: also check naturality")
-    check.add_argument("--preserve-tol", type=float, default=1e-5)
-    check.add_argument("--rtol", type=float, default=1e-9)
-    check.add_argument("--atol", type=float, default=1e-12)
+    check.add_argument("--preserve-tol", type=_tolerance, default=1e-5)
+    check.add_argument("--rtol", type=_tolerance, default=1e-9)
+    check.add_argument("--atol", type=_tolerance, default=1e-12)
     check.add_argument("--output", help="report path (default stdout)")
 
     laws = sub.add_parser("laws", help="run the property suites that apply to the spec kind")
     laws.add_argument("systems", nargs="+", help="system spec files")
     laws.add_argument("--horizon", type=int, default=6, help="initiality truncation (discrete)")
-    laws.add_argument("--tol", type=float, default=1e-8)
-    laws.add_argument("--rtol", type=float, default=1e-9)
-    laws.add_argument("--atol", type=float, default=1e-12)
+    laws.add_argument("--tol", type=_tolerance, default=1e-8)
+    laws.add_argument("--rtol", type=_tolerance, default=1e-9)
+    laws.add_argument("--atol", type=_tolerance, default=1e-12)
     laws.add_argument("--period", type=float, help="also check a periodic orbit at this period")
     laws.add_argument("--output", help="report path (default stdout)")
     return parser
@@ -167,8 +179,6 @@ def _laws_for_discrete(loaded: LoadedSystem, args, checks, notes, label: str) ->
 
 
 def _laws_for_continuous(loaded: LoadedSystem, args, checks, notes, label: str) -> None:
-    import numpy as np
-
     sys_ = loaded.system
     checks.append((f"{label}section-law", tau.check_section(loaded.tau_system)))
     checks.append((f"{label}identity-morphism", C.check_f_relatedness(
@@ -177,11 +187,7 @@ def _laws_for_continuous(loaded: LoadedSystem, args, checks, notes, label: str) 
     left = core.compose_morphisms(core.compose_morphisms(ident, ident), ident)
     right = core.compose_morphisms(ident, core.compose_morphisms(ident, ident))
     pts = C.default_samples(sys_.domain, 25)
-    residual = max(
-        (float(np.linalg.norm(np.array(left.mapping(p)) - np.array(right.mapping(p))))
-         for p in pts),
-        default=0.0,
-    )
+    residual = max((core._distance(left.mapping(p), right.mapping(p)) for p in pts), default=0.0)
     checks.append((f"{label}compose-associativity",
                    core.CheckReport.numerical(residual, 1e-12, len(pts))))
     equilibria = C.find_equilibria(sys_, tol=max(args.tol, 1e-10))
@@ -196,7 +202,7 @@ def _laws_for_continuous(loaded: LoadedSystem, args, checks, notes, label: str) 
     if loaded.basepoint is not None:
         traj = C.integrate(sys_, loaded.basepoint, 1.0,
                            rtol=args.rtol, atol=args.atol, max_step=2e-3)
-        bound = 10 * (args.atol + args.rtol * float(np.max(np.abs(traj.states))))
+        bound = 10 * (args.atol + args.rtol * max(abs(v) for row in traj._states for v in row))
         checks.append((f"{label}solution-morphism",
                        C.solution_morphism_report(traj, sys_, bound)))
         if args.period:

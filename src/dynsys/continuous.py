@@ -8,13 +8,16 @@ output between accepted steps is cubic Hermite.  Integration stops early
 when the state escapes past a norm threshold (blow-up) or leaves the
 declared open domain: the dense output crosses the box boundary, or hits a
 puncture (see PUNCTURE_TOL); the exit time is located by bisection.
-The integrator works on plain lists of floats and loads no numpy; the
-checks built on it do.
+The integrator and the checks built on it work on plain lists of floats
+and load no numpy; only the array views of a trajectory
+(``Trajectory.times``/``states``/``derivs``/``sample``) and
+``SmoothMap.jacobian_at`` return numpy arrays.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -22,7 +25,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import expr as E
-from .core import CheckReport
+from .core import CheckReport, _distance, _dot, _linspace, _matvec, _norm, _solve
 
 if TYPE_CHECKING:
     import numpy as np
@@ -206,15 +209,19 @@ class Trajectory:
         """Dense output: cubic Hermite on the accepted step containing t."""
         import numpy as np
 
+        return np.array(self._sample(t))
+
+    def _sample(self, t: float) -> list[float]:
+        """:meth:`sample` as a list of floats; the checks use this one."""
         ts = self._times
         if not ts[0] <= t <= ts[-1]:
             raise ValueError(f"t={t} outside recorded span [{ts[0]}, {ts[-1]}]")
         i = bisect.bisect_right(ts, t) - 1
         i = min(max(i, 0), len(ts) - 2)
-        return np.array(_hermite(
+        return _hermite(
             t, ts[i], ts[i + 1], self._states[i], self._states[i + 1],
             self._derivs[i], self._derivs[i + 1],
-        ))
+        )
 
     def to_csv(self, path=None) -> None:
         """Write ``t,x1,...,xn`` rows at full precision to ``path``, or to
@@ -290,13 +297,6 @@ _APPROACH_GRID = 16  # samples per step that bracket the closest approaches
 STALL_RETRIES = 50
 
 
-def _dot(a, b) -> float:
-    total = 0.0
-    for u, v in zip(a, b):
-        total += u * v
-    return total
-
-
 def _rms(values) -> float:
     return math.sqrt(_dot(values, values) / len(values))
 
@@ -352,11 +352,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate from x0 over [0, span] (or [span, 0] when span < 0).
 
-    Local error per step is held to about atol + rtol*|x|.  Stops early
-    with termination "blow-up" once |x| exceeds ``escape_threshold`` and
-    with "left-domain" when the state exits the open box (the crossing is
-    bisected to EXIT_BISECT_TOL) or hits a puncture (at the closest
-    approach; see PUNCTURE_TOL); the exit becomes the final knot.
+    Local error per step is held to about atol + rtol*|x|; atol must be
+    positive, as a coordinate may be 0.  Stops early with termination
+    "blow-up" once |x| exceeds ``escape_threshold`` and with "left-domain"
+    when the state exits the open box (the crossing is bisected to
+    EXIT_BISECT_TOL) or hits a puncture (at the closest approach; see
+    PUNCTURE_TOL); the exit becomes the final knot.
     Raises :class:`StepLimitError` after ``max_steps`` steps, and
     :class:`StepSizeUnderflowError` when the step size underflows or the
     state stalls at the edge of the field's domain (STALL_RETRIES).
@@ -373,6 +374,8 @@ def integrate(
     T = float(span)
     if T == 0.0 or not math.isfinite(T):
         raise ValueError("span must be a nonzero finite time")
+    if not (0.0 <= rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError("tolerances must be finite, with rtol >= 0 and atol > 0")
     direction = 1.0 if T > 0 else -1.0
 
     field = sys.field._compiled  # the whole field in one compiled call
@@ -616,8 +619,6 @@ def check_f_relatedness(
 
     The residual is the sup over samples of the euclidean defect norm.
     """
-    import numpy as np
-
     if f.source_dim != x_sys.dimension:
         raise E.ArityError(f"map expects {f.source_dim} inputs, system has {x_sys.dimension}")
     if f.target_dim != y_sys.dimension:
@@ -625,13 +626,12 @@ def check_f_relatedness(
     pts = list(samples) if samples is not None else default_samples(x_sys.domain)
     residual, worst = 0.0, None
     for x in pts:
-        v = np.array(E.evaluate_vector(x_sys.field, x))
-        jmat = f.jacobian_at(x)
+        v = E.evaluate_vector(x_sys.field, x)
+        jv = _matvec(E.evaluate_vector(f._jacobian, x), v)
         y = f(x)
         if not y_sys.domain.contains(y):
             raise E.DomainError(f"f({tuple(x)}) = {tuple(y)} leaves the target domain")
-        w = np.array(E.evaluate_vector(y_sys.field, y))
-        defect = float(np.linalg.norm(jmat @ v - w))
+        defect = _distance(jv, E.evaluate_vector(y_sys.field, y))
         if defect > residual:
             residual, worst = defect, tuple(float(c) for c in x)
     return CheckReport.numerical(
@@ -657,22 +657,18 @@ def check_solution_preservation(
     If either trajectory ends early the comparison covers the common span
     actually reached, reported in the note.
     """
-    import numpy as np
-
     traj_x = integrate(x_sys, x0, span, rtol=rtol, atol=atol)
-    y0 = f(list(np.asarray(x0, dtype=float)))
+    y0 = f([float(v) for v in x0])
     traj_y = integrate(y_sys, y0, span, rtol=rtol, atol=atol)
     lo = max(traj_x.t_lo, traj_y.t_lo)
     hi = min(traj_x.t_hi, traj_y.t_hi)
     if hi <= lo:
         return CheckReport(False, math.inf, 0, witness="no common span to compare")
-    ts = np.linspace(lo, hi, grid)
     residual, worst_t = 0.0, None
-    for tcur in ts:
-        fx = np.array(f(traj_x.sample(tcur), t=tcur))
-        d = float(np.linalg.norm(fx - traj_y.sample(tcur)))
+    for tcur in _linspace(lo, hi, grid):
+        d = _distance(f(traj_x._sample(tcur), t=tcur), traj_y._sample(tcur))
         if d > residual:
-            residual, worst_t = d, float(tcur)
+            residual, worst_t = d, tcur
     full = (0.0, span) if span > 0 else (span, 0.0)
     note = None
     if abs(lo - full[0]) > 1e-12 or abs(hi - full[1]) > 1e-12:
@@ -691,72 +687,61 @@ def find_equilibria(
     resolution: int = 21,
     tol: float = 1e-9,
 ) -> list[tuple[float, ...]]:
-    """Zeros of the field inside the search box.
+    """Zeros of the field inside the search box and the domain.
 
     Grid scan for local minima of |X| seeds a damped Newton iteration with
     the symbolic jacobian; converged roots are deduplicated within 1e-6 and
-    returned sorted.  Seeds that diverge are skipped.
+    returned sorted.  Seeds that diverge or meet a singular jacobian are
+    skipped, and so are roots the domain leaves out (a puncture, or a point
+    on the boundary of its box).
     """
-    import numpy as np
-
     n = sys.dimension
     if box is None:
         box = [
             (max(lo, -_SAMPLE_CLIP), min(hi, _SAMPLE_CLIP)) for lo, hi in sys.domain.bounds
         ]
-    axes = [np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), resolution) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid_pts = np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def field_at(x):
-        return np.array(E.evaluate_vector(sys.field, x))
-
-    norms = np.full(len(grid_pts), np.inf)
-    for i, x in enumerate(grid_pts):
+    axes = [_linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), resolution) for lo, hi in box]
+    field = sys.field._compiled  # every component in one call, as in integrate
+    norms = []  # over the grid in row-major order, inf where the field is undefined
+    for x in itertools.product(*axes):
         try:
-            norms[i] = np.linalg.norm(field_at(x))
+            norms.append(_norm(field(x, 0.0)))
         except E.DomainError:
-            pass
-    norm_grid = norms.reshape([resolution] * n)
+            norms.append(math.inf)
 
+    # seeds: the grid's local minima of |X| along every axis
+    strides = [resolution ** (n - 1 - a) for a in range(n)]
     seeds = []
-    it = np.nditer(norm_grid, flags=["multi_index"])
-    for val in it:
-        if not np.isfinite(val):
+    for flat, idx in enumerate(itertools.product(range(resolution), repeat=n)):
+        val = norms[flat]
+        if not math.isfinite(val):
             continue
-        idx = it.multi_index
-        is_min = True
-        for axis in range(n):
-            for step in (-1, 1):
-                j = list(idx)
-                j[axis] += step
-                if 0 <= j[axis] < resolution and norm_grid[tuple(j)] < val:
-                    is_min = False
-        if is_min:
-            seeds.append(np.array([axes[a][idx[a]] for a in range(n)]))
+        for i, stride in zip(idx, strides):
+            if (i > 0 and norms[flat - stride] < val) or \
+                    (i < resolution - 1 and norms[flat + stride] < val):
+                break
+        else:
+            seeds.append([axis[i] for axis, i in zip(axes, idx)])
 
-    field_map = SmoothMap(sys.field)
+    jacobian = SmoothMap(sys.field)._jacobian
     roots: list[tuple[float, ...]] = []
-    for seed in seeds:
-        x = seed.copy()
+    for x in seeds:
         ok = False
         try:
             for _ in range(60):
-                v = field_at(x)
-                nv = np.linalg.norm(v)
+                v = field(x, 0.0)
+                nv = _norm(v)
                 if nv <= tol:
                     ok = True
                     break
-                jmat = field_map.jacobian_at(x)
-                try:
-                    dx = np.linalg.solve(jmat, -v)
-                except np.linalg.LinAlgError:
+                dx = _solve(E.evaluate_vector(jacobian, x), [-c for c in v])
+                if dx is None:
                     break
                 lam, moved = 1.0, False
                 while lam > 1e-6:
-                    xn = x + lam * dx
+                    xn = [a + lam * d for a, d in zip(x, dx)]
                     try:
-                        if np.linalg.norm(field_at(xn)) < nv:
+                        if _norm(field(xn, 0.0)) < nv:
                             x, moved = xn, True
                             break
                     except E.DomainError:
@@ -770,8 +755,10 @@ def find_equilibria(
             continue
         if any(not (lo - 1e-9 <= xi <= hi + 1e-9) for xi, (lo, hi) in zip(x, box)):
             continue
-        cand = tuple(float(v) for v in x)
-        if all(np.linalg.norm(np.array(cand) - np.array(r)) > 1e-6 for r in roots):
+        cand = tuple(x)
+        if not sys.domain.contains(cand):
+            continue
+        if all(_distance(cand, r) > 1e-6 for r in roots):
             roots.append(cand)
     return sorted(roots)
 
@@ -780,12 +767,10 @@ def check_equilibrium_morphism(
     sys: ContinuousSystem, x_e, tol: float = 1e-8
 ) -> CheckReport:
     """The one-point system maps into (M, X) at x_e exactly when X(x_e) = 0."""
-    import numpy as np
-
     pt = tuple(float(v) for v in x_e)
     if not sys.domain.contains(pt):
         raise ValueError(f"candidate {pt} outside the domain")
-    residual = float(np.linalg.norm(E.evaluate_vector(sys.field, pt)))
+    residual = _norm(E.evaluate_vector(sys.field, pt))
     return CheckReport.numerical(
         residual, tol, 1, witness=f"|X({pt})| = {residual:.6g}"
     )
@@ -805,8 +790,6 @@ def check_periodic_orbit(
     with its endpoints identified, rescaled to circumference ``period``);
     a true solution is automatically related, so closure is the content.
     """
-    import numpy as np
-
     if period <= 0:
         raise ValueError("period must be positive")
     traj = integrate(sys, x0, period, rtol=rtol, atol=atol)
@@ -814,10 +797,10 @@ def check_periodic_orbit(
         raise EarlyTerminationError(
             f"trajectory ended at t={traj.t_hi:.6g} ({traj.termination}) before T={period}"
         )
-    closure = float(np.linalg.norm(traj.states[-1] - np.asarray(x0, dtype=float)))
+    end = traj._states[-1]
+    closure = _distance(end, [float(v) for v in x0])
     return CheckReport.numerical(
-        closure, tol, len(traj.times),
-        witness=f"endpoint {tuple(float(v) for v in traj.states[-1])}",
+        closure, tol, len(traj._times), witness=f"endpoint {tuple(end)}",
     )
 
 
@@ -830,18 +813,16 @@ def solution_morphism_report(
     Only interior knots whose 5-point stencil has uniform spacing are used
     (integrate with max_step to get a uniform grid).
     """
-    import numpy as np
-
-    ts, ys = traj.times, traj.states
+    ts, ys = traj._times, traj._states
+    hs = [b - a for a, b in zip(ts, ts[1:])]
     residual, used = 0.0, 0
     for i in range(2, len(ts) - 2):
-        hs = np.diff(ts[i - 2 : i + 3])
-        h = hs[0]
-        if np.max(np.abs(hs - h)) > 1e-9 * h:
+        h = hs[i - 2]
+        if max(abs(d - h) for d in hs[i - 2:i + 2]) > 1e-9 * h:
             continue
-        deriv = (ys[i - 2] - 8 * ys[i - 1] + 8 * ys[i + 1] - ys[i + 2]) / (12 * h)
-        defect = float(np.linalg.norm(deriv - np.array(E.evaluate_vector(sys.field, ys[i], ts[i]))))
-        residual = max(residual, defect)
+        deriv = [(a - 8 * b + 8 * c - d) / (12 * h)
+                 for a, b, c, d in zip(ys[i - 2], ys[i - 1], ys[i + 1], ys[i + 2])]
+        residual = max(residual, _distance(deriv, E.evaluate_vector(sys.field, ys[i], ts[i])))
         used += 1
     if used == 0:
         return CheckReport(False, math.inf, 0, witness="no uniform interior stencil")

@@ -1,17 +1,24 @@
 """Category kernel: check reports, morphism candidates, composition and
 initiality checking where it is decidable.
 
-Initiality of the truncated successor system is checked by brute force:
-enumerate every function from {0..horizon} into the carrier and count the
-basepoint-preserving ones that intertwine the dynamics.  Exactly one must
-survive.  The continuous analog has an uncountable candidate space, so
-there the solution-uniqueness corroboration in :mod:`dynsys.continuous`
-stands in (see :func:`verify_initiality_continuous`).
+Initiality of the truncated successor system is checked by an exhaustive
+search over every function from {0..horizon} into the carrier that counts
+the basepoint-preserving ones intertwining the dynamics; exactly one must
+survive.  The search drops a partial table as soon as it breaks either
+condition, so it visits only the surviving prefixes, while the reported
+``samples`` still counts the whole space of |carrier|^(horizon+1) tables.
+The continuous analog has an uncountable candidate space, so there the
+solution-uniqueness corroboration in :mod:`dynsys.continuous` stands in
+(see :func:`verify_initiality_continuous`).
+
+The last section holds the arithmetic on lists of floats (dot products,
+norms, grids, a linear solve) that the integrator and the numerical checks
+share, so that none of them needs numpy.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -148,12 +155,16 @@ def check_composition_closure(
 def enumerate_pointed_morphisms(
     target: PointedSystem, horizon: int, cap: int = 10**7
 ) -> tuple[list[tuple[str, ...]], int]:
-    """Brute-force oracle for discrete initiality.
+    """Exhaustive oracle for discrete initiality.
 
-    Enumerates every function {0..horizon} -> carrier and keeps those that
-    send 0 to the basepoint and satisfy alpha(n+1) = X(alpha(n)).  Returns
-    the surviving tables and the number of candidates examined.
+    Searches every function {0..horizon} -> carrier, in the order of
+    ``itertools.product(carrier, repeat=horizon + 1)``, for those that
+    send 0 to the basepoint and satisfy alpha(n+1) = X(alpha(n)); a
+    partial table that breaks either condition is not extended.  Returns
+    the surviving tables and the size of the space searched.
     """
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
     sys = target.system
     carrier = tuple(sys.carrier)
     total = len(carrier) ** (horizon + 1)
@@ -163,11 +174,26 @@ def enumerate_pointed_morphisms(
         )
     endomap = sys.endomap
     found = []
-    for seq in itertools.product(carrier, repeat=horizon + 1):
-        if seq[0] != target.basepoint:
+    seq: list[str] = []  # the partial table
+    # per position of seq: the carrier elements still to try there, and the
+    # one value the conditions allow there
+    frames = [(iter(carrier), target.basepoint)]
+    while frames:
+        values, allowed = frames[-1]
+        for c in values:
+            if c == allowed:
+                break
+        else:  # position exhausted: backtrack
+            frames.pop()
+            if seq:
+                seq.pop()
             continue
-        if all(seq[k + 1] == endomap[seq[k]] for k in range(horizon)):
-            found.append(seq)
+        seq.append(c)
+        if len(seq) == horizon + 1:
+            found.append(tuple(seq))
+            seq.pop()
+        else:
+            frames.append((iter(carrier), endomap[c]))
     return found, total
 
 
@@ -207,19 +233,15 @@ def verify_initiality_continuous(
     the solution from ``x0`` is unique; that the integrations run at all is
     the existence half.
     """
-    import numpy as np
-
     from .continuous import integrate
 
     coarse = integrate(sys, x0, span, rtol=rtol, atol=atol)
     fine = integrate(sys, x0, span, rtol=rtol / 100.0, atol=atol / 100.0)
     lo = max(coarse.t_lo, fine.t_lo)
     hi = min(coarse.t_hi, fine.t_hi)
-    ts = np.linspace(lo, hi, grid)
     residual = 0.0
-    for t in ts:
-        d = np.linalg.norm(coarse.sample(t) - fine.sample(t))
-        residual = max(residual, float(d))
+    for t in _linspace(lo, hi, grid):
+        residual = max(residual, _distance(coarse._sample(t), fine._sample(t)))
     note = None
     full = (0.0, span) if span >= 0 else (span, 0.0)
     if (lo, hi) != full:
@@ -227,3 +249,64 @@ def verify_initiality_continuous(
     return CheckReport.numerical(
         residual, tol, samples=grid, witness=f"max deviation {residual:.3e}", note=note
     )
+
+
+# --- arithmetic on lists of floats, shared by the numerical checks ----------
+
+
+def _dot(a, b) -> float:
+    """Summed left to right: ``sum`` of floats rounds differently from one
+    Python version to the next, and this must give the same bits."""
+    total = 0.0
+    for u, v in zip(a, b):
+        total += u * v
+    return total
+
+
+def _norm(values) -> float:
+    """Euclidean norm, the one the checks measure residuals with."""
+    return math.hypot(*values)
+
+
+def _distance(p, q) -> float:
+    return _norm([a - b for a, b in zip(p, q)])
+
+
+def _matvec(entries, v) -> list[float]:
+    """The row-major matrix ``entries`` (len(v) columns) times v."""
+    n = len(v)
+    return [_dot(entries[i:i + n], v) for i in range(0, len(entries), n)]
+
+
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """The floats of ``numpy.linspace(lo, hi, num)``: i*step + lo, the last
+    one hi, in numpy's order of operations."""
+    if num < 2:
+        return [0.0 * (hi - lo) + lo][:num]
+    div, delta = num - 1, hi - lo
+    step = delta / div
+    if step == 0.0:  # a subnormal step: numpy scales by delta instead
+        return [i / div * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
+
+
+def _solve(a, b) -> list[float] | None:
+    """x with A x = b for the row-major square matrix ``a``, by Gaussian
+    elimination with partial pivoting; None when a pivot is exactly zero."""
+    n = len(b)
+    rows = [a[i * n:(i + 1) * n] + [b[i]] for i in range(n)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if rows[p][k] == 0.0:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            m = row[k] / pivot[k]
+            for j in range(k, n + 1):
+                row[j] -= m * pivot[j]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        x[k] = (row[n] - _dot(row[k + 1:n], x[k + 1:])) / row[k]
+    return x

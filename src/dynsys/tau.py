@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import expr as E
 from .continuous import ContinuousSystem, Domain, SmoothMap, default_samples
-from .core import CheckReport
+from .core import CheckReport, _distance, _matvec
 from .discrete import DiscreteSystem
 
 
@@ -71,36 +71,22 @@ class TangentSection:
 
 
 def _cont_apply_section(section: TangentSection, x):
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    base = x if section.base is None else np.array(E.evaluate_vector(section.base, x))
-    vec = np.array(E.evaluate_vector(section.vector, x))
-    return (base, vec)
+    x = [float(v) for v in x]
+    base = x if section.base is None else E.evaluate_vector(section.base, x)
+    return (base, E.evaluate_vector(section.vector, x))
 
 
 def _cont_apply_map_carrier(f: SmoothMap, x):
-    import numpy as np
-
-    return np.array(f(np.asarray(x, dtype=float)))
+    return f([float(v) for v in x])
 
 
 def _cont_apply_map_total(f: SmoothMap, total):
-    import numpy as np
-
     x, v = total
-    jmat = f.jacobian_at(x)
-    return (np.array(f(x)), jmat @ np.asarray(v, dtype=float))
-
-
-def _cont_carrier_distance(x, y) -> float:
-    import numpy as np
-
-    return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
+    return (f(x), _matvec(E.evaluate_vector(f._jacobian, x), v))
 
 
 def _cont_total_distance(p, q) -> float:
-    return max(_cont_carrier_distance(p[0], q[0]), _cont_carrier_distance(p[1], q[1]))
+    return max(_distance(p[0], q[0]), _distance(p[1], q[1]))
 
 
 def _cont_canonical_section(carrier: Domain) -> TangentSection:
@@ -115,7 +101,7 @@ CONTINUOUS = TauInstance(
     project=_project,
     apply_map_carrier=_cont_apply_map_carrier,
     apply_map_total=_cont_apply_map_total,
-    carrier_distance=_cont_carrier_distance,
+    carrier_distance=_distance,
     total_distance=_cont_total_distance,
     default_points=default_samples,
     canonical_section=_cont_canonical_section,

@@ -229,6 +229,50 @@ def test_laws_oscillator_periodic(specs):
     assert "name=section-law verdict=pass" in res.stdout
 
 
+@pytest.mark.parametrize("spec, extra", [
+    ("kind: continuous\ndimension: 2\nfield: x2\nfield: -x1\npuncture: 0 0\nbasepoint: 1 0\n",
+     ["--period", repr(2 * math.pi)]),
+    ("kind: continuous\ndimension: 1\ndomain: 0 inf\nfield: x1\n", []),
+], ids=["punctured-oscillator", "half-line-growth"])
+def test_laws_equilibrium_outside_domain_is_not_a_candidate(tmp_path, spec, extra):
+    path = tmp_path / "sys.txt"
+    path.write_text(spec)
+    res = run_cli("laws", str(path), *extra)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "note: equilibria: 0 found" in res.stdout
+    assert "equilibrium-morphisms" not in res.stdout
+
+
+def test_laws_negative_horizon_is_input_error(specs):
+    res = run_cli("laws", specs["funnel"], "--horizon", "-1")
+    assert res.returncode == 1
+    assert res.stderr == "error: horizon must be non-negative\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "osc", "--span", "1", "--rtol", "nan"],
+    ["solve", "osc", "--span", "1", "--atol", "-1"],
+    ["check-morphism", "time", "time", "translate", "--tol", "inf"],
+    ["check-morphism", "time", "time", "translate", "--preserve-tol=-1e-5"],
+    ["check-morphism", "time", "time", "translate", "--rtol=-inf"],
+    ["laws", "osc", "--atol", "nan"],
+    ["laws", "osc", "--tol", "-0.5"],
+    ["laws", "osc", "--rtol", "x"],
+])
+def test_bad_tolerance_is_input_error(specs, capsys, argv):
+    option = argv[-1].split("=")[0] if "=" in argv[-1] else argv[-2]
+    assert cli.main([specs.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: argument {option}: expected a finite non-negative")
+
+
+def test_solve_zero_atol_is_input_error(specs, capsys):
+    # the basepoint has a zero coordinate, so no error scale is left there
+    assert cli.main(["solve", specs["osc"], "--span", "1", "--atol", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: tolerances must be finite")
+
+
 def test_laws_broken_section_fixture(specs):
     res = run_cli("laws", specs["broken"])
     assert res.returncode == 3

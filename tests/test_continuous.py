@@ -370,6 +370,43 @@ def test_equilibria_rotation_origin():
     assert np.linalg.norm(found[0]) < 1e-8
 
 
+def test_equilibria_lorenz_closed_form():
+    sys = C.ContinuousSystem(C.full_space(3), E.parse_vector(LORENZ, 3))
+    found = C.find_equilibria(sys, box=[(-10.0, 10.0), (-10.0, 10.0), (-1.0, 30.0)])
+    r = math.sqrt(72.0)  # sqrt(beta * (rho - 1))
+    expected = [(-r, -r, 27.0), (0.0, 0.0, 0.0), (r, r, 27.0)]
+    assert len(found) == 3
+    for got, want in zip(found, expected):
+        assert math.dist(got, want) < 1e-8
+
+
+def test_equilibria_damped_duffing_closed_form():
+    sys = C.ContinuousSystem(C.full_space(2), E.parse_vector(["x2", "-0.3*x2 + x1 - x1^3"], 2))
+    found = C.find_equilibria(sys)
+    assert len(found) == 3
+    for got, want in zip(found, [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]):
+        assert math.dist(got, want) < 1e-8
+
+
+def test_equilibria_singular_jacobian_gives_up():
+    sys = C.ContinuousSystem(C.full_space(2), E.parse_vector(["x1 - x2 + 1"] * 2, 2))
+    assert C.find_equilibria(sys) == []
+
+
+@pytest.mark.parametrize("sys", [
+    C.ContinuousSystem(C.Domain(((-math.inf, math.inf),) * 2, ((0.0, 0.0),)),
+                       E.parse_vector(["x2", "-x1"], 2)),
+    line("x1", lo=0.0),
+], ids=["punctured-oscillator", "half-line-growth"])
+def test_equilibria_outside_domain_are_dropped(sys):
+    assert C.find_equilibria(sys) == []
+
+
+def test_integrate_rejects_zero_atol():
+    with pytest.raises(ValueError, match="atol > 0"):
+        C.integrate(oscillator(), [1.0, 0.0], 1.0, atol=0.0)
+
+
 def test_equilibrium_morphism_check():
     sys = line("x1*(1-x1)")
     assert C.check_equilibrium_morphism(sys, [1.0]).passed

@@ -1,3 +1,7 @@
+import itertools
+
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -141,6 +145,60 @@ def test_initiality_cap():
     sys = discrete.DiscreteSystem(tuple("abcdefghij"), {c: c for c in "abcdefghij"})
     with pytest.raises(core.EnumerationCapError):
         core.verify_initiality_discrete(9, core.PointedSystem(sys, "a"), cap=10**6)
+
+
+def reference_enumerate(target: core.PointedSystem, horizon: int):
+    """Oracle for :func:`dynsys.core.enumerate_pointed_morphisms`: walk every
+    table {0..horizon} -> carrier in ``itertools.product`` order."""
+    carrier = tuple(target.system.carrier)
+    endomap = target.system.endomap
+    found = []
+    for seq in itertools.product(carrier, repeat=horizon + 1):
+        if seq[0] != target.basepoint:
+            continue
+        if all(seq[k + 1] == endomap[seq[k]] for k in range(horizon)):
+            found.append(seq)
+    return found, len(carrier) ** (horizon + 1)
+
+
+@st.composite
+def _tables(draw) -> discrete.DiscreteSystem:
+    size = draw(st.integers(1, 4))
+    carrier = draw(st.permutations("abcd"))[:size]
+    images = draw(st.lists(st.sampled_from(carrier), min_size=size, max_size=size))
+    return discrete.DiscreteSystem(tuple(carrier), dict(zip(carrier, images)))
+
+
+@hypothesis.given(_tables(), st.integers(0, 5))
+@hypothesis.settings(max_examples=300, deadline=None)
+def test_enumeration_matches_product_loop(sys, horizon):
+    for bp in sys.carrier:
+        target = core.PointedSystem(sys, bp)
+        assert core.enumerate_pointed_morphisms(target, horizon) == \
+            reference_enumerate(target, horizon)
+
+
+def test_enumeration_long_horizon_one_point():
+    sys = discrete.DiscreteSystem(("a",), {"a": "a"})
+    found, total = core.enumerate_pointed_morphisms(core.PointedSystem(sys, "a"), 5000)
+    assert found == [("a",) * 5001] and total == 1
+
+
+def test_enumeration_negative_horizon():
+    sys = discrete.DiscreteSystem(("a", "b"), {"a": "b", "b": "b"})
+    with pytest.raises(ValueError, match="horizon must be non-negative"):
+        core.verify_initiality_discrete(-1, core.PointedSystem(sys, "a"))
+
+
+@hypothesis.given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(0, 60))
+@hypothesis.example(0.0, 5e-324, 4)  # a subnormal step
+@hypothesis.example(-0.0, 1.0, 1)
+@hypothesis.example(-5.0 + 1e-3 * 10.0, 5.0 - 1e-3 * 10.0, 21)  # find_equilibria's default axis
+@hypothesis.example(-1.0 + 1e-3 * 31.0, 30.0 - 1e-3 * 31.0, 21)
+@hypothesis.settings(max_examples=300, deadline=None)
+def test_linspace_matches_numpy_bits(lo, hi, num):
+    got = [v.hex() for v in core._linspace(lo, hi, num)]
+    assert got == [float(v).hex() for v in np.linspace(lo, hi, num)]
 
 
 def test_initiality_continuous_corroboration():

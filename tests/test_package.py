@@ -76,3 +76,36 @@ def test_version_and_solve_load_no_numpy(tmp_path):
     assert res.stdout.splitlines() == [
         "dynsys 0.1.0", "version False", "solve 0 False", "check-morphism 0", "laws 0",
     ]
+
+
+CHECKS_SCRIPT = """
+import sys
+from dynsys import cli
+
+for argv in (
+    ["check-morphism", "osc.txt", "osc.txt", "ident.txt", "--preserve-solutions", "1", "0", "3",
+     "--output", "check.report"],
+    ["laws", "osc.txt", "--period", "6.283185307179586", "--output", "laws.report"],
+    ["laws", "endo.txt", "--horizon", "8", "--output", "endo.report"],
+):
+    print(argv[0], cli.main(argv), "numpy" in sys.modules)
+"""
+
+
+def test_checks_and_laws_load_no_numpy(tmp_path):
+    (tmp_path / "osc.txt").write_text(
+        "kind: continuous\ndimension: 2\nfield: x2\nfield: -x1\nbasepoint: 1 0\n")
+    (tmp_path / "ident.txt").write_text("kind: map\ncomponent: x1\ncomponent: x2\n")
+    (tmp_path / "endo.txt").write_text(
+        "kind: discrete\nelements: a b c\nmap: a -> b\nmap: b -> c\nmap: c -> b\nbasepoint: a\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(dynsys.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", CHECKS_SCRIPT], capture_output=True, text=True,
+                         cwd=tmp_path, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "check-morphism 0 False", "laws 0 False", "laws 0 False",
+    ]
+    laws = (tmp_path / "laws.report").read_text()
+    assert "name=periodic-orbit verdict=pass" in laws and "equilibria: 1 found" in laws
+    assert "name=solution-preservation verdict=pass" in (tmp_path / "check.report").read_text()
+    assert "name=initiality[a] verdict=pass" in (tmp_path / "endo.report").read_text()
