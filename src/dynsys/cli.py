@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import __version__
@@ -21,7 +22,16 @@ from . import expr as E
 from .specio import LoadedSystem, SpecError, load_map, load_system, render_report
 
 
+# an argument that reads as a negative number is a value, not an option;
+# argparse before 3.13 leaves out exponents such as -1e-3
+_NEGATIVE_NUMBER = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):  # argparse's default exit code 2 means something else here
         raise SpecError(message)
 

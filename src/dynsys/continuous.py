@@ -19,13 +19,14 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from contextlib import nullcontext
-from dataclasses import dataclass
+import sys as _sys  # ``sys`` names a system in this module
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import expr as E
-from .core import CheckReport, _distance, _dot, _linspace, _matvec, _norm, _solve
+from .core import (
+    CheckReport, Record, Value, _distance, _dot, _linspace, _matvec, _norm, _setfield, _solve,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,20 +55,15 @@ class StepLimitError(RuntimeError):
     """Integration needed more than ``max_steps`` accepted or rejected steps."""
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Value):
     """Open box in R^n minus finitely many punctured points."""
 
-    bounds: tuple[tuple[float, float], ...]
-    punctures: tuple[tuple[float, ...], ...] = ()
+    __match_args__ = ("bounds", "punctures")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "bounds", tuple((float(a), float(b)) for a, b in self.bounds)
-        )
-        object.__setattr__(
-            self, "punctures", tuple(tuple(float(v) for v in p) for p in self.punctures)
-        )
+    def __init__(self, bounds: Sequence[tuple[float, float]],
+                 punctures: Sequence[Sequence[float]] = ()):
+        _setfield(self, "bounds", tuple((float(a), float(b)) for a, b in bounds))
+        _setfield(self, "punctures", tuple(tuple(float(v) for v in p) for p in punctures))
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise ValueError(f"empty interval ({lo}, {hi})")
@@ -93,12 +89,12 @@ def full_space(n: int) -> Domain:
     return Domain(tuple((-math.inf, math.inf) for _ in range(n)))
 
 
-@dataclass(frozen=True)
-class ContinuousSystem:
-    domain: Domain
-    field: E.VectorExpr
+class ContinuousSystem(Value):
+    __match_args__ = ("domain", "field")
 
-    def __post_init__(self):
+    def __init__(self, domain: Domain, field: E.VectorExpr):
+        _setfield(self, "domain", domain)
+        _setfield(self, "field", field)
         if self.field.arity != self.domain.dimension:
             raise E.ArityError(
                 f"field arity {self.field.arity} != dimension {self.domain.dimension}"
@@ -118,11 +114,13 @@ def time_system() -> ContinuousSystem:
     return ContinuousSystem(full_space(1), E.parse_vector(["1"], 1))
 
 
-@dataclass(frozen=True)
-class SmoothMap:
+class SmoothMap(Value):
     """A map R^n -> R^m given componentwise by expressions."""
 
-    components: E.VectorExpr
+    __match_args__ = ("components",)
+
+    def __init__(self, components: E.VectorExpr):
+        _setfield(self, "components", components)
 
     @property
     def source_dim(self) -> int:
@@ -164,15 +162,18 @@ def compose_smooth_maps(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
 # --- trajectories -----------------------------------------------------------
 
 
-@dataclass
-class IntegrationStats:
+class IntegrationStats(Record):
     """What one :func:`integrate` call did; telemetry, written to no file."""
 
-    nfev: int = 0  # right-hand-side evaluations started
-    accepted: int = 0  # steps that passed the error test
-    rejected: int = 0  # steps refused by the error test
-    domain_retries: int = 0  # steps shrunk because a stage left the field's domain
-    event_bisections: int = 0  # halvings spent locating domain exits inside steps
+    __match_args__ = ("nfev", "accepted", "rejected", "domain_retries", "event_bisections")
+
+    def __init__(self, nfev: int = 0, accepted: int = 0, rejected: int = 0,
+                 domain_retries: int = 0, event_bisections: int = 0):
+        self.nfev = nfev  # right-hand-side evaluations started
+        self.accepted = accepted  # steps that passed the error test
+        self.rejected = rejected  # steps refused by the error test
+        self.domain_retries = domain_retries  # steps shrunk: a stage left the field's domain
+        self.event_bisections = event_bisections  # halvings locating domain exits in steps
 
 
 class Trajectory:
@@ -225,12 +226,18 @@ class Trajectory:
 
     def to_csv(self, path=None) -> None:
         """Write ``t,x1,...,xn`` rows at full precision to ``path``, or to
-        the current standard output when ``path`` is None."""
+        the current standard output when ``path`` is None, in one write."""
         n = len(self._states[0])
-        with open(path, "w") if path is not None else nullcontext() as fh:
-            print("t," + ",".join(f"x{i}" for i in range(1, n + 1)), file=fh)
-            for t, row in zip(self._times, self._states):
-                print(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row]), file=fh)
+        row = ",".join(["%.17g"] * (n + 1))
+        header = "t," + ",".join(f"x{i}" for i in range(1, n + 1))
+        # the list of lines lives only until it is joined, so it is freed
+        # before the text is written
+        text = "\n".join([header, *(row % (t, *x) for t, x in zip(self._times, self._states)), ""])
+        if path is None:
+            _sys.stdout.write(text)
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
 
 
 def _array(knots) -> np.ndarray:

@@ -11,7 +11,9 @@ The continuous analog has an uncountable candidate space, so there the
 solution-uniqueness corroboration in :mod:`dynsys.continuous` stands in
 (see :func:`verify_initiality_continuous`).
 
-The last section holds the arithmetic on lists of floats (dot products,
+The value-class bases :class:`Record` and :class:`Value` come first: every
+system, morphism, report and expression node of the package is one.  The
+last section holds the arithmetic on lists of floats (dot products,
 norms, grids, a linear solve) that the integrator and the numerical checks
 share, so that none of them needs numpy.
 """
@@ -19,7 +21,6 @@ share, so that none of them needs numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 
@@ -36,8 +37,71 @@ class NonMonotoneError(RuntimeError):
     by :mod:`dynsys.germ`; defined here so that catching it loads no numpy)."""
 
 
-@dataclass(frozen=True)
-class CheckReport:
+# --- value classes ----------------------------------------------------------
+
+
+class Record:
+    """Base of the package's record classes: plain classes that get their
+    equality and ``repr`` from here.  Nothing is generated or compiled at
+    import: a code-generating class decorator, with the ``inspect`` module
+    it loads, would cost every CLI call a share of its start-up.
+
+    A subclass lists its fields, in constructor order, in ``__match_args__``
+    and sets them in an explicit ``__init__``, which also does any
+    normalisation.  Two records are equal when they are of the same class
+    and their field tuples are equal; ``repr`` reads ``Name(field=value,
+    ...)``; pickling and ``copy`` call the constructor again.  A record is
+    mutable and so unhashable; see :class:`Value` for the immutable kind.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+
+class Value(Record):
+    """An immutable :class:`Record`, hashed as its field tuple.
+
+    Assigning or deleting any attribute raises ``AttributeError``, so an
+    ``__init__`` sets its fields with :data:`_setfield`.
+    ``functools.cached_property`` still works on a subclass that has a
+    ``__dict__``, because it writes the instance dictionary directly.  A
+    subclass that overrides ``__eq__`` (for speed, as the expression nodes
+    do) must override ``__hash__`` alongside it.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+#: sets a field of a :class:`Value` from its ``__init__``
+_setfield = object.__setattr__
+
+
+class CheckReport(Value):
     """Structured verdict of a single check.
 
     For numerical checks the verdict is residual <= tolerance; for exact
@@ -45,11 +109,15 @@ class CheckReport:
     where one applies, otherwise a violation count.
     """
 
-    passed: bool
-    residual: float
-    samples: int
-    witness: str | None = None
-    note: str | None = None
+    __match_args__ = ("passed", "residual", "samples", "witness", "note")
+
+    def __init__(self, passed: bool, residual: float, samples: int,
+                 witness: str | None = None, note: str | None = None):
+        _setfield(self, "passed", passed)
+        _setfield(self, "residual", residual)
+        _setfield(self, "samples", samples)
+        _setfield(self, "witness", witness)
+        _setfield(self, "note", note)
 
     @property
     def verdict(self) -> str:
@@ -78,30 +146,32 @@ class CheckReport:
         return CheckReport(witness is None, float(violations), samples, witness, note)
 
 
-@dataclass(frozen=True)
-class PointedSystem:
+class PointedSystem(Value):
     """A system together with a chosen state of its carrier."""
 
-    system: object
-    basepoint: object
+    __match_args__ = ("system", "basepoint")
 
-    def __post_init__(self):
-        sys = self.system
-        if hasattr(sys, "endomap"):
-            if self.basepoint not in sys.endomap:
-                raise ValueError(f"basepoint {self.basepoint!r} not in the carrier")
-        elif hasattr(sys, "domain"):
-            if not sys.domain.contains(self.basepoint):
-                raise ValueError(f"basepoint {self.basepoint!r} outside the domain")
+    def __init__(self, system, basepoint):
+        _setfield(self, "system", system)
+        _setfield(self, "basepoint", basepoint)
+        if hasattr(system, "endomap"):
+            if basepoint not in system.endomap:
+                raise ValueError(f"basepoint {basepoint!r} not in the carrier")
+        elif hasattr(system, "domain"):
+            if not system.domain.contains(basepoint):
+                raise ValueError(f"basepoint {basepoint!r} outside the domain")
 
 
-@dataclass(frozen=True)
-class MorphismCandidate:
+class MorphismCandidate(Value):
     """A map between carriers plus the systems it claims to relate."""
 
-    mapping: object  # SmoothMap for continuous systems, a str->str table for discrete
-    src: object
-    dst: object
+    __match_args__ = ("mapping", "src", "dst")
+
+    def __init__(self, mapping, src, dst):
+        # SmoothMap for continuous systems, a str->str table for discrete
+        _setfield(self, "mapping", mapping)
+        _setfield(self, "src", src)
+        _setfield(self, "dst", dst)
 
 
 def identity_morphism(system) -> MorphismCandidate:

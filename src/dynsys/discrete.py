@@ -7,25 +7,22 @@ morphism out of the (truncated) successor system on the naturals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .core import CheckReport
+from .core import CheckReport, Value, _setfield
 
 
 class UnknownElementError(ValueError):
     """An element was referenced that is not in the carrier."""
 
 
-@dataclass(frozen=True)
-class DiscreteSystem:
-    carrier: tuple[str, ...]
-    endomap: Mapping[str, str]
+class DiscreteSystem(Value):
+    __match_args__ = ("carrier", "endomap")
 
-    def __post_init__(self):
-        object.__setattr__(self, "carrier", tuple(self.carrier))
-        object.__setattr__(self, "endomap", MappingProxyType(dict(self.endomap)))
+    def __init__(self, carrier: Sequence[str], endomap: Mapping[str, str]):
+        _setfield(self, "carrier", tuple(carrier))
+        _setfield(self, "endomap", MappingProxyType(dict(endomap)))
         elements = set(self.carrier)
         if len(elements) != len(self.carrier):
             raise ValueError("carrier contains duplicate elements")
@@ -45,10 +42,12 @@ class DiscreteSystem:
         return self.endomap[x]
 
 
-@dataclass(frozen=True)
-class Orbit:
-    start: str
-    points: tuple[str, ...]
+class Orbit(Value):
+    __match_args__ = ("start", "points")
+
+    def __init__(self, start: str, points: tuple[str, ...]):
+        _setfield(self, "start", start)
+        _setfield(self, "points", points)
 
 
 def iterate(sys: DiscreteSystem, c0: str, horizon: int) -> Orbit:

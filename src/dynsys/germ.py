@@ -13,21 +13,19 @@ two association orders of a triple produce bitwise-identical interval sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import expr as E
 from .continuous import ContinuousSystem, Trajectory, _bisect, integrate
-from .core import CheckReport, NonMonotoneError
+from .core import CheckReport, NonMonotoneError, Value, _setfield
 
 _CLIP = 1e8  # infinite interval ends are explored up to here
 _GRID = 513  # derivative sign samples per domain component
 
 
-@dataclass(frozen=True)
-class OpenSet1D:
+class OpenSet1D(Value):
     """Finite union of disjoint open intervals, kept normalized.
 
     Normalization sorts and merges strictly overlapping intervals; touching
@@ -35,19 +33,17 @@ class OpenSet1D:
     endpoint belongs to neither.
     """
 
-    intervals: tuple[tuple[float, float], ...]
+    __match_args__ = ("intervals",)
 
-    def __post_init__(self):
-        raw = sorted(
-            (float(a), float(b)) for a, b in self.intervals if float(a) < float(b)
-        )
+    def __init__(self, intervals: tuple[tuple[float, float], ...]):
+        raw = sorted((float(a), float(b)) for a, b in intervals if float(a) < float(b))
         merged: list[tuple[float, float]] = []
         for lo, hi in raw:
             if merged and lo < merged[-1][1]:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
             else:
                 merged.append((lo, hi))
-        object.__setattr__(self, "intervals", tuple(merged))
+        _setfield(self, "intervals", tuple(merged))
 
     @property
     def is_empty(self) -> bool:
@@ -108,17 +104,18 @@ def open_set(*intervals) -> OpenSet1D:
 FULL_LINE = open_set((-math.inf, math.inf))
 
 
-@dataclass(frozen=True)
-class PartialMap:
+class PartialMap(Value):
     """A 1-D smooth map defined on an open set; ``pipeline`` holds the
     primitive factors of a composite (empty for primitive maps)."""
 
-    domain: OpenSet1D
-    map: E.Expr
-    codomain: OpenSet1D = FULL_LINE
-    pipeline: tuple["PartialMap", ...] = ()
+    __match_args__ = ("domain", "map", "codomain", "pipeline")
 
-    def __post_init__(self):
+    def __init__(self, domain: OpenSet1D, map: E.Expr, codomain: OpenSet1D = FULL_LINE,
+                 pipeline: tuple["PartialMap", ...] = ()):
+        _setfield(self, "domain", domain)
+        _setfield(self, "map", map)
+        _setfield(self, "codomain", codomain)
+        _setfield(self, "pipeline", pipeline)
         if self.map.arity != 1:
             raise E.ArityError("partial maps are 1-D: expression must have arity 1")
         for lo, hi in self.domain.intervals:
@@ -153,14 +150,14 @@ def partial_map(src: str, domain: OpenSet1D = FULL_LINE, codomain: OpenSet1D = F
     return PartialMap(domain, E.parse(src, 1), codomain)
 
 
-@dataclass(frozen=True)
-class Germ:
+class Germ(Value):
     """A partial map taken up to agreement near a basepoint."""
 
-    representative: PartialMap
-    basepoint: float
+    __match_args__ = ("representative", "basepoint")
 
-    def __post_init__(self):
+    def __init__(self, representative: PartialMap, basepoint: float):
+        _setfield(self, "representative", representative)
+        _setfield(self, "basepoint", basepoint)
         if not self.representative.domain.contains(self.basepoint):
             raise ValueError(
                 f"basepoint {self.basepoint} outside domain {self.representative.domain}"
@@ -339,13 +336,15 @@ def germ_equal(a: Germ, b: Germ, samples: int = 257, tol: float = 1e-12) -> Chec
 # --- maximal solution domains on (punctured) lines -----------------------------
 
 
-@dataclass(frozen=True)
-class SolutionDomain:
+class SolutionDomain(Value):
     """Reported open interval of definition with both trajectory halves."""
 
-    interval: OpenSet1D
-    backward: Trajectory
-    forward: Trajectory
+    __match_args__ = ("interval", "backward", "forward")
+
+    def __init__(self, interval: OpenSet1D, backward: Trajectory, forward: Trajectory):
+        _setfield(self, "interval", interval)
+        _setfield(self, "backward", backward)
+        _setfield(self, "forward", forward)
 
 
 def maximal_solution_domain(

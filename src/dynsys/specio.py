@@ -34,14 +34,13 @@ morphism files::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from . import expr as E
 from . import tau
 from .continuous import ContinuousSystem, Domain, SmoothMap
-from .core import CheckReport
+from .core import CheckReport, Record
 from .discrete import DiscreteSystem
 
 
@@ -49,12 +48,14 @@ class SpecError(ValueError):
     """Malformed spec file or command input."""
 
 
-@dataclass
-class LoadedSystem:
-    kind: str  # discrete | continuous | germed
-    system: object
-    basepoint: object | None
-    tau_system: tau.TauSystem
+class LoadedSystem(Record):
+    __match_args__ = ("kind", "system", "basepoint", "tau_system")
+
+    def __init__(self, kind: str, system, basepoint, tau_system: tau.TauSystem):
+        self.kind = kind  # discrete | continuous | germed
+        self.system = system
+        self.basepoint = basepoint
+        self.tau_system = tau_system
 
     @property
     def is_discrete(self) -> bool:

@@ -18,29 +18,36 @@ witnessing constructively that the section space is never empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from . import expr as E
 from .continuous import ContinuousSystem, Domain, SmoothMap, default_samples
-from .core import CheckReport, _distance, _matvec
+from .core import CheckReport, Value, _distance, _matvec, _setfield
 from .discrete import DiscreteSystem
 
 
-@dataclass(frozen=True)
-class TauInstance:
+class TauInstance(Value):
     """Operation table for one kind of system."""
 
-    name: str
-    exact: bool
-    apply_section: Callable
-    project: Callable
-    apply_map_carrier: Callable
-    apply_map_total: Callable
-    carrier_distance: Callable
-    total_distance: Callable
-    default_points: Callable
-    canonical_section: Callable
+    __match_args__ = (
+        "name", "exact", "apply_section", "project", "apply_map_carrier", "apply_map_total",
+        "carrier_distance", "total_distance", "default_points", "canonical_section",
+    )
+
+    def __init__(self, name: str, exact: bool, apply_section: Callable, project: Callable,
+                 apply_map_carrier: Callable, apply_map_total: Callable,
+                 carrier_distance: Callable, total_distance: Callable,
+                 default_points: Callable, canonical_section: Callable):
+        _setfield(self, "name", name)
+        _setfield(self, "exact", exact)
+        _setfield(self, "apply_section", apply_section)
+        _setfield(self, "project", project)
+        _setfield(self, "apply_map_carrier", apply_map_carrier)
+        _setfield(self, "apply_map_total", apply_map_total)
+        _setfield(self, "carrier_distance", carrier_distance)
+        _setfield(self, "total_distance", total_distance)
+        _setfield(self, "default_points", default_points)
+        _setfield(self, "canonical_section", canonical_section)
 
 
 def _project(total):
@@ -48,26 +55,30 @@ def _project(total):
     return total[0]
 
 
-@dataclass(frozen=True)
-class TauSystem:
-    instance: TauInstance
-    carrier: object
-    section: object
+class TauSystem(Value):
+    __match_args__ = ("instance", "carrier", "section")
+
+    def __init__(self, instance: TauInstance, carrier, section):
+        _setfield(self, "instance", instance)
+        _setfield(self, "carrier", carrier)
+        _setfield(self, "section", section)
 
 
 # --- continuous instance -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TangentSection:
+class TangentSection(Value):
     """A candidate section of the tangent projection: x |-> (base(x), vector(x)).
 
     ``base=None`` is the identity footing; a proper vector field never moves
     the base point, and the section check is exactly that question.
     """
 
-    vector: E.VectorExpr
-    base: E.VectorExpr | None = None
+    __match_args__ = ("vector", "base")
+
+    def __init__(self, vector: E.VectorExpr, base: E.VectorExpr | None = None):
+        _setfield(self, "vector", vector)
+        _setfield(self, "base", base)
 
 
 def _cont_apply_section(section: TangentSection, x):

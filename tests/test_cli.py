@@ -318,3 +318,51 @@ def test_laws_reports_are_byte_identical(specs, tmp_path):
         res = run_cli("laws", specs["mod3"], "--output", str(out))
         assert res.returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "osc", "--span", "-1e-3"], 0),
+    (["solve", "osc", "--span", "-.25E+1"], 0),
+    (["solve", "quad", "--span", "2", "--escape-threshold", "-1e3"], 2),
+    (["laws", "osc", "--period", "-6.283185307179586e0"], 1),
+])
+def test_negative_scientific_option_values(specs, capsys, argv, code):
+    # "--opt -1e-3" is the value -1e-3, as "--opt=-1e-3" always was
+    argv = [specs.get(a, a) for a in argv]
+    assert cli.main(argv) == code
+    spaced = capsys.readouterr()
+    assert cli.main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == code
+    assert capsys.readouterr() == spaced
+    assert "argument" not in spaced.err
+    if argv[0] == "laws":
+        assert spaced.err == "error: period must be positive\n"
+
+
+@pytest.mark.parametrize("values", [["-1e-1", "1"], ["0", "-1e-1"], ["-5E-1", "-2.5e0"]])
+def test_negative_scientific_preserve_solutions(specs, capsys, values):
+    argv = ["check-morphism", specs["time"], specs["time"], specs["translate"]]
+    assert cli.main(argv + ["--preserve-solutions", *values]) == 0
+    report = capsys.readouterr().out
+    assert "name=solution-preservation verdict=pass" in report
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "osc", "--span", "1", "--rtol", "-1e-3"],
+    ["solve", "osc", "--span", "1", "--atol", "-1E-12"],
+    ["check-morphism", "time", "time", "translate", "--tol", "-1e-8"],
+    ["check-morphism", "time", "time", "translate", "--preserve-tol", "-1e-5"],
+    ["laws", "osc", "--tol", "-.5e-2"],
+])
+def test_negative_scientific_tolerance_is_input_error(specs, capsys, argv):
+    assert cli.main([specs.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: argument {argv[-2]}: expected a finite non-negative number, got {argv[-1]!r}\n"
+    )
+
+
+def test_option_lookalikes_stay_options(specs, capsys):
+    # only whole numbers read as values: "-1e-3x" is still an unknown option
+    assert cli.main(["solve", specs["osc"], "--span", "-1e-3x"]) == 1
+    assert capsys.readouterr().err == "error: argument --span: expected one argument\n"

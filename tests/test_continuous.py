@@ -1,4 +1,5 @@
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -268,6 +269,43 @@ def test_csv_export(tmp_path):
     assert len(lines) == len(traj.times) + 1
     t_back, x_back = map(float, lines[-1].split(","))
     assert t_back == traj.times[-1] and x_back == traj.states[-1][0]
+
+
+def reference_to_csv(traj: C.Trajectory, path=None) -> None:
+    """The writer ``Trajectory.to_csv`` replaced: one formatted value and one
+    ``print`` per field and row."""
+    n = len(traj._states[0])
+    with open(path, "w") if path is not None else nullcontext() as fh:
+        print("t," + ",".join(f"x{i}" for i in range(1, n + 1)), file=fh)
+        for t, row in zip(traj._times, traj._states):
+            print(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row]), file=fh)
+
+
+ODD_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+              -1e300, 0.1, 1 / 3, -123456789.123456789, 1e16, 3, math.pi]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_csv_bytes_match_the_reference_writer(tmp_path, capsys, n):
+    rows = [ODD_VALUES[i:i + n] for i in range(len(ODD_VALUES) - n + 1)]
+    times = [-0.0] + [float(i) / 7 for i in range(1, len(rows))]
+    traj = C.Trajectory(times, rows, rows, times[0], times[-1], C.TERM_SPAN)
+    traj.to_csv(tmp_path / "new.csv")
+    reference_to_csv(traj, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    traj.to_csv()
+    new = capsys.readouterr().out
+    reference_to_csv(traj)
+    assert new == capsys.readouterr().out == (tmp_path / "old.csv").read_text()
+    assert new.splitlines()[1].startswith("-0,")
+
+
+def test_csv_of_an_integration_matches_the_reference_writer(tmp_path):
+    traj = C.integrate(C.ContinuousSystem(C.full_space(3), E.parse_vector(
+        ["10*(x2 - x1)", "x1*(28 - x3) - x2", "x1*x2 - 8/3*x3"], 3)), [1.0, 1.0, 1.0], 2.0)
+    traj.to_csv(tmp_path / "new.csv")
+    reference_to_csv(traj, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 # --- f-relatedness -----------------------------------------------------------

@@ -109,3 +109,56 @@ def test_checks_and_laws_load_no_numpy(tmp_path):
     assert "name=periodic-orbit verdict=pass" in laws and "equilibria: 1 found" in laws
     assert "name=solution-preservation verdict=pass" in (tmp_path / "check.report").read_text()
     assert "name=initiality[a] verdict=pass" in (tmp_path / "endo.report").read_text()
+
+
+
+WATCHED = ("dataclasses", "inspect")  # ~9 ms of imports that no command needs
+
+GUARD_SCRIPT = """
+import sys
+from dynsys import cli
+
+def loaded():
+    return ",".join(m for m in WATCHED if m in sys.modules) or "-"
+
+try:
+    cli.main(["--version"])
+except SystemExit:
+    pass
+print("version", loaded())
+for argv in (
+    ["solve", "osc.txt", "--span", "3", "--output", "osc.csv"],
+    ["check-morphism", "osc.txt", "osc.txt", "ident.txt", "--output", "check.report"],
+    ["laws", "osc.txt", "--output", "laws.report"],
+):
+    print(argv[0], cli.main(argv), loaded())
+"""
+
+
+def _loaded_by(code: str, cwd) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": str(Path(dynsys.__file__).parents[1])}
+    script = f"import sys\n{code}\nprint(*(m for m in {WATCHED!r} if m in sys.modules))"
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         cwd=cwd, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.split())
+
+
+def test_commands_load_no_dataclasses_or_inspect(tmp_path):
+    bare = _loaded_by("pass", tmp_path)
+    if bare >= set(WATCHED):
+        pytest.skip("the bare interpreter already loads " + " ".join(sorted(bare)))
+    (tmp_path / "osc.txt").write_text(
+        "kind: continuous\ndimension: 2\nfield: x2\nfield: -x1\nbasepoint: 1 0\n")
+    (tmp_path / "ident.txt").write_text("kind: map\ncomponent: x1\ncomponent: x2\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(dynsys.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", f"WATCHED = {WATCHED!r}\n" + GUARD_SCRIPT],
+                         capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    only_bare = ",".join(m for m in WATCHED if m in bare) or "-"
+    assert res.stdout.splitlines() == [
+        "dynsys 0.1.0", f"version {only_bare}", f"solve 0 {only_bare}",
+        f"check-morphism 0 {only_bare}", f"laws 0 {only_bare}",
+    ]
+    # the germ code loads numpy, which may load inspect itself
+    assert _loaded_by("import dynsys.germ", tmp_path) <= bare | _loaded_by("import numpy", tmp_path)
