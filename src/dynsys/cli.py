@@ -36,15 +36,24 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
-def _tolerance(text: str) -> float:
-    """The type of the tolerance options: a finite number, zero or more."""
+def _number(text: str, ok, expected: str) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return value
+
+
+def _tolerance(text: str) -> float:
+    """The type of the tolerance options: a finite number, zero or more."""
+    return _number(text, lambda v: 0.0 <= v < math.inf, "a finite non-negative number")
+
+
+def _threshold(text: str) -> float:
+    """The type of ``--escape-threshold``: a positive number, inf included."""
+    return _number(text, lambda v: v > 0.0, "a positive number")
 
 
 def _build_parser() -> _Parser:
@@ -60,7 +69,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--horizon", type=int, help="iteration count (discrete systems)")
     solve.add_argument("--rtol", type=_tolerance, default=1e-9)
     solve.add_argument("--atol", type=_tolerance, default=1e-12)
-    solve.add_argument("--escape-threshold", type=float, default=C.DEFAULT_ESCAPE)
+    solve.add_argument("--escape-threshold", type=_threshold, default=C.DEFAULT_ESCAPE)
     solve.add_argument("--output", help="output path (default stdout)")
 
     check = sub.add_parser("check-morphism", help="test a candidate map between two systems")

@@ -20,7 +20,7 @@ import bisect
 import itertools
 import math
 import sys as _sys  # ``sys`` names a system in this module
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import expr as E
@@ -96,13 +96,10 @@ class ContinuousSystem(Value):
         _setfield(self, "domain", domain)
         _setfield(self, "field", field)
         if self.field.arity != self.domain.dimension:
-            raise E.ArityError(
-                f"field arity {self.field.arity} != dimension {self.domain.dimension}"
-            )
+            raise E.ArityError(f"field arity {self.field.arity} != dimension {self.domain.dimension}")
         if self.field.size != self.domain.dimension:
-            raise E.ArityError(
-                f"field has {self.field.size} components for dimension {self.domain.dimension}"
-            )
+            raise E.ArityError(f"field has {self.field.size} components for dimension "
+                               f"{self.domain.dimension}")
 
     @property
     def dimension(self) -> int:
@@ -268,7 +265,9 @@ def _hermite_deriv(t, t0, t1, y0, y1, f0, f1) -> list[float]:
 
 # --- Dormand-Prince 5(4) ----------------------------------------------------
 #
-# The step works on lists of floats.  Every stage combination is a sum taken
+# The step works on floats, one straight-line function per state dimension
+# (_dp_step), emitted on the first integration in that dimension and calling
+# the compiled field once per stage.  Every stage combination is a sum taken
 # left to right over the nonzero coefficients, so a step gives the same bits
 # on every IEEE-754 machine, and negating coordinates that the field maps
 # equivariantly negates the computed trajectory exactly.
@@ -308,6 +307,35 @@ def _rms(values) -> float:
     return math.sqrt(_dot(values, values) / len(values))
 
 
+@cache
+def _dp_step(n: int):
+    """The trial step for n coordinates: ``step(field, y, k1, t, h, rtol, atol,
+    bounds)`` returns ``(y_new, k7, error norm, |y_new|, y_new in the box)``,
+    or the number of field calls started when a stage leaves the field's domain."""
+    def each(code, sep=", "):  # ``code`` once per coordinate, "#" standing for its index
+        return sep.join(code.replace("#", str(i)) for i in range(n))
+
+    def comb(coefs, ks):  # the sum of coef * k, left to right
+        return " + ".join(f"{c!r} * k{k}_#" for c, k in zip(coefs, ks))
+
+    lines = [f"{each('y_#')}, = y", f"{each('k1_#')}, = k1", "try:"]
+    for s, (a, at) in enumerate(zip(_DP_A, [f"t + {c!r} * h" for c in _DP_C] + ["t + h"]), 1):
+        stage = each(f"y_# + h * ({comb(a, range(1, s + 1))})")
+        lines += [f"    s = {s}", f"    {each(f'k{s + 1}_#')}, = field([{stage}], {at})"]
+    lines += [f"    y_new = [{each(f'y_# + h * ({comb(_DP_B, (1, 3, 4, 5, 6))})')}]",
+              "    s = 6", "    k7 = field(y_new, t + h)", "except DomainError:", "    return s",
+              f"{each('n_#')}, = y_new", f"{each('k7_#')}, = k7", f"{each('(lo_#, hi_#)')}, = bounds",
+              # scaled by max(|y|, |y_new|), and squared and summed as in _rms
+              each(f"a = abs(y_#); b = abs(n_#); q_# = h * ({comb(_DP_E, (1, 3, 4, 5, 6, 7))})"
+                   " / (atol + rtol * (b if b > a else a))", "\n    "),
+              f"return y_new, k7, sqrt(({each('q_# * q_#', ' + ')}) / {n}), "
+              f"sqrt({each('n_# * n_#', ' + ')}), {each('lo_# < n_# < hi_#', ' and ')}"]
+    src = "def step(field, y, k1, t, h, rtol, atol, bounds):\n" + "".join(f"    {x}\n" for x in lines)
+    namespace = {"DomainError": E.DomainError, "sqrt": math.sqrt}
+    exec(compile(src, "<dynsys.continuous>", "exec"), namespace)
+    return namespace["step"]
+
+
 def _initial_step(field, t0, y0, f0, direction, rtol, atol, limit):
     scale = [atol + rtol * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
@@ -318,13 +346,14 @@ def _initial_step(field, t0, y0, f0, direction, rtol, atol, limit):
         y1 = [v + h0 * direction * f for v, f in zip(y0, f0)]
         f1 = field(y1, t0 + h0 * direction)
         d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
-    except E.DomainError:
+    except (E.DomainError, ZeroDivisionError):  # h0 is 0 when d1 overflowed
         d2 = d1
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, limit)
+    h = min(100 * h0, h1, limit)  # 0 or nan if a scaled norm overflowed: then start
+    return h if h > 0.0 else min(1e-6, limit)  # small, and let the error test shrink it
 
 
 def _bisect(flipped, good: float, bad: float, tol: float = 0.0) -> float:
@@ -360,11 +389,12 @@ def integrate(
     """Integrate from x0 over [0, span] (or [span, 0] when span < 0).
 
     Local error per step is held to about atol + rtol*|x|; atol must be
-    positive, as a coordinate may be 0.  Stops early with termination
-    "blow-up" once |x| exceeds ``escape_threshold`` and with "left-domain"
-    when the state exits the open box (the crossing is bisected to
-    EXIT_BISECT_TOL) or hits a puncture (at the closest approach; see
-    PUNCTURE_TOL); the exit becomes the final knot.
+    positive, as a coordinate may be 0; a step whose error norm or new
+    state is not finite is rejected.  Stops early with termination
+    "blow-up" once |x| exceeds ``escape_threshold`` (positive; inf never
+    stops) and with "left-domain" when the state exits the open box (the
+    crossing is bisected to EXIT_BISECT_TOL) or hits a puncture (at the
+    closest approach; see PUNCTURE_TOL); the exit becomes the final knot.
     Raises :class:`StepLimitError` after ``max_steps`` steps, and
     :class:`StepSizeUnderflowError` when the step size underflows or the
     state stalls at the edge of the field's domain (STALL_RETRIES).
@@ -383,13 +413,13 @@ def integrate(
         raise ValueError("span must be a nonzero finite time")
     if not (0.0 <= rtol < math.inf and 0.0 < atol < math.inf):
         raise ValueError("tolerances must be finite, with rtol >= 0 and atol > 0")
+    if not escape_threshold > 0.0:
+        raise ValueError("escape threshold must be positive")
     direction = 1.0 if T > 0 else -1.0
 
     field = sys.field._compiled  # the whole field in one compiled call
-    c2, c3, c4, c5 = _DP_C
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _DP_A
-    b1, b3, b4, b5, b6 = _DP_B
-    e1, e3, e4, e5, e6, e7 = _DP_E
+    step = _dp_step(n)
+    bounds, punctures = sys.domain.bounds, sys.domain.punctures
 
     t = 0.0
     k1 = field(y, t)
@@ -407,49 +437,32 @@ def integrate(
         if abs(h) < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflowError(f"step size underflow at t={t} (stiffness failure)")
 
-        try:
-            nfev += 1
-            k2 = field([v + h * (a21 * p) for v, p in zip(y, k1)], t + c2 * h)
-            nfev += 1
-            k3 = field([v + h * (a31 * p + a32 * q) for v, p, q in zip(y, k1, k2)], t + c3 * h)
-            nfev += 1
-            k4 = field([v + h * (a41 * p + a42 * q + a43 * r)
-                        for v, p, q, r in zip(y, k1, k2, k3)], t + c4 * h)
-            nfev += 1
-            k5 = field([v + h * (a51 * p + a52 * q + a53 * r + a54 * s)
-                        for v, p, q, r, s in zip(y, k1, k2, k3, k4)], t + c5 * h)
-            nfev += 1
-            k6 = field([v + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
-                        for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)], t + h)
-            y_new = [v + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
-                     for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
-            nfev += 1
-            k7 = field(y_new, t + h)
-        except E.DomainError:
+        out = step(field, y, k1, t, h, rtol, atol, bounds)
+        if out.__class__ is int:  # a stage left the field's domain
+            nfev += out
             retries += 1
             stalled += 1
             if stalled > STALL_RETRIES:
                 raise StepSizeUnderflowError(
                     f"step stalled at t={t}: every step from {tuple(y)} either leaves "
-                    f"the state unchanged or leaves the field's domain") from None
+                    f"the state unchanged or leaves the field's domain")
             h *= 0.3
             continue
-
-        err_norm = _rms([
-            h * (e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z)
-            / (atol + rtol * max(abs(v), abs(x)))
-            for v, x, p, r, s, u, w, z in zip(y, y_new, k1, k3, k4, k5, k6, k7)
-        ])
-        if err_norm > 1.0:
+        nfev += 6
+        y_new, k7, err_norm, norm, inside = out
+        if not (inside or all(map(math.isfinite, y_new))):
+            err_norm = math.nan  # a state past the float range fails the error test
+        if not err_norm <= 1.0:  # a nan norm (overflowing stages) fails too, and shrinks by 0.2
             rejected += 1
-            h *= min(max(0.9 * err_norm ** -0.2, 0.2), 1.0)
+            h *= min(max(0.2, 0.9 * err_norm ** -0.2), 1.0)
             continue
 
         accepted += 1
         if y_new != y:
             stalled = 0
         t_new = t + h
-        crossing = _first_exit(sys.domain, t, t_new, y, y_new, k1, k7, stats)
+        crossing = None if inside and not punctures else \
+            _first_exit(sys.domain, not inside, t, t_new, y, y_new, k1, k7, stats)
         if crossing is not None:
             t_x, y_x = crossing
             ts.append(t_x)
@@ -461,12 +474,11 @@ def integrate(
         ts.append(t_new)
         ys.append(y_new)
         fs.append(k7)
-        if math.sqrt(_dot(y_new, y_new)) > escape_threshold:
+        if norm > escape_threshold:
             termination = TERM_BLOWUP
             break
         t, y, k1 = t_new, y_new, k7
-        factor = 10.0 if err_norm == 0.0 else min(max(0.9 * err_norm ** -0.2, 0.2), 10.0)
-        h *= factor
+        h *= 10.0 if err_norm == 0.0 else min(max(0.9 * err_norm ** -0.2, 0.2), 10.0)
 
     if direction < 0:  # backward runs are stored time-ascending
         ts.reverse()
@@ -474,10 +486,6 @@ def integrate(
         fs.reverse()
     stats.nfev, stats.accepted, stats.rejected, stats.domain_retries = nfev, accepted, rejected, retries
     return Trajectory(ts, ys, fs, t_lo=ts[0], t_hi=ts[-1], termination=termination, stats=stats)
-
-
-def _in_box(values, bounds) -> bool:
-    return all(lo < v < hi for v, (lo, hi) in zip(values, bounds))
 
 
 def _hull_near(q, y0, y1, f0, f1, h) -> bool:
@@ -494,11 +502,11 @@ def _hull_near(q, y0, y1, f0, f1, h) -> bool:
     return True
 
 
-def _first_exit(domain, t0, t1, y0, y1, f0, f1, stats):
+def _first_exit(domain, leaves_box, t0, t1, y0, y1, f0, f1, stats):
     """Earliest domain-exit event inside an accepted step, if any: the box
-    boundary crossing, or the closest approach that hits a puncture (see
-    PUNCTURE_TOL).  Counts each bisection halving in ``stats``."""
-    leaves_box = not _in_box(y1, domain.bounds)
+    boundary crossing (when y1 is outside the box), or the closest approach
+    that hits a puncture (see PUNCTURE_TOL).  Counts each bisection halving
+    in ``stats``."""
     near = [q for q in domain.punctures if _hull_near(q, y0, y1, f0, f1, t1 - t0)]
     if not (leaves_box or near):
         return None
@@ -508,7 +516,7 @@ def _first_exit(domain, t0, t1, y0, y1, f0, f1, stats):
 
     def outside(tau):
         stats.event_bisections += 1
-        return not _in_box(dense(tau), domain.bounds)
+        return not all(lo < v < hi for v, (lo, hi) in zip(dense(tau), domain.bounds))
 
     events: list[float] = []
     if leaves_box:
@@ -641,10 +649,8 @@ def check_f_relatedness(
         defect = _distance(jv, E.evaluate_vector(y_sys.field, y))
         if defect > residual:
             residual, worst = defect, tuple(float(c) for c in x)
-    return CheckReport.numerical(
-        residual, tol, len(pts),
-        witness=None if worst is None else f"worst defect {residual:.6g} at x={worst}",
-    )
+    return CheckReport.numerical(residual, tol, len(pts), witness=None if worst is None
+                                 else f"worst defect {residual:.6g} at x={worst}")
 
 
 def check_solution_preservation(
@@ -680,9 +686,8 @@ def check_solution_preservation(
     note = None
     if abs(lo - full[0]) > 1e-12 or abs(hi - full[1]) > 1e-12:
         note = f"compared on [{lo:.17g}, {hi:.17g}] (early termination)"
-    return CheckReport.numerical(
-        residual, tol, grid, witness=f"max deviation {residual:.6g} at t={worst_t}", note=note
-    )
+    return CheckReport.numerical(residual, tol, grid, note=note,
+                                 witness=f"max deviation {residual:.6g} at t={worst_t}")
 
 
 # --- equilibria and periodic orbits ------------------------------------------
@@ -704,9 +709,7 @@ def find_equilibria(
     """
     n = sys.dimension
     if box is None:
-        box = [
-            (max(lo, -_SAMPLE_CLIP), min(hi, _SAMPLE_CLIP)) for lo, hi in sys.domain.bounds
-        ]
+        box = [(max(lo, -_SAMPLE_CLIP), min(hi, _SAMPLE_CLIP)) for lo, hi in sys.domain.bounds]
     axes = [_linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), resolution) for lo, hi in box]
     field = sys.field._compiled  # every component in one call, as in integrate
     norms = []  # over the grid in row-major order, inf where the field is undefined
@@ -778,9 +781,7 @@ def check_equilibrium_morphism(
     if not sys.domain.contains(pt):
         raise ValueError(f"candidate {pt} outside the domain")
     residual = _norm(E.evaluate_vector(sys.field, pt))
-    return CheckReport.numerical(
-        residual, tol, 1, witness=f"|X({pt})| = {residual:.6g}"
-    )
+    return CheckReport.numerical(residual, tol, 1, witness=f"|X({pt})| = {residual:.6g}")
 
 
 def check_periodic_orbit(
@@ -806,9 +807,7 @@ def check_periodic_orbit(
         )
     end = traj._states[-1]
     closure = _distance(end, [float(v) for v in x0])
-    return CheckReport.numerical(
-        closure, tol, len(traj._times), witness=f"endpoint {tuple(end)}",
-    )
+    return CheckReport.numerical(closure, tol, len(traj._times), witness=f"endpoint {tuple(end)}")
 
 
 def solution_morphism_report(

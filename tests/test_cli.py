@@ -1,7 +1,13 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from dynsys import cli
@@ -323,7 +329,7 @@ def test_laws_reports_are_byte_identical(specs, tmp_path):
 @pytest.mark.parametrize("argv, code", [
     (["solve", "osc", "--span", "-1e-3"], 0),
     (["solve", "osc", "--span", "-.25E+1"], 0),
-    (["solve", "quad", "--span", "2", "--escape-threshold", "-1e3"], 2),
+    (["solve", "germed", "--span", "-3e0"], 2),
     (["laws", "osc", "--period", "-6.283185307179586e0"], 1),
 ])
 def test_negative_scientific_option_values(specs, capsys, argv, code):
@@ -362,7 +368,102 @@ def test_negative_scientific_tolerance_is_input_error(specs, capsys, argv):
     )
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-0.0", "-1e3", "-1E+400", "x"])
+def test_escape_threshold_must_be_positive(specs, capsys, value):
+    # nan turned the blow-up stop off, and a negative value stopped every run
+    # after its first step
+    argv = ["solve", specs["quad"], "--span", "2", "--escape-threshold", value]
+    assert cli.main(argv) == 1
+    spaced = capsys.readouterr()
+    assert cli.main(argv[:-2] + [f"--escape-threshold={value}"]) == 1
+    assert capsys.readouterr() == spaced
+    assert spaced.out == ""
+    assert spaced.err == f"error: argument --escape-threshold: expected a positive number, got {value!r}\n"
+
+
+def test_escape_threshold_inf_is_accepted(specs, capsys):
+    # with no escape stop, x' = x^2 runs into its pole at t = 1
+    assert cli.main(["solve", specs["quad"], "--span", "2", "--escape-threshold", "inf"]) == 1
+    assert capsys.readouterr().err.startswith("error: step size underflow at t=0.99999")
+
+
+def _finite_csv(text: str) -> bool:
+    return all(math.isfinite(float(v)) for line in text.splitlines()[1:] for v in line.split(","))
+
+
+def test_solve_overflowing_initial_norm_blows_up(specs):
+    # |x2'| / atol overflows in the initial step size estimate, which used to
+    # divide by the zero step it gave
+    res = run_cli("solve", specs["osc"], "--span", "1", "--x0", "1e300 0")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("early termination: blow-up at t=")
+    assert _finite_csv(res.stdout) and len(res.stdout.splitlines()) == 3
+
+
+@pytest.mark.parametrize("x0", ["1e308 1e308", "1.7e308 0"])
+def test_solve_overflowing_stages_end_cleanly(specs, x0):
+    # every stage combination overflows whatever the step size, so the error
+    # norm is nan; such steps were accepted and wrote nan rows
+    res = run_cli("solve", specs["osc"], "--span", "1", "--x0", x0)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr == "error: step size underflow at t=0.0 (stiffness failure)\n"
+    assert res.stdout == ""
+
+
 def test_option_lookalikes_stay_options(specs, capsys):
     # only whole numbers read as values: "-1e-3x" is still an unknown option
     assert cli.main(["solve", specs["osc"], "--span", "-1e-3x"]) == 1
     assert capsys.readouterr().err == "error: argument --span: expected one argument\n"
+
+
+# --- fuzzing solve ------------------------------------------------------------
+
+_TERMS = ("x{i}", "-x{i}", "{c}*x{i}", "x{i}^2", "x{i}*x{j}", "sin(x{i})", "exp(x{i})",
+          "sqrt(x{i})", "log(x{i})", "1/x{i}", "t", "{c}")
+_COORDS = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e308, 1e308),
+                    st.sampled_from([1e308, -1e308, 1.7e308, 1e300, 1e154, 5e-324, -0.0]))
+
+
+@st.composite
+def _solve_runs(draw):
+    """A continuous spec (dimension <= 3) and the options of one solve of it."""
+    n = draw(st.integers(1, 3))
+    term = st.builds(lambda fmt, i, j, c: fmt.format(i=i, j=j, c=c), st.sampled_from(_TERMS),
+                     st.integers(1, n), st.integers(1, n), st.sampled_from(["0.5", "-2", "1e3"]))
+    lines = ["kind: continuous", f"dimension: {n}"]
+    for _ in range(n):
+        lines.append("field: " + draw(st.lists(term, min_size=1, max_size=3).map(" + ".join)))
+    if draw(st.booleans()):
+        lines.append("domain: " + " ; ".join(
+            draw(st.sampled_from(["-inf inf", "0 inf", "-1 1", "-1e300 1e300"])) for _ in range(n)))
+    if draw(st.booleans()):
+        lines.append("puncture: " + " ".join(draw(st.sampled_from(["0", "1", "-0.5"]))
+                                             for _ in range(n)))
+    args = ["--span", repr(draw(st.floats(-2.0, 2.0).filter(bool))),
+            "--x0", " ".join(repr(draw(_COORDS)) for _ in range(n))]
+    if draw(st.booleans()):
+        args += ["--escape-threshold", draw(st.sampled_from(["inf", "10", "1e300"]))]
+    if draw(st.booleans()):
+        args += ["--rtol", "1e-6", "--atol", "1e-9"]
+    return "\n".join(lines) + "\n", args
+
+
+@hypothesis.given(_solve_runs())
+# a finite error norm with an infinite state, which wrote an inf row
+@hypothesis.example(("kind: continuous\ndimension: 2\nfield: x1^2\nfield: exp(x1)\n",
+                     ["--span", "1.0", "--x0", "1.0 0.0", "--escape-threshold", "inf"]))
+@hypothesis.settings(max_examples=150, deadline=None)
+def test_fuzz_solve_ends_cleanly(run):
+    # every input ends in a documented exit code with no traceback, and a
+    # written trajectory holds only finite numbers
+    spec_text, args = run
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = Path(tmp, "spec.txt"), Path(tmp, "out.csv")
+        spec.write_text(spec_text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["solve", str(spec), *args, "--output", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code in (0, 2):
+            assert _finite_csv(out.read_text()), err.getvalue()

@@ -1,8 +1,12 @@
 import math
 from contextlib import nullcontext
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from exprgen import random_node
+from reference_integrator import reference_integrate
 
 from dynsys import continuous as C
 from dynsys import expr as E
@@ -258,6 +262,113 @@ def test_stats_count_domain_retries():
     assert traj.termination == "reached-span"
     assert traj.stats.domain_retries > 0
     _assert_stats_consistent(traj)
+    # each retry counts the field calls it started, up to the failing stage
+    assert traj.stats.nfev == 789
+
+
+# --- the generated step against the loop it replaced --------------------------
+
+
+def _outcome(integrator, sys, x0, span, **kwargs):
+    """Everything a run produces, as a repr: it tells -0.0 from 0.0, and a
+    nan equals itself."""
+    try:
+        traj = integrator(sys, x0, span, **kwargs)
+    except (ValueError, E.ExprError, C.StepLimitError, C.StepSizeUnderflowError) as exc:
+        return repr((type(exc), str(exc)))
+    s = traj.stats
+    return repr((traj._times, traj._states, traj._derivs, traj.termination,
+                 (s.nfev, s.accepted, s.rejected, s.domain_retries, s.event_bisections)))
+
+
+def _assert_matches_reference(sys, x0, span, **kwargs):
+    assert _outcome(C.integrate, sys, x0, span, **kwargs) == \
+        _outcome(reference_integrate, sys, x0, span, **kwargs)
+
+
+@pytest.mark.parametrize("sys, x0, span, kwargs", [
+    (line("sqrt(x1*x1 - 2)"), [2.0], -3.0, {}),  # the stall stop
+    (line("1/x1"), [1.0], -2.0, {}),  # step size underflow
+    (line("sqrt(1 - x1)"), [0.0], 3.0, {}),  # domain retries
+    (line("sin(1000*t)*1000"), [0.0], 1e4, {"max_steps": 5}),
+    (line("x1^2"), [1.0], 2.0, {"escape_threshold": 1e10}),
+    (line("x1", lo=0.0, hi=3.0), [1.0], 5.0, {}),
+    (line("1", punctures=(0.0,)), [1.0], -3.0, {}),
+    (C.ContinuousSystem(C.Domain(((-math.inf, math.inf),) * 2, ((0.0, 0.0),)),
+                        E.parse_vector(["-1", "-1"], 2)), [1.0, 1.0], 2.0, {}),
+    (C.ContinuousSystem(C.Domain(((-math.inf, math.inf),) * 3, ((0.0, -1.0, math.pi / 2),)),
+                        E.parse_vector(["x2", "-x1", "1"], 3)), [1.0, 0.0, 0.0], 3.0, {}),
+    (oscillator(), [1.0, 0.0], 3.0, {"max_step": 2e-3}),
+    (C.ContinuousSystem(C.full_space(3), E.parse_vector(LORENZ, 3)), [1.1, 0.9, 1.2], -0.5, {}),
+    (C.ContinuousSystem(C.full_space(4), E.parse_vector(["x2", "-x1", "x4", "-x3"], 4)),
+     [1.0, 0.0, -0.0, 1.0], 2.0, {}),
+], ids=["stall", "underflow", "retries", "step-limit", "blow-up", "box-exit", "puncture-1d",
+        "puncture-2d", "puncture-3d", "max-step", "lorenz-backward", "4d"])
+def test_integrate_matches_reference_loop(sys, x0, span, kwargs):
+    _assert_matches_reference(sys, x0, span, **kwargs)
+
+
+@st.composite
+def _random_ivps(draw):
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = [random_node(rng, n, draw(st.integers(0, 3))) for _ in range(n)]
+    x0 = [draw(st.floats(-2.0, 2.0)) for _ in range(n)]
+    for i in [i for i in range(n) if draw(st.booleans())]:
+        # sqrt(c - x_i) or sqrt(c - x_i*x_i) leaves its domain where the
+        # radicand reaches 0: stages past it are retried, and where the rounded
+        # radicand is never 0 the state stalls
+        var = E.Var(i + 1)
+        if draw(st.booleans()):
+            var, start = E.Mul(var, var), x0[i] * x0[i]
+        else:
+            start = x0[i]
+        root = E.Call("sqrt", E.Sub(E.Num(start + draw(st.floats(0.01, 1.0))), var))
+        comps[i] = root if draw(st.booleans()) else E.Add(comps[i], root)
+    bounds = [(-math.inf, math.inf) if draw(st.booleans()) else
+              (v - draw(st.floats(0.05, 3.0)), v + draw(st.floats(0.05, 3.0))) for v in x0]
+    punctures = [[v + draw(st.floats(0.01, 1.0)) * draw(st.sampled_from([1.0, -1.0])) for v in x0]
+                 for _ in range(draw(st.integers(0, 2)))]
+    sys = C.ContinuousSystem(C.Domain(bounds, punctures),
+                             E.VectorExpr(tuple(E.Expr(c, n) for c in comps)))
+    span = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    rtol = draw(st.sampled_from([1e-9, 1e-6, 1e-4]))
+    kwargs = {"rtol": rtol, "atol": rtol * 1e-3, "max_steps": 3000,
+              "escape_threshold": draw(st.sampled_from([C.DEFAULT_ESCAPE, 1e3, 10.0]))}
+    if draw(st.booleans()):
+        kwargs["max_step"] = draw(st.floats(0.01, 0.5))
+    return sys, x0, span, kwargs
+
+
+@hypothesis.given(_random_ivps())
+@hypothesis.settings(max_examples=300, deadline=None)
+def test_random_fields_match_reference_loop(ivp):
+    sys, x0, span, kwargs = ivp
+    _assert_matches_reference(sys, x0, span, **kwargs)
+
+
+# --- overflow and the escape threshold --------------------------------------
+
+
+def test_initial_step_survives_an_overflowing_norm():
+    # |x2'| / atol overflows, which left a zero initial step (and divided by it)
+    traj = C.integrate(oscillator(), [1e300, 0.0], 1.0)
+    assert traj.termination == "blow-up"
+    assert all(math.isfinite(v) for row in traj._states + traj._derivs for v in row)
+
+
+@pytest.mark.parametrize("x0", [[1e308, 1e308], [1.7e308, 0.0]])
+def test_step_with_non_finite_error_is_rejected(x0):
+    # every stage combination overflows, whatever the step: the error norm is
+    # nan, each trial step is refused, and the step size runs out
+    with pytest.raises(C.StepSizeUnderflowError, match="step size underflow at t=0.0"):
+        C.integrate(oscillator(), x0, 1.0, escape_threshold=math.inf)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -0.0, -1e3, -math.inf])
+def test_escape_threshold_must_be_positive(threshold):
+    with pytest.raises(ValueError, match="escape threshold must be positive"):
+        C.integrate(line("x1^2"), [1.0], 2.0, escape_threshold=threshold)
 
 
 def test_csv_export(tmp_path):

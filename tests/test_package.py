@@ -162,3 +162,56 @@ def test_commands_load_no_dataclasses_or_inspect(tmp_path):
     ]
     # the germ code loads numpy, which may load inspect itself
     assert _loaded_by("import dynsys.germ", tmp_path) <= bare | _loaded_by("import numpy", tmp_path)
+
+
+COMPILE_SCRIPT = """
+import builtins
+import sys
+
+calls = []
+
+
+def watched(real):
+    def wrapper(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith("dynsys"):  # the import system compiles and runs modules too
+            calls.append(f"{real.__name__}:{caller}")
+        return real(*args, **kwargs)
+    return wrapper
+
+
+builtins.compile, builtins.exec = watched(builtins.compile), watched(builtins.exec)
+from dynsys import cli, specio
+
+
+def seen():
+    return ",".join(sorted(calls)) or "-"
+
+
+try:
+    cli.main(["--version"])
+except SystemExit:
+    pass
+print("import", seen())
+specio.load_system("osc.txt")
+print("load", seen())
+print("solve", cli.main(["solve", "osc.txt", "--span", "3", "--output", "osc.csv"]), seen())
+calls.clear()
+print("again", cli.main(["solve", "osc.txt", "--span", "3", "--output", "osc.csv"]), seen())
+"""
+
+
+def test_nothing_is_compiled_before_the_first_integration(tmp_path):
+    # generated code (the compiled field, the Dormand-Prince step) is built on
+    # first use, and the step once per dimension
+    (tmp_path / "osc.txt").write_text(
+        "kind: continuous\ndimension: 2\nfield: x2\nfield: -x1\nbasepoint: 1 0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(dynsys.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", COMPILE_SCRIPT], capture_output=True, text=True,
+                         cwd=tmp_path, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    built = "compile:dynsys.continuous,compile:dynsys.expr,exec:dynsys.continuous,exec:dynsys.expr"
+    assert res.stdout.splitlines() == [
+        "dynsys 0.1.0", "import -", "load -", f"solve 0 {built}",
+        "again 0 compile:dynsys.expr,exec:dynsys.expr",
+    ]
