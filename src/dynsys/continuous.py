@@ -44,7 +44,8 @@ _SAMPLE_CLIP = 5.0  # unbounded domains are sampled inside [-clip, clip]
 
 
 class StepSizeUnderflowError(RuntimeError):
-    """Step control drove the step below resolution (stiffness failure)."""
+    """Step control drove the step below resolution: a stiffness failure,
+    or trial steps whose values overflowed."""
 
 
 class EarlyTerminationError(RuntimeError):
@@ -390,7 +391,8 @@ def integrate(
 
     Local error per step is held to about atol + rtol*|x|; atol must be
     positive, as a coordinate may be 0; a step whose error norm or new
-    state is not finite is rejected.  Stops early with termination
+    state is not finite is rejected; ``max_step`` must be positive (inf:
+    no bound).  Stops early with termination
     "blow-up" once |x| exceeds ``escape_threshold`` (positive; inf never
     stops) and with "left-domain" when the state exits the open box (the
     crossing is bisected to EXIT_BISECT_TOL) or hits a puncture (at the
@@ -415,6 +417,8 @@ def integrate(
         raise ValueError("tolerances must be finite, with rtol >= 0 and atol > 0")
     if not escape_threshold > 0.0:
         raise ValueError("escape threshold must be positive")
+    if not max_step > 0.0:
+        raise ValueError("max_step must be positive")
     direction = 1.0 if T > 0 else -1.0
 
     field = sys.field._compiled  # the whole field in one compiled call
@@ -430,18 +434,21 @@ def integrate(
     h = direction * _initial_step(field, t, y, k1, direction, rtol, atol, min(abs(T), max_step))
     nfev, accepted, rejected, retries = 2, 0, 0, 0
     stalled = 0  # domain retries since an accepted step last moved the state
+    overflowed = False  # the last step shrank because its values were not finite
     while direction * (T - t) > 1e-14 * max(1.0, abs(T)):
         if accepted + rejected + retries >= max_steps:
             raise StepLimitError(f"exceeded {max_steps} steps at t={t}")
         h = direction * min(abs(h), max_step, abs(T - t))
         if abs(h) < 1e-14 * max(1.0, abs(t)):
-            raise StepSizeUnderflowError(f"step size underflow at t={t} (stiffness failure)")
+            cause = "trial steps overflowed" if overflowed else "stiffness failure"
+            raise StepSizeUnderflowError(f"step size underflow at t={t} ({cause})")
 
         out = step(field, y, k1, t, h, rtol, atol, bounds)
         if out.__class__ is int:  # a stage left the field's domain
             nfev += out
             retries += 1
             stalled += 1
+            overflowed = False
             if stalled > STALL_RETRIES:
                 raise StepSizeUnderflowError(
                     f"step stalled at t={t}: every step from {tuple(y)} either leaves "
@@ -454,6 +461,7 @@ def integrate(
             err_norm = math.nan  # a state past the float range fails the error test
         if not err_norm <= 1.0:  # a nan norm (overflowing stages) fails too, and shrinks by 0.2
             rejected += 1
+            overflowed = not err_norm < math.inf
             h *= min(max(0.2, 0.9 * err_norm ** -0.2), 1.0)
             continue
 

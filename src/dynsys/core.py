@@ -78,11 +78,12 @@ class Value(Record):
     """An immutable :class:`Record`, hashed as its field tuple.
 
     Assigning or deleting any attribute raises ``AttributeError``, so an
-    ``__init__`` sets its fields with :data:`_setfield`.
+    ``__init__`` (or ``__new__``) sets its fields with :data:`_setfield`.
     ``functools.cached_property`` still works on a subclass that has a
     ``__dict__``, because it writes the instance dictionary directly.  A
-    subclass that overrides ``__eq__`` (for speed, as the expression nodes
-    do) must override ``__hash__`` alongside it.
+    subclass that overrides ``__eq__`` must override ``__hash__`` alongside
+    it, as the interned expression nodes do: they compare and hash by
+    identity.
     """
 
     __slots__ = ()

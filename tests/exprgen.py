@@ -1,5 +1,6 @@
 """Seeded random expression generator shared by the expr and acceptance suites,
-and the tree-walking evaluator that the compiled one is checked against."""
+and the recursive parser, evaluator and printer that the iterative and
+compiled ones are checked against."""
 
 import math
 
@@ -142,3 +143,93 @@ def reference_to_string(node: E.Node) -> str:
         case E.Call(func=f, arg=a):
             return f"{f}({fmt(a, E._LEVEL_EXPR)})"
     raise TypeError(f"unknown node {node!r}")
+
+
+class _ReferenceParser:
+    """Oracle for :func:`dynsys.expr.parse`: the recursive-descent parser of
+    the grammar in the module docstring, one method per production."""
+
+    def __init__(self, tokens, arity: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.arity = arity
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.take()
+        if tok[0] != kind:
+            raise E.ParseError(f"expected {kind!r}", tok[2])
+        return tok
+
+    def parse(self) -> E.Node:
+        node = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise E.ParseError("unexpected trailing input", tok[2])
+        return node
+
+    def expr(self) -> E.Node:
+        node = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
+            rhs = self.term()
+            node = E.Add(node, rhs) if op == "+" else E.Sub(node, rhs)
+        return node
+
+    def term(self) -> E.Node:
+        node = self.factor()
+        while self.peek()[0] in ("*", "/"):
+            op = self.take()[0]
+            rhs = self.factor()
+            node = E.Mul(node, rhs) if op == "*" else E.Div(node, rhs)
+        return node
+
+    def factor(self) -> E.Node:
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.take()
+            return E.Pow(base, self.atom())
+        return base
+
+    def atom(self) -> E.Node:
+        kind, value, off = self.take()
+        if kind == "num":
+            return E.Num(value)
+        if kind == "-":
+            inner = self.atom()
+            if isinstance(inner, E.Num):
+                return E.Num(-inner.value)
+            return E.Neg(inner)
+        if kind == "(":
+            node = self.expr()
+            self.expect(")")
+            return node
+        if kind == "name":
+            if value == "t":
+                return E.TimeVar()
+            m = E._VAR_RE.match(value)
+            if m:
+                idx = int(m.group(1))
+                if idx < 1:
+                    raise E.ParseError("variable indices start at x1", off)
+                if idx > self.arity:
+                    raise E.ArityError(f"expression references {value} but arity is {self.arity}")
+                return E.Var(idx)
+            if value in E.FUNCTIONS:
+                self.expect("(")
+                node = self.expr()
+                self.expect(")")
+                return E.Call(value, node)
+            raise E.ParseError(f"unknown identifier {value!r}", off)
+        raise E.ParseError("expected a number, variable, function or '('", off)
+
+
+def reference_parse(src: str, arity: int) -> E.Node:
+    return _ReferenceParser(E._tokenize(src), arity).parse()

@@ -2,7 +2,7 @@
 lists, with one comprehension per Dormand-Prince stage and ``_first_exit``
 tried after every accepted step; its step control has the same overflow
 mends (a step whose error norm or new state is not finite is rejected and
-shrinks by 0.2).  It is the oracle that the generated step
+shrinks by 0.2, and a step size underflow that follows one says so).  It is the oracle that the generated step
 (``continuous._dp_step``) must match bit for bit; it shares the helpers
 that the step leaves alone (initial step, domain exits, dense output)."""
 
@@ -38,12 +38,14 @@ def reference_integrate(sys, x0, span, rtol=1e-9, atol=1e-12, escape_threshold=C
     h = direction * C._initial_step(field, t, y, k1, direction, rtol, atol, min(abs(T), max_step))
     nfev, accepted, rejected, retries = 2, 0, 0, 0
     stalled = 0
+    overflowed = False
     while direction * (T - t) > 1e-14 * max(1.0, abs(T)):
         if accepted + rejected + retries >= max_steps:
             raise C.StepLimitError(f"exceeded {max_steps} steps at t={t}")
         h = direction * min(abs(h), max_step, abs(T - t))
         if abs(h) < 1e-14 * max(1.0, abs(t)):
-            raise C.StepSizeUnderflowError(f"step size underflow at t={t} (stiffness failure)")
+            cause = "trial steps overflowed" if overflowed else "stiffness failure"
+            raise C.StepSizeUnderflowError(f"step size underflow at t={t} ({cause})")
 
         try:
             nfev += 1
@@ -66,6 +68,7 @@ def reference_integrate(sys, x0, span, rtol=1e-9, atol=1e-12, escape_threshold=C
         except E.DomainError:
             retries += 1
             stalled += 1
+            overflowed = False
             if stalled > C.STALL_RETRIES:
                 raise C.StepSizeUnderflowError(
                     f"step stalled at t={t}: every step from {tuple(y)} either leaves "
@@ -82,6 +85,7 @@ def reference_integrate(sys, x0, span, rtol=1e-9, atol=1e-12, escape_threshold=C
             err_norm = math.nan
         if not err_norm <= 1.0:
             rejected += 1
+            overflowed = not err_norm < math.inf
             h *= 0.2 if math.isnan(err_norm) else min(max(0.9 * err_norm ** -0.2, 0.2), 1.0)
             continue
 

@@ -224,6 +224,14 @@ def test_stall_at_field_domain_edge_is_underflow():
         C.integrate(line("sqrt(x1*x1 - 2)"), [2.0], -3.0)
 
 
+@pytest.mark.parametrize("max_step", [math.nan, 0.0, -0.0, -1.0])
+def test_max_step_must_be_positive(max_step):
+    # nan was ignored, 0 ended in step size underflow, and -1 stepped
+    # against the span until max_steps
+    with pytest.raises(ValueError, match="max_step must be positive"):
+        C.integrate(oscillator(), [1.0, 0.0], 1.0, max_step=max_step)
+
+
 def test_step_limit_is_typed():
     with pytest.raises(C.StepLimitError, match="exceeded 5 steps"):
         C.integrate(line("sin(1000*t)*1000"), [0.0], 1e4, max_steps=5)

@@ -1,5 +1,10 @@
+import gc
 import math
 import struct
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis
 import hypothesis.strategies as st
@@ -7,7 +12,8 @@ import numpy as np
 import pytest
 
 from dynsys import expr as E
-from exprgen import central_difference, random_expr, reference_eval, reference_to_string
+from exprgen import (central_difference, random_expr, reference_eval, reference_parse,
+                     reference_to_string)
 
 # random ASTs over x1..x3 and t
 
@@ -73,6 +79,38 @@ def test_parse_unary_minus_and_power():
 def test_parse_unbalanced_parens():
     with pytest.raises(E.ParseError):
         E.parse("(x1 + 2", 1)
+
+
+def test_parse_interns_equal_expressions():
+    assert E.parse("x1*x1+sin(x1)", 1).root is E.parse(" x1 * x1 + sin(x1) ", 1).root
+
+
+def _parse_outcome(parser, src: str):
+    try:
+        return parser(src, 3)
+    except E.ExprError as exc:
+        return type(exc), str(exc)
+
+
+_TOKENS = st.sampled_from(["x1", "x2", "x4", "x0", "t", "2", "0.5", "1e3", "sin", "log", "foo",
+                           "(", ")", "+", "-", "*", "/", "^", " "])
+_PRINTED = _asts.map(lambda ast: E.to_string(E.Expr(ast, 3)))
+
+
+@hypothesis.given(st.one_of(
+    st.lists(_TOKENS, max_size=24).map("".join),
+    _PRINTED,
+    st.tuples(_PRINTED, st.integers(0, 200)).map(lambda pair: pair[0][:pair[1]]),
+))
+@hypothesis.settings(max_examples=500)
+def test_parser_matches_recursive_descent(src):
+    # the same node (nodes are interned) or the same error, byte offset included
+    got = _parse_outcome(lambda text, arity: E.parse(text, arity).root, src)
+    want = _parse_outcome(reference_parse, src)
+    if isinstance(want, E.Node):
+        assert got is want
+    else:
+        assert got == want
 
 
 # --- evaluation ------------------------------------------------------------
@@ -341,6 +379,7 @@ def test_jacobian_vector_product_against_fd():
 
 
 @hypothesis.given(_asts)
+@hypothesis.example(E.Mul(E.Var(1), E.Num(-0.0)))  # prints as "x1 * -0"
 def test_parse_print_roundtrip(ast):
     e = E.Expr(ast, 3)
     assert E.parse(E.to_string(e), 3) == e
@@ -397,3 +436,97 @@ def test_compose_vector_maps():
 def test_identity_map():
     ident = E.identity_map(3)
     assert E.evaluate_vector(ident, [1.0, 2.0, 3.0]) == [1.0, 2.0, 3.0]
+
+
+# --- interning and depth -------------------------------------------------------
+
+
+def _composite(copies: int) -> E.Expr:
+    """g = x1*x1 + sin(x1) substituted into itself: ``copies`` + 1 copies of g."""
+    g = E.parse("x1*x1 + sin(x1)", 1)
+    e = g
+    for _ in range(copies):
+        e = E.substitute(e, [g])
+    return e
+
+
+def test_derivative_of_a_composite_is_linear_in_its_distinct_nodes():
+    # walked as a tree, the derivative of the 9-fold composite had 49,206
+    # distinct node objects; memoized per node it has 76
+    e = _composite(8)
+    assert len(e._order) == 28
+    assert len(E.differentiate(e, 1)._order) == 76
+
+
+DEEP = 10_000
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def _run_every_walker(e: E.Expr, x: float) -> None:
+    d = E.differentiate(e, 1)
+    shifted = E.substitute(d, [E.parse("x1 + 0.5", 1)])
+    scalar = E.evaluate(shifted, [x - 0.5])
+    batch = E.evaluate_many(shifted, np.array([x - 0.5, x]))
+    assert batch[0] == pytest.approx(scalar, rel=1e-12)
+    assert hash(shifted) == hash(E.Expr(shifted.root, 1))
+
+
+@pytest.mark.parametrize("src", [
+    "(" * DEEP + "x1" + ")" * DEEP,
+    "-" * DEEP + "x1",
+    "sin(" * DEEP + "x1" + ")" * DEEP,
+], ids=["parentheses", "unary-minus", "sin"])
+def test_deep_expressions_need_no_recursion(src, default_recursion_limit):
+    e = E.parse(src, 1)
+    text = E.to_string(e)
+    assert E.parse(text, 1).root is e.root
+    _run_every_walker(e, 0.3)
+
+
+def test_composite_of_41_copies(default_recursion_limit):
+    # 3^41 tree nodes, 124 distinct ones
+    e = _composite(40)
+    assert len(e._order) == 124
+    _run_every_walker(e, 0.01)
+
+
+def test_dead_nodes_leave_the_intern_table():
+    e = E.differentiate(_composite(30), 1)
+    probe = weakref.ref(e.root)
+    size = len(E._nodes)
+    del e
+    gc.collect()
+    assert probe() is None
+    assert len(E._nodes) < size - 100
+
+
+def test_interning_is_race_free():
+    # eight threads build the same nodes at once, among them nodes that die
+    # as soon as they are built, so keys are freed and taken again
+    barrier = threading.Barrier(8)
+
+    def build(_):
+        barrier.wait()
+        out = []
+        for i in range(1000):
+            E.Neg(E.Num(float(i % 50)))
+            out.append(E.Add(E.Var(1 + i % 3), E.Num(float(i % 50))))
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(build, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    for nodes in zip(*results):
+        assert all(node is nodes[0] for node in nodes)
+        assert E._nodes[(E.Add, nodes[0].left, nodes[0].right)]() is nodes[0]

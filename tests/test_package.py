@@ -1,5 +1,7 @@
-"""The package's public names, and which commands load numpy."""
+"""The package's public names, which commands load numpy, and what the
+expression module's code may not do."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -215,3 +217,36 @@ def test_nothing_is_compiled_before_the_first_integration(tmp_path):
         "dynsys 0.1.0", "import -", "load -", f"solve 0 {built}",
         "again 0 compile:dynsys.expr,exec:dynsys.expr",
     ]
+
+
+def _callees(fn: ast.FunctionDef) -> set[str]:
+    """The names ``fn`` calls as ``name(...)`` or ``self.name(...)``."""
+    out = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                out.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id == "self":
+                out.add(node.func.attr)
+    return out
+
+
+def test_no_expression_function_recurses():
+    # every walker and the parser work on explicit stacks, so that no
+    # expression is too deep for them; a function that reaches itself again,
+    # directly or through others of the module, would bring the limit back
+    tree = ast.parse(Path(dynsys.expr.__file__).read_text())
+    calls: dict[str, set[str]] = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            calls.setdefault(fn.name, set()).update(_callees(fn))
+    assert {"_parse", "_diff", "_subst", "_eval_np", "_postorder"} <= calls.keys()
+    for name in calls:
+        reached, todo = set(), list(calls[name])
+        while todo:
+            callee = todo.pop()
+            if callee in calls and callee not in reached:
+                reached.add(callee)
+                todo.extend(calls[callee])
+        assert name not in reached, f"{name} calls itself"

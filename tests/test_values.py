@@ -148,13 +148,16 @@ def test_repr_names_every_field(case):
                          ids=[i for c, i in zip(CASES, IDS) if c.cls not in MUTABLE])
 def test_frozen_classes_hash_their_fields_and_refuse_writes(case):
     obj = case.cls(*case.args)
-    try:
-        expected = hash(case.fields)
-    except TypeError:  # a field is unhashable (a mapping proxy, a table)
-        with pytest.raises(TypeError):
-            hash(obj)
+    if issubclass(case.cls, E.Node):  # interned: one node per key, hashed by identity
+        assert obj is case.cls(*case.args) and hash(obj) == object.__hash__(obj)
     else:
-        assert hash(obj) == expected
+        try:
+            expected = hash(case.fields)
+        except TypeError:  # a field is unhashable (a mapping proxy, a table)
+            with pytest.raises(TypeError):
+                hash(obj)
+        else:
+            assert hash(obj) == expected
     for name in (*case.cls.__match_args__, "extra"):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
@@ -191,21 +194,21 @@ def test_node_equality_tells_classes_apart():
     assert E.Mul(X1, TWO) != E.Div(X1, TWO)
     assert E.Neg(X1) != E.Call("sin", X1)
     assert E.Expr(X1, 1) != E.Expr(X1, 2)
-    assert hash(E.Add(X1, TWO)) == hash(E.Sub(X1, TWO))  # same fields, same hash
+    assert E.Add(X1, TWO) is E.Add(X1, TWO) and E.Add(X1, TWO) is not E.Sub(X1, TWO)
 
 
-def test_signed_zeros_compare_equal_as_floats_do():
-    # fields compare as tuples: 0.0 == -0.0, and the hashes agree; the
-    # compiled evaluator keeps the two constants apart by their repr
-    assert E.Num(0.0) == E.Num(-0.0)
-    assert hash(E.Num(0.0)) == hash(E.Num(-0.0)) == hash((0.0,))
+def test_signed_zeros_are_two_constants():
+    # a zero constant is interned by its repr, so 0.0 and -0.0, equal as
+    # floats, are two nodes, and each prints and evaluates with its sign
+    assert E.Num(0.0) is not E.Num(-0.0) and E.Num(0.0) != E.Num(-0.0)
+    assert E.to_string(E.Expr(E.Num(-0.0), 0)) == "-0"
     assert math.copysign(1.0, E.evaluate(E.Expr(E.Num(-0.0), 0), [])) == -1.0
+    assert E.Num(1) is not E.Num(1.0)
 
 
 def test_nan_fields_compare_by_identity_first():
-    nan = math.nan
-    assert E.Num(nan) == E.Num(nan)
-    assert E.Num(nan) != E.Num(float("nan"))
+    # node equality is identity, and a nan constant is interned by its repr: one node
+    assert E.Num(math.nan) is E.Num(float("nan")) and E.Num(math.nan) == E.Num(float("nan"))
 
 
 def test_cached_properties_survive_immutability():
