@@ -5,101 +5,51 @@ systems share one morphism story: maps of carriers whose dynamics commute.
 This package instantiates each kind, checks morphisms, computes solutions,
 and verifies the algebraic laws that make time universal among systems.
 
-The names from :mod:`dynsys.germ` are resolved on first access, so that
-``import dynsys`` loads no numpy.
+Every public name, and every submodule, is imported on first access
+(PEP 562), so ``import dynsys`` loads none of the package's modules and a
+command loads only those it uses.  ``from dynsys import *`` binds the names
+of ``__all__``: all of the table below except the germ names, whose module
+loads numpy.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-from .expr import (  # noqa: F401
-    ArityError,
-    DomainError,
-    Expr,
-    ExprError,
-    ParseError,
-    VectorExpr,
-    differentiate,
-    evaluate,
-    evaluate_many,
-    evaluate_vector,
-    jacobian,
-    parse,
-    parse_vector,
-    substitute,
-    to_string,
-)
-from .core import (  # noqa: F401
-    CheckReport,
-    EnumerationCapError,
-    MorphismCandidate,
-    NonMonotoneError,
-    PointedSystem,
-    SystemMismatchError,
-    check_composition_closure,
-    compose_morphisms,
-    enumerate_pointed_morphisms,
-    identity_morphism,
-    verify_initiality_continuous,
-    verify_initiality_discrete,
-)
-from .discrete import (  # noqa: F401
-    DiscreteSystem,
-    Orbit,
-    UnknownElementError,
-    check_dt_morphism,
-    fixed_points,
-    iterate,
-)
-from .continuous import (  # noqa: F401
-    ContinuousSystem,
-    Domain,
-    EarlyTerminationError,
-    SmoothMap,
-    StepLimitError,
-    StepSizeUnderflowError,
-    Trajectory,
-    check_equilibrium_morphism,
-    check_f_relatedness,
-    check_periodic_orbit,
-    check_solution_preservation,
-    find_equilibria,
-    integrate,
-    smooth_map,
-    time_system,
-)
-from .tau import (  # noqa: F401
-    TangentSection,
-    TauInstance,
-    TauSystem,
-    check_section,
-    check_tau_morphism,
-    from_continuous,
-    from_discrete,
-)
+# the public names, by the module each is read from (the error classes that
+# cli catches are defined in core and re-exported by expr and continuous)
+_EXPORTS = {
+    "expr": ("ArityError", "DomainError", "Expr", "ExprError", "ParseError", "VectorExpr",
+             "differentiate", "evaluate", "evaluate_many", "evaluate_vector", "jacobian",
+             "parse", "parse_vector", "substitute", "to_string"),
+    "core": ("CheckReport", "EnumerationCapError", "MorphismCandidate", "NonMonotoneError",
+             "PointedSystem", "SystemMismatchError", "check_composition_closure",
+             "compose_morphisms", "enumerate_pointed_morphisms", "identity_morphism",
+             "verify_initiality_continuous", "verify_initiality_discrete"),
+    "discrete": ("DiscreteSystem", "Orbit", "UnknownElementError", "check_dt_morphism",
+                 "fixed_points", "iterate"),
+    "continuous": ("ContinuousSystem", "Domain", "EarlyTerminationError", "SmoothMap",
+                   "StepLimitError", "StepSizeUnderflowError", "Trajectory",
+                   "check_equilibrium_morphism", "check_f_relatedness", "check_periodic_orbit",
+                   "check_solution_preservation", "find_equilibria", "integrate",
+                   "smooth_map", "time_system"),
+    "tau": ("TangentSection", "TauInstance", "TauSystem", "check_section",
+            "check_tau_morphism", "from_continuous", "from_discrete"),
+    "germ": ("FULL_LINE", "Germ", "OpenSet1D", "PartialMap", "SolutionDomain",
+             "compose_partial", "germ_equal", "maximal_solution_domain", "open_set",
+             "partial_map", "preimage"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "specio"}
 
-# names defined in dynsys.germ, imported on first access (PEP 562)
-_GERM_NAMES = frozenset((
-    "FULL_LINE",
-    "Germ",
-    "OpenSet1D",
-    "PartialMap",
-    "SolutionDomain",
-    "compose_partial",
-    "germ_equal",
-    "maximal_solution_domain",
-    "open_set",
-    "partial_map",
-    "preimage",
-))
+__all__ = [name for name, module in _HOME.items() if module != "germ"]
 
 
 def __getattr__(name):
-    if name == "germ":
-        value = importlib.import_module(".germ", __name__)
-    elif name in _GERM_NAMES:
-        value = getattr(importlib.import_module(".germ", __name__), name)
+    if name in _HOME:
+        value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module("." + name, __name__)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
@@ -107,4 +57,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | _GERM_NAMES | {"germ"})
+    return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)

@@ -6,6 +6,10 @@ systems, and ``laws`` runs the property suites that apply to a spec.
 
 Exit codes: 0 success/pass, 1 input error, 2 early termination of a solve
 (blow-up or domain exit, partial output still written), 3 a check failed.
+
+At module level only argument parsing is imported; each command imports
+the modules it uses, so ``--version`` loads no system code, a discrete spec
+no expression or ODE code, and a continuous one no discrete code.
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ import argparse
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import __version__
-from . import continuous as C
-from . import core, discrete, tau
-from . import expr as E
-from .specio import LoadedSystem, SpecError, load_map, load_system, render_report
+from . import __version__, core
+
+if TYPE_CHECKING:
+    from .specio import LoadedSystem
 
 
 # an argument that reads as a negative number is a value, not an option;
@@ -34,6 +38,8 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):  # argparse's default exit code 2 means something else here
+        from .specio import SpecError
+
         raise SpecError(message)
 
 
@@ -70,7 +76,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--horizon", type=int, help="iteration count (discrete systems)")
     solve.add_argument("--rtol", type=_tolerance, default=1e-9)
     solve.add_argument("--atol", type=_tolerance, default=1e-12)
-    solve.add_argument("--escape-threshold", type=_threshold, default=C.DEFAULT_ESCAPE)
+    solve.add_argument("--escape-threshold", type=_threshold)  # default C.DEFAULT_ESCAPE
     solve.add_argument("--output", help="output path (default stdout)")
 
     check = sub.add_parser("check-morphism", help="test a candidate map between two systems")
@@ -105,6 +111,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _parse_floats(text: str, n: int, what: str) -> tuple[float, ...]:
+    from .specio import SpecError
+
     toks = text.split()
     if len(toks) != n:
         raise SpecError(f"{what} needs {n} coordinates, got {text!r}")
@@ -115,8 +123,12 @@ def _parse_floats(text: str, n: int, what: str) -> tuple[float, ...]:
 
 
 def _cmd_solve(args) -> int:
+    from .specio import SpecError, load_system
+
     loaded = load_system(args.system)
     if loaded.is_discrete:
+        from . import discrete
+
         c0 = args.c0 or loaded.basepoint
         if c0 is None:
             raise SpecError("give --c0 or a basepoint in the spec file")
@@ -131,9 +143,11 @@ def _cmd_solve(args) -> int:
         raise SpecError("give --x0 or a basepoint in the spec file")
     if args.span is None:
         raise SpecError("continuous systems need --span")
+    from . import continuous as C
+
+    escape = C.DEFAULT_ESCAPE if args.escape_threshold is None else args.escape_threshold
     traj = C.integrate(
-        loaded.system, x0, args.span,
-        rtol=args.rtol, atol=args.atol, escape_threshold=args.escape_threshold,
+        loaded.system, x0, args.span, rtol=args.rtol, atol=args.atol, escape_threshold=escape,
     )
     traj.to_csv(args.output or None)
     if traj.termination != C.TERM_SPAN:
@@ -144,6 +158,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check_morphism(args) -> int:
+    from .specio import SpecError, load_map, load_system, render_report
+
     src = load_system(args.src)
     dst = load_system(args.dst)
     mapping = load_map(args.map, src, dst)
@@ -153,10 +169,14 @@ def _cmd_check_morphism(args) -> int:
     }
     checks = []
     if src.is_discrete:
+        from . import discrete
+
         checks.append(("dt-morphism", discrete.check_dt_morphism(mapping, src.system, dst.system)))
         if args.preserve_solutions:
             raise SpecError("--preserve-solutions applies to continuous systems")
     else:
+        from . import continuous as C
+
         checks.append(("f-relatedness",
                        C.check_f_relatedness(mapping, src.system, dst.system, tol=args.tol)))
         if args.preserve_solutions:
@@ -175,6 +195,8 @@ def _cmd_check_morphism(args) -> int:
 
 
 def _laws_for_discrete(loaded: LoadedSystem, args, checks, notes, label: str) -> None:
+    from . import discrete, tau
+
     sys_ = loaded.system
     checks.append((f"{label}section-law", tau.check_section(loaded.tau_system)))
     checks.append((f"{label}identity-morphism", discrete.check_dt_morphism(
@@ -199,6 +221,10 @@ def _laws_for_discrete(loaded: LoadedSystem, args, checks, notes, label: str) ->
 
 
 def _laws_for_continuous(loaded: LoadedSystem, args, checks, notes, label: str) -> None:
+    from . import continuous as C
+    from . import tau
+    from .specio import SpecError
+
     sys_ = loaded.system
     checks.append((f"{label}section-law", tau.check_section(loaded.tau_system)))
     checks.append((f"{label}identity-morphism", C.check_f_relatedness(
@@ -240,6 +266,8 @@ def _laws_for_continuous(loaded: LoadedSystem, args, checks, notes, label: str) 
 
 
 def _cmd_laws(args) -> int:
+    from .specio import load_system, render_report
+
     checks, notes = [], []
     for path in args.systems:
         loaded = load_system(path)
@@ -265,8 +293,10 @@ def main(argv=None) -> int:
         if args.command == "check-morphism":
             return _cmd_check_morphism(args)
         return _cmd_laws(args)
-    except (SpecError, E.ExprError, core.NonMonotoneError, ValueError,
-            C.StepSizeUnderflowError, C.StepLimitError) as exc:
+    # a SpecError is a ValueError; the other errors are defined in core, so
+    # that naming them here loads none of the modules that raise them
+    except (ValueError, core.ExprError, core.NonMonotoneError,
+            core.StepSizeUnderflowError, core.StepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import expr as E
 from .core import (
-    CheckReport, Record, Value, _distance, _dot, _linspace, _matvec, _norm, _setfield, _solve,
+    CheckReport, Record, StepLimitError, StepSizeUnderflowError, Value, _distance, _dot,
+    _linspace, _matvec, _norm, _setfield, _solve,
 )
 
 if TYPE_CHECKING:
@@ -43,17 +44,8 @@ EXIT_BISECT_TOL = 1e-9
 _SAMPLE_CLIP = 5.0  # unbounded domains are sampled inside [-clip, clip]
 
 
-class StepSizeUnderflowError(RuntimeError):
-    """Step control drove the step below resolution: a stiffness failure,
-    or trial steps whose values overflowed."""
-
-
 class EarlyTerminationError(RuntimeError):
     """A trajectory ended (blow-up or domain exit) before the requested span."""
-
-
-class StepLimitError(RuntimeError):
-    """Integration needed more than ``max_steps`` accepted or rejected steps."""
 
 
 class Domain(Value):

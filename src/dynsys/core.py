@@ -32,9 +32,29 @@ class EnumerationCapError(RuntimeError):
     """The brute-force search space exceeds the configured cap."""
 
 
+# The errors below are raised by other modules but defined here, so that
+# the command line can catch them without loading those modules (nor the
+# numpy that germ loads).
+
+
+class ExprError(Exception):
+    """Base class for the errors of the expression DSL (:mod:`dynsys.expr`)."""
+
+
+class StepSizeUnderflowError(RuntimeError):
+    """Step control drove the step below resolution: a stiffness failure,
+    or trial steps whose values overflowed (raised by
+    :func:`dynsys.continuous.integrate`)."""
+
+
+class StepLimitError(RuntimeError):
+    """Integration needed more than ``max_steps`` accepted or rejected steps
+    (raised by :func:`dynsys.continuous.integrate`)."""
+
+
 class NonMonotoneError(RuntimeError):
     """Root isolation could not split the map into monotone pieces (raised
-    by :mod:`dynsys.germ`; defined here so that catching it loads no numpy)."""
+    by :mod:`dynsys.germ`)."""
 
 
 # --- value classes ----------------------------------------------------------
@@ -176,12 +196,12 @@ class MorphismCandidate(Value):
 
 
 def identity_morphism(system) -> MorphismCandidate:
+    if hasattr(system, "endomap"):
+        return MorphismCandidate({x: x for x in system.carrier}, system, system)
     from .continuous import ContinuousSystem, identity_smooth_map
 
     if isinstance(system, ContinuousSystem):
         return MorphismCandidate(identity_smooth_map(system.dimension), system, system)
-    if hasattr(system, "endomap"):
-        return MorphismCandidate({x: x for x in system.carrier}, system, system)
     raise TypeError(f"no identity morphism for {type(system).__name__}")
 
 
@@ -190,13 +210,13 @@ def compose_morphisms(f: MorphismCandidate, g: MorphismCandidate) -> MorphismCan
     by substitution, discrete tables by lookup."""
     if f.dst != g.src:
         raise SystemMismatchError("target system of f differs from source system of g")
+    if isinstance(f.mapping, Mapping) and isinstance(g.mapping, Mapping):
+        table = {x: g.mapping[y] for x, y in f.mapping.items()}
+        return MorphismCandidate(table, f.src, g.dst)
     from .continuous import SmoothMap, compose_smooth_maps
 
     if isinstance(f.mapping, SmoothMap) and isinstance(g.mapping, SmoothMap):
         return MorphismCandidate(compose_smooth_maps(g.mapping, f.mapping), f.src, g.dst)
-    if isinstance(f.mapping, Mapping) and isinstance(g.mapping, Mapping):
-        table = {x: g.mapping[y] for x, y in f.mapping.items()}
-        return MorphismCandidate(table, f.src, g.dst)
     raise TypeError("cannot compose a smooth map with a discrete table")
 
 
@@ -214,13 +234,13 @@ def check_composition_closure(
     gf = compose_morphisms(
         MorphismCandidate(f, x_sys, y_sys), MorphismCandidate(g, y_sys, z_sys)
     )
-    from .continuous import SmoothMap, check_f_relatedness
+    if isinstance(gf.mapping, Mapping):
+        from .discrete import check_dt_morphism
 
-    if isinstance(gf.mapping, SmoothMap):
-        return check_f_relatedness(gf.mapping, x_sys, z_sys, samples=samples, tol=tol)
-    from .discrete import check_dt_morphism
+        return check_dt_morphism(gf.mapping, x_sys, z_sys)
+    from .continuous import check_f_relatedness
 
-    return check_dt_morphism(gf.mapping, x_sys, z_sys)
+    return check_f_relatedness(gf.mapping, x_sys, z_sys, samples=samples, tol=tol)
 
 
 def enumerate_pointed_morphisms(

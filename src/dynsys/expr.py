@@ -44,16 +44,12 @@ from _weakref import _remove_dead_weakref
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from .core import Value, _setfield
+from .core import ExprError, Value, _setfield
 
 if TYPE_CHECKING:
     import numpy as np
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
-
-
-class ExprError(Exception):
-    """Base class for expression DSL errors."""
 
 
 class ParseError(ExprError):
@@ -143,11 +139,59 @@ def _intern(cls, key: tuple, *fields) -> "Node":
 class Node(Value):
     """An expression node.  Nodes are interned (see the section comment):
     equal expressions are one object, so a node equals only itself and
-    hashes by identity, in O(1) whatever its size."""
+    hashes by identity, in O(1) whatever its size.  ``repr``, pickling and
+    copying work without recursion, so they too take any depth; a copy, or
+    a node unpickled where it is alive, is the node itself."""
 
     __slots__ = ("__weakref__",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    def __repr__(self) -> str:
+        # Value's text, written from an explicit stack as _fmt_node writes
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            parts = [item.__class__.__qualname__ + "("]
+            for i, name in enumerate(item.__match_args__):
+                value = getattr(item, name)
+                parts.append(f", {name}=" if i else f"{name}=")
+                parts.append(value if isinstance(value, Node) else repr(value))
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(out)
+
+    def __reduce__(self):
+        # one flat entry per distinct node, so that pickle need not recurse
+        order = _postorder(self)
+        position = {node: i for i, node in enumerate(order)}
+        program = tuple(
+            (node.__class__, *[position[v] if isinstance(v, Node) else v
+                               for v in node._astuple()])
+            for node in order
+        )
+        return _rebuild, (program,)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+def _rebuild(program: tuple) -> "Node":
+    """Unpickle what :meth:`Node.__reduce__` flattened: the distinct nodes in
+    post-order, each as its class and fields, a child field as its position."""
+    built: list[Node] = []
+    for cls, *fields in program:
+        if cls is not Num and cls is not Var:  # all fields are children but a call's name
+            fields = [f if f.__class__ is str else built[f] for f in fields]
+        built.append(cls(*fields))
+    return built[-1]
 
 
 class Num(Node):

@@ -29,19 +29,22 @@ morphism files::
     kind: map
     component: x1 + 3        # continuous: one expression per target dim
     entry: a -> x            # discrete: one row per source element
+
+Each kind of spec imports the modules that build it when it is loaded, so
+a discrete spec loads no expression or ODE code.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from . import expr as E
-from . import tau
-from .continuous import ContinuousSystem, Domain, SmoothMap
 from .core import CheckReport, Record
-from .discrete import DiscreteSystem
+
+if TYPE_CHECKING:
+    from .tau import TauSystem
 
 
 class SpecError(ValueError):
@@ -51,7 +54,7 @@ class SpecError(ValueError):
 class LoadedSystem(Record):
     __match_args__ = ("kind", "system", "basepoint", "tau_system")
 
-    def __init__(self, kind: str, system, basepoint, tau_system: tau.TauSystem):
+    def __init__(self, kind: str, system, basepoint, tau_system: TauSystem):
         self.kind = kind  # discrete | continuous | germed
         self.system = system
         self.basepoint = basepoint
@@ -127,6 +130,9 @@ def load_system(path) -> LoadedSystem:
 
 
 def _load_discrete(pairs, path) -> LoadedSystem:
+    from . import tau
+    from .discrete import DiscreteSystem
+
     elements_line = _single(pairs, "elements", path, required=True)
     carrier = tuple(elements_line.split())
     table = {}
@@ -159,6 +165,10 @@ def _load_discrete(pairs, path) -> LoadedSystem:
 
 
 def _load_continuous(pairs, path, kind: str) -> LoadedSystem:
+    from . import expr as E
+    from . import tau
+    from .continuous import ContinuousSystem, Domain
+
     dim_tok = _single(pairs, "dimension", path, required=True)
     try:
         n = int(dim_tok)
@@ -247,6 +257,9 @@ def load_map(path, src: LoadedSystem, dst: LoadedSystem):
         return table
     if not components:
         raise SpecError(f"{path}: continuous morphisms need component rows")
+    from . import expr as E
+    from .continuous import SmoothMap
+
     if len(components) != dst.system.dimension:
         raise SpecError(
             f"{path}: need {dst.system.dimension} components, got {len(components)}"

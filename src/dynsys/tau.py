@@ -14,16 +14,22 @@ broken candidate (one that moves the base point) is expressible and the
 section law is an actual check, not a construction-time axiom.  Each
 instance also provides a canonical section (zero field, diagonal map),
 witnessing constructively that the section space is never empty.
+
+At module level only :mod:`dynsys.core` is imported; the continuous
+operations import the expression and ODE modules when they first run, so a
+discrete system's checks load neither.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from . import expr as E
-from .continuous import ContinuousSystem, Domain, SmoothMap, default_samples
-from .core import CheckReport, Value, _distance, _matvec, _setfield
-from .discrete import DiscreteSystem
+from .core import CheckReport, MorphismCandidate, Value, _distance, _matvec, _setfield
+
+if TYPE_CHECKING:
+    from .continuous import ContinuousSystem, Domain, SmoothMap
+    from .discrete import DiscreteSystem
+    from .expr import VectorExpr
 
 
 class TauInstance(Value):
@@ -76,15 +82,17 @@ class TangentSection(Value):
 
     __match_args__ = ("vector", "base")
 
-    def __init__(self, vector: E.VectorExpr, base: E.VectorExpr | None = None):
+    def __init__(self, vector: VectorExpr, base: VectorExpr | None = None):
         _setfield(self, "vector", vector)
         _setfield(self, "base", base)
 
 
 def _cont_apply_section(section: TangentSection, x):
+    from .expr import evaluate_vector
+
     x = [float(v) for v in x]
-    base = x if section.base is None else E.evaluate_vector(section.base, x)
-    return (base, E.evaluate_vector(section.vector, x))
+    base = x if section.base is None else evaluate_vector(section.base, x)
+    return (base, evaluate_vector(section.vector, x))
 
 
 def _cont_apply_map_carrier(f: SmoothMap, x):
@@ -92,17 +100,26 @@ def _cont_apply_map_carrier(f: SmoothMap, x):
 
 
 def _cont_apply_map_total(f: SmoothMap, total):
+    from .expr import evaluate_vector
+
     x, v = total
-    return (f(x), _matvec(E.evaluate_vector(f._jacobian, x), v))
+    return (f(x), _matvec(evaluate_vector(f._jacobian, x), v))
 
 
 def _cont_total_distance(p, q) -> float:
     return max(_distance(p[0], q[0]), _distance(p[1], q[1]))
 
 
+def _cont_default_points(carrier: Domain, count: int = 200):
+    from .continuous import default_samples
+
+    return default_samples(carrier, count)
+
+
 def _cont_canonical_section(carrier: Domain) -> TangentSection:
-    zero = E.parse_vector(["0"] * carrier.dimension, carrier.dimension)
-    return TangentSection(zero)
+    from .expr import parse_vector
+
+    return TangentSection(parse_vector(["0"] * carrier.dimension, carrier.dimension))
 
 
 CONTINUOUS = TauInstance(
@@ -114,7 +131,7 @@ CONTINUOUS = TauInstance(
     apply_map_total=_cont_apply_map_total,
     carrier_distance=_distance,
     total_distance=_cont_total_distance,
-    default_points=default_samples,
+    default_points=_cont_default_points,
     canonical_section=_cont_canonical_section,
 )
 
@@ -175,7 +192,7 @@ def from_discrete(system: DiscreteSystem) -> TauSystem:
 
 
 def _guard_samples(carrier, pts, what: str) -> None:
-    if isinstance(carrier, Domain):
+    if hasattr(carrier, "contains"):  # a Domain
         for x in pts:
             if not carrier.contains(x):
                 raise ValueError(f"{what} sample {tuple(x)} outside the carrier domain")
@@ -221,8 +238,6 @@ def check_tau_morphism(
     map-then-section route in the total space; for exact instances any
     disagreement is a violation with the first witness reported.
     """
-    from .core import MorphismCandidate
-
     if isinstance(f, MorphismCandidate):
         f = f.mapping
     if src.instance is not dst.instance:
@@ -246,8 +261,10 @@ def check_tau_morphism(
     residual, worst = 0.0, None
     for x in pts:
         fx = inst.apply_map_carrier(f, x)
-        if isinstance(dst.carrier, Domain) and not dst.carrier.contains(fx):
-            raise E.DomainError(
+        if hasattr(dst.carrier, "contains") and not dst.carrier.contains(fx):
+            from .expr import DomainError
+
+            raise DomainError(
                 f"map sends {tuple(x)} to {tuple(fx)}, outside the target carrier"
             )
         lhs = inst.apply_map_total(f, inst.apply_section(src.section, x))

@@ -440,15 +440,19 @@ _COORDS = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e308, 1e308),
                     st.sampled_from([1e308, -1e308, 1.7e308, 1e300, 1e154, 5e-324, -0.0]))
 
 
+def _term(n: int):
+    """One term of a field or map component over x1..xn."""
+    return st.builds(lambda fmt, i, j, c: fmt.format(i=i, j=j, c=c), st.sampled_from(_TERMS),
+                     st.integers(1, n), st.integers(1, n), st.sampled_from(["0.5", "-2", "1e3"]))
+
+
 @st.composite
 def _solve_runs(draw):
     """A continuous spec (dimension <= 3) and the options of one solve of it."""
     n = draw(st.integers(1, 3))
-    term = st.builds(lambda fmt, i, j, c: fmt.format(i=i, j=j, c=c), st.sampled_from(_TERMS),
-                     st.integers(1, n), st.integers(1, n), st.sampled_from(["0.5", "-2", "1e3"]))
     lines = ["kind: continuous", f"dimension: {n}"]
     for _ in range(n):
-        lines.append("field: " + draw(st.lists(term, min_size=1, max_size=3).map(" + ".join)))
+        lines.append("field: " + draw(st.lists(_term(n), min_size=1, max_size=3).map(" + ".join)))
     if draw(st.booleans()):
         lines.append("domain: " + " ; ".join(
             draw(st.sampled_from(["-inf inf", "0 inf", "-1 1", "-1e300 1e300"])) for _ in range(n)))
@@ -483,3 +487,103 @@ def test_fuzz_solve_ends_cleanly(run):
         assert "Traceback" not in err.getvalue()
         if code in (0, 2):
             assert _finite_csv(out.read_text()), err.getvalue()
+
+
+# --- fuzzing check-morphism and laws ----------------------------------------
+
+_ELEMENTS = ("a", "b", "c", "d")
+_POINTS = st.one_of(st.floats(-3.0, 3.0), _COORDS)
+
+
+def _sometimes(draw, odds: int = 10) -> bool:
+    """True once in ``odds`` draws: for inputs that are wrong on purpose."""
+    return draw(st.integers(1, odds)) == 1
+
+
+@st.composite
+def _continuous_spec(draw, n: int) -> str:
+    kind = "germed" if n == 1 and draw(st.booleans()) else "continuous"
+    lines = [f"kind: {kind}", f"dimension: {n}"]
+    lines += ["field: " + draw(st.lists(_term(n), min_size=1, max_size=3).map(" + ".join))
+              for _ in range(n)]
+    if draw(st.booleans()):
+        lines.append("domain: " + " ; ".join(
+            draw(st.sampled_from(["-inf inf", "0 inf", "-1 1"])) for _ in range(n)))
+    if draw(st.booleans()):
+        lines.append("puncture: " + " ".join(draw(st.sampled_from(["0", "1"])) for _ in range(n)))
+    if draw(st.booleans()):
+        lines.append("basepoint: " + " ".join(repr(draw(_POINTS)) for _ in range(n)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _discrete_spec(draw, elements: list[str]) -> str:
+    targets = st.sampled_from(elements + ["z"] if _sometimes(draw) else elements)
+    lines = ["kind: discrete", "elements: " + " ".join(elements)]
+    lines += [f"map: {x} -> {draw(targets)}" for x in elements]
+    if draw(st.booleans()):
+        lines.append(f"basepoint: {draw(targets)}")
+    if _sometimes(draw, 5):  # an explicit section, which may break the section law
+        lines += [f"section: {x} -> {draw(targets)} {draw(targets)}" for x in elements]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _check_runs(draw):
+    """Spec files (two systems of one kind, mostly, and a map between them)
+    and the argv of one check-morphism or laws run over them."""
+    discrete = draw(st.booleans())
+    carriers = st.lists(st.sampled_from(_ELEMENTS), min_size=1, max_size=4, unique=True)
+    src_elems, dst_elems = draw(carriers), draw(carriers)
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    if discrete != _sometimes(draw):
+        src = draw(_discrete_spec(src_elems))
+    else:
+        src = draw(_continuous_spec(n))
+    if discrete != _sometimes(draw):
+        dst = draw(_discrete_spec(dst_elems))
+    else:
+        dst = draw(_continuous_spec(m))
+    rows = ["kind: map"]
+    if discrete != _sometimes(draw):
+        targets = st.sampled_from(dst_elems + ["z"] if _sometimes(draw) else dst_elems)
+        missing = _sometimes(draw)  # a table that is not total
+        rows += [f"entry: {x} -> {draw(targets)}" for x in src_elems[missing:]]
+    else:
+        rows += ["component: " + draw(st.lists(_term(n), min_size=1, max_size=2).map(" + ".join))
+                 for _ in range(m + _sometimes(draw))]
+    files = {"src.txt": src, "dst.txt": dst, "map.txt": "\n".join(rows) + "\n"}
+    if draw(st.booleans()):
+        argv = ["check-morphism", "src.txt", "dst.txt", "map.txt"]
+        if not discrete and draw(st.booleans()):
+            x0 = draw(st.lists(_POINTS, min_size=n, max_size=n + _sometimes(draw)))
+            argv += ["--preserve-solutions", *map(repr, x0), repr(draw(st.floats(-2.0, 2.0)))]
+    else:
+        argv = ["laws", "src.txt", *draw(st.sampled_from([[], ["dst.txt"]])),
+                "--horizon", str(draw(st.integers(-1, 5)))]
+        if draw(st.booleans()):
+            period = st.one_of(st.floats(-7.0, 7.0), st.just(2 * math.pi))
+            argv += ["--period", repr(draw(period))]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(st.sampled_from(["0", "1e-3", "1e-12"]))]
+    return files, argv
+
+
+@hypothesis.given(_check_runs())
+@hypothesis.settings(max_examples=120, deadline=None)
+def test_fuzz_checks_and_laws_end_cleanly(run):
+    # every run ends in a documented exit code with no traceback: an error
+    # that escapes cli.main fails the test with its traceback
+    files, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        argv = [str(Path(tmp, a)) if a in files else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--output", str(Path(tmp, "report.txt"))])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code in (0, 3):
+            assert Path(tmp, "report.txt").read_text().endswith(
+                "result: pass\n" if code == 0 else "result: fail\n")

@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import struct
 import sys
 import threading
@@ -495,6 +497,39 @@ def test_composite_of_41_copies(default_recursion_limit):
     e = _composite(40)
     assert len(e._order) == 124
     _run_every_walker(e, 0.01)
+
+
+@pytest.mark.parametrize("src, root_text", [
+    ("sin(" * DEEP + "x1" + ")" * DEEP, "Call(func='sin', arg=" * DEEP + "Var(index=1)" + ")" * DEEP),
+    ("-" * DEEP + "x1", "Neg(arg=" * DEEP + "Var(index=1)" + ")" * DEEP),
+], ids=["sin", "unary-minus"])
+def test_deep_expressions_repr_pickle_and_copy(src, root_text, default_recursion_limit):
+    e = E.parse(src, 1)
+    assert repr(e) == f"Expr(root={root_text}, arity=1)"
+    for clone in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), copy.copy(e)):
+        assert type(clone) is E.Expr and clone.root is e.root and clone == e
+    assert pickle.loads(pickle.dumps(e.root)) is e.root
+    assert copy.deepcopy(e.root) is e.root and copy.copy(e.root) is e.root
+
+
+def test_pickled_composite_is_one_entry_per_distinct_node(default_recursion_limit):
+    e = _composite(40)  # 3^41 tree nodes, 124 distinct ones
+    data = pickle.dumps(e)
+    assert len(data) < 50 * len(e._order)
+    assert pickle.loads(data).root is e.root
+    assert copy.deepcopy(e).root is e.root
+
+
+def test_unpickled_nodes_are_interned_and_keep_their_constants():
+    # a node that died since it was pickled is built again, and interned
+    data = pickle.dumps(E.parse("x1 * -0 + 3 ^ sin(t) / 2", 1).root)
+    gc.collect()
+    again = pickle.loads(data)
+    assert again is E.parse("x1 * -0 + 3 ^ sin(t) / 2", 1).root
+    for value in (-0.0, 0.0, math.nan, 1, 1.0, -math.inf):
+        node = E.Num(value)
+        clone = pickle.loads(pickle.dumps(node))
+        assert clone is node and type(clone.value) is type(value)
 
 
 def test_dead_nodes_leave_the_intern_table():

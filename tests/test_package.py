@@ -12,7 +12,8 @@ import pytest
 
 import dynsys
 
-# every name the package exported before the germ names became lazy, by module
+# every public name of the package, by a module it can be imported from; the
+# package resolves each on first access, so ``import dynsys`` loads none of them
 EXPORTS = {
     "expr": ["ArityError", "DomainError", "Expr", "ExprError", "ParseError", "VectorExpr",
              "differentiate", "evaluate", "evaluate_many", "evaluate_vector", "jacobian",
@@ -36,6 +37,16 @@ EXPORTS = {
 }
 
 
+def _run(code: str, cwd) -> list[str]:
+    """The output lines of ``code`` in a fresh interpreter that imports this
+    checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dynsys.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=cwd, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()
+
+
 @pytest.mark.parametrize("module", sorted(EXPORTS))
 def test_exports_resolve_to_their_module_objects(module):
     mod = importlib.import_module(f"dynsys.{module}")
@@ -48,6 +59,81 @@ def test_exports_resolve_to_their_module_objects(module):
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError):
         dynsys.no_such_name  # noqa: B018
+
+
+# the names ``from dynsys import *`` binds: all but germ's, whose module loads
+# numpy (NonMonotoneError, listed with germ above, is defined in core)
+STAR_NAMES = sorted(
+    [n for module, names in EXPORTS.items() if module != "germ" for n in names]
+    + ["NonMonotoneError"]
+)
+
+STAR_SCRIPT = """
+import sys
+import dynsys
+print(*sorted(m for m in sys.modules if m.startswith("dynsys")))
+print(*dir(dynsys))
+from dynsys import *
+print(*sorted(k for k in globals() if not k.startswith("_") and k not in ("sys", "dynsys")))
+print("numpy" in sys.modules)
+"""
+
+
+def test_star_import_and_dir(tmp_path):
+    assert len(STAR_NAMES) == 55
+    loaded, listed, bound, numpy = _run(STAR_SCRIPT, tmp_path)
+    assert loaded == "dynsys"  # nothing but the package itself until a name is read
+    assert set(listed.split()) >= {n for names in EXPORTS.values() for n in names} | set(EXPORTS)
+    assert bound.split() == STAR_NAMES
+    assert numpy == "False"
+
+
+MODULES_SCRIPT = """
+import runpy
+import sys
+
+sys.argv = ["dynsys", *{argv!r}]
+try:
+    runpy.run_module("dynsys", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code)
+print(*sorted(m for m in sys.modules if m == "numpy" or m.startswith("dynsys")))
+"""
+
+_CONTINUOUS = ("dynsys.discrete", "dynsys.germ", "numpy")
+_DISCRETE = ("dynsys.expr", "dynsys.continuous", "dynsys.germ", "numpy")
+
+# argv of ``python -m dynsys``; the modules it may load (None: any), and
+# those it must not
+MODULE_CASES = [
+    (["--version"], {"dynsys", "dynsys.__main__", "dynsys.cli", "dynsys.core"}, ()),
+    (["solve", "endo.txt", "--horizon", "4"], None, _DISCRETE),
+    (["check-morphism", "endo.txt", "endo.txt", "endo_map.txt"], None, _DISCRETE),
+    (["laws", "endo.txt", "--horizon", "4"], None, _DISCRETE),
+    (["solve", "osc.txt", "--span", "1", "--output", "osc.csv"], None, _CONTINUOUS),
+    (["check-morphism", "osc.txt", "osc.txt", "ident.txt", "--preserve-solutions", "1", "0",
+      "1"], None, _CONTINUOUS),
+    (["laws", "osc.txt"], None, ("dynsys.germ", "numpy")),
+]
+
+
+@pytest.mark.parametrize("argv, only, never", MODULE_CASES,
+                         ids=[" ".join(argv[:2]) for argv, _, _ in MODULE_CASES])
+def test_each_command_loads_only_its_modules(tmp_path, argv, only, never):
+    (tmp_path / "osc.txt").write_text(
+        "kind: continuous\ndimension: 2\nfield: x2\nfield: -x1\nbasepoint: 1 0\n")
+    (tmp_path / "ident.txt").write_text("kind: map\ncomponent: x1\ncomponent: x2\n")
+    (tmp_path / "endo.txt").write_text(
+        "kind: discrete\nelements: a b c\nmap: a -> b\nmap: b -> c\nmap: c -> b\nbasepoint: a\n")
+    (tmp_path / "endo_map.txt").write_text(
+        "kind: map\nentry: a -> a\nentry: b -> b\nentry: c -> c\n")
+    *_, code, modules = _run(MODULES_SCRIPT.format(argv=argv), tmp_path)
+    assert code == "0"
+    loaded = set(modules.split())
+    assert "dynsys.cli" in loaded
+    if only is not None:
+        assert loaded <= only, loaded - only
+    assert not loaded & set(never), loaded & set(never)
 
 
 SCRIPT = """
@@ -71,11 +157,7 @@ def test_version_and_solve_load_no_numpy(tmp_path):
     (tmp_path / "osc.txt").write_text(
         "kind: continuous\ndimension: 2\nfield: x2\nfield: -x1\nbasepoint: 1 0\n")
     (tmp_path / "ident.txt").write_text("kind: map\ncomponent: x1\ncomponent: x2\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(dynsys.__file__).parents[1])}
-    res = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
-                         cwd=tmp_path, env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == [
+    assert _run(SCRIPT, tmp_path) == [
         "dynsys 0.1.0", "version False", "solve 0 False", "check-morphism 0", "laws 0",
     ]
 
@@ -100,11 +182,7 @@ def test_checks_and_laws_load_no_numpy(tmp_path):
     (tmp_path / "ident.txt").write_text("kind: map\ncomponent: x1\ncomponent: x2\n")
     (tmp_path / "endo.txt").write_text(
         "kind: discrete\nelements: a b c\nmap: a -> b\nmap: b -> c\nmap: c -> b\nbasepoint: a\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(dynsys.__file__).parents[1])}
-    res = subprocess.run([sys.executable, "-c", CHECKS_SCRIPT], capture_output=True, text=True,
-                         cwd=tmp_path, env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == [
+    assert _run(CHECKS_SCRIPT, tmp_path) == [
         "check-morphism 0 False", "laws 0 False", "laws 0 False",
     ]
     laws = (tmp_path / "laws.report").read_text()
@@ -138,12 +216,8 @@ for argv in (
 
 
 def _loaded_by(code: str, cwd) -> set[str]:
-    env = {**os.environ, "PYTHONPATH": str(Path(dynsys.__file__).parents[1])}
     script = f"import sys\n{code}\nprint(*(m for m in {WATCHED!r} if m in sys.modules))"
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         cwd=cwd, env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
-    return set(res.stdout.split())
+    return set(" ".join(_run(script, cwd)).split())
 
 
 def test_commands_load_no_dataclasses_or_inspect(tmp_path):
@@ -153,12 +227,8 @@ def test_commands_load_no_dataclasses_or_inspect(tmp_path):
     (tmp_path / "osc.txt").write_text(
         "kind: continuous\ndimension: 2\nfield: x2\nfield: -x1\nbasepoint: 1 0\n")
     (tmp_path / "ident.txt").write_text("kind: map\ncomponent: x1\ncomponent: x2\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(dynsys.__file__).parents[1])}
-    res = subprocess.run([sys.executable, "-c", f"WATCHED = {WATCHED!r}\n" + GUARD_SCRIPT],
-                         capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
     only_bare = ",".join(m for m in WATCHED if m in bare) or "-"
-    assert res.stdout.splitlines() == [
+    assert _run(f"WATCHED = {WATCHED!r}\n" + GUARD_SCRIPT, tmp_path) == [
         "dynsys 0.1.0", f"version {only_bare}", f"solve 0 {only_bare}",
         f"check-morphism 0 {only_bare}", f"laws 0 {only_bare}",
     ]
@@ -208,12 +278,8 @@ def test_nothing_is_compiled_before_the_first_integration(tmp_path):
     # first use, and the step once per dimension
     (tmp_path / "osc.txt").write_text(
         "kind: continuous\ndimension: 2\nfield: x2\nfield: -x1\nbasepoint: 1 0\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(dynsys.__file__).parents[1])}
-    res = subprocess.run([sys.executable, "-c", COMPILE_SCRIPT], capture_output=True, text=True,
-                         cwd=tmp_path, env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
     built = "compile:dynsys.continuous,compile:dynsys.expr,exec:dynsys.continuous,exec:dynsys.expr"
-    assert res.stdout.splitlines() == [
+    assert _run(COMPILE_SCRIPT, tmp_path) == [
         "dynsys 0.1.0", "import -", "load -", f"solve 0 {built}",
         "again 0 compile:dynsys.expr,exec:dynsys.expr",
     ]
