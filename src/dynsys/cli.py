@@ -122,6 +122,15 @@ def _parse_floats(text: str, n: int, what: str) -> tuple[float, ...]:
         raise SpecError(f"{what}: not a number in {text!r}") from None
 
 
+def _refuse(args, kind: str, *options: str) -> None:
+    """An option given for a spec of the other kind is an input error, not ignored."""
+    from .specio import SpecError
+
+    for option in options:
+        if getattr(args, option[2:].replace("-", "_")) is not None:
+            raise SpecError(f"{option} applies to {kind} systems")
+
+
 def _cmd_solve(args) -> int:
     from .specio import SpecError, load_system
 
@@ -129,6 +138,7 @@ def _cmd_solve(args) -> int:
     if loaded.is_discrete:
         from . import discrete
 
+        _refuse(args, "continuous", "--x0", "--span", "--escape-threshold")
         c0 = args.c0 or loaded.basepoint
         if c0 is None:
             raise SpecError("give --c0 or a basepoint in the spec file")
@@ -137,6 +147,7 @@ def _cmd_solve(args) -> int:
         orbit = discrete.iterate(loaded.system, c0, args.horizon)
         _emit(" ".join(orbit.points) + "\n", args.output)
         return 0
+    _refuse(args, "discrete", "--c0", "--horizon")
     n = loaded.system.dimension
     x0 = _parse_floats(args.x0, n, "--x0") if args.x0 else loaded.basepoint
     if x0 is None:
@@ -171,9 +182,8 @@ def _cmd_check_morphism(args) -> int:
     if src.is_discrete:
         from . import discrete
 
+        _refuse(args, "continuous", "--preserve-solutions")
         checks.append(("dt-morphism", discrete.check_dt_morphism(mapping, src.system, dst.system)))
-        if args.preserve_solutions:
-            raise SpecError("--preserve-solutions applies to continuous systems")
     else:
         from . import continuous as C
 
@@ -205,9 +215,9 @@ def _laws_for_discrete(loaded: LoadedSystem, args, checks, notes, label: str) ->
     x_cand = core.MorphismCandidate(dict(sys_.endomap), sys_, sys_)
     left = core.compose_morphisms(core.compose_morphisms(x_cand, x_cand), x_cand)
     right = core.compose_morphisms(x_cand, core.compose_morphisms(x_cand, x_cand))
-    witness = None if left.mapping == right.mapping else "association orders disagree"
-    checks.append((f"{label}compose-associativity", core.CheckReport.exact(
-        witness, len(sys_.carrier), violations=0 if witness is None else 1)))
+    checks.append((f"{label}compose-associativity", core.CheckReport.tally(
+        None if left.mapping[x] == right.mapping[x] else f"association orders disagree at {x!r}"
+        for x in sys_.carrier)))
     basepoints = [loaded.basepoint] if loaded.basepoint else list(sys_.carrier)
     for bp in basepoints:
         try:
@@ -232,18 +242,14 @@ def _laws_for_continuous(loaded: LoadedSystem, args, checks, notes, label: str) 
     ident = core.identity_morphism(sys_)
     left = core.compose_morphisms(core.compose_morphisms(ident, ident), ident)
     right = core.compose_morphisms(ident, core.compose_morphisms(ident, ident))
-    pts = C.default_samples(sys_.domain, 25)
-    residual = max((core._distance(left.mapping(p), right.mapping(p)) for p in pts), default=0.0)
-    checks.append((f"{label}compose-associativity",
-                   core.CheckReport.numerical(residual, 1e-12, len(pts))))
+    checks.append((f"{label}compose-associativity", core.CheckReport.worst(
+        ((core._distance(left.mapping(p), right.mapping(p)), p)
+         for p in C.default_samples(sys_.domain, 25)), 1e-12)))
     equilibria = C.find_equilibria(sys_, tol=max(args.tol, 1e-10))
     if equilibria:
-        worst = max(
-            C.check_equilibrium_morphism(sys_, eq, tol=args.tol).residual
-            for eq in equilibria
-        )
-        rep = core.CheckReport.numerical(worst, args.tol, len(equilibria))
-        checks.append((f"{label}equilibrium-morphisms", rep))
+        checks.append((f"{label}equilibrium-morphisms", core.CheckReport.worst(
+            ((C.check_equilibrium_morphism(sys_, eq, tol=args.tol).residual, eq)
+             for eq in equilibria), args.tol)))
     notes.append(f"{label}equilibria: {len(equilibria)} found")
     if loaded.basepoint is not None:
         traj = C.integrate(sys_, loaded.basepoint, 1.0,
@@ -251,7 +257,7 @@ def _laws_for_continuous(loaded: LoadedSystem, args, checks, notes, label: str) 
         bound = 10 * (args.atol + args.rtol * max(abs(v) for row in traj._states for v in row))
         checks.append((f"{label}solution-morphism",
                        C.solution_morphism_report(traj, sys_, bound)))
-        if args.period:
+        if args.period is not None:
             try:
                 checks.append((f"{label}periodic-orbit", C.check_periodic_orbit(
                     sys_, loaded.basepoint, args.period,
@@ -261,7 +267,7 @@ def _laws_for_continuous(loaded: LoadedSystem, args, checks, notes, label: str) 
                                core.CheckReport.exact(str(exc), 0, violations=1)))
     else:
         notes.append(f"{label}solution-morphism skipped: no basepoint in the spec")
-        if args.period:
+        if args.period is not None:
             raise SpecError("--period needs a basepoint in the spec file")
 
 
@@ -269,8 +275,10 @@ def _cmd_laws(args) -> int:
     from .specio import load_system, render_report
 
     checks, notes = [], []
-    for path in args.systems:
-        loaded = load_system(path)
+    specs = [load_system(path) for path in args.systems]
+    if all(loaded.is_discrete for loaded in specs):  # no spec of the run reads a period
+        _refuse(args, "continuous", "--period")
+    for path, loaded in zip(args.systems, specs):
         label = f"{path}:" if len(args.systems) > 1 else ""
         if loaded.is_discrete:
             _laws_for_discrete(loaded, args, checks, notes, label)

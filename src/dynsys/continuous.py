@@ -638,19 +638,19 @@ def check_f_relatedness(
         raise E.ArityError(f"map expects {f.source_dim} inputs, system has {x_sys.dimension}")
     if f.target_dim != y_sys.dimension:
         raise E.ArityError(f"map produces {f.target_dim} outputs, target has {y_sys.dimension}")
-    pts = list(samples) if samples is not None else default_samples(x_sys.domain)
-    residual, worst = 0.0, None
-    for x in pts:
-        v = E.evaluate_vector(x_sys.field, x)
-        jv = _matvec(E.evaluate_vector(f._jacobian, x), v)
-        y = f(x)
-        if not y_sys.domain.contains(y):
-            raise E.DomainError(f"f({tuple(x)}) = {tuple(y)} leaves the target domain")
-        defect = _distance(jv, E.evaluate_vector(y_sys.field, y))
-        if defect > residual:
-            residual, worst = defect, tuple(float(c) for c in x)
-    return CheckReport.numerical(residual, tol, len(pts), witness=None if worst is None
-                                 else f"worst defect {residual:.6g} at x={worst}")
+    pts = default_samples(x_sys.domain) if samples is None else samples
+
+    def defects():
+        for x in pts:
+            v = E.evaluate_vector(x_sys.field, x)
+            jv = _matvec(E.evaluate_vector(f._jacobian, x), v)
+            y = f(x)
+            if not y_sys.domain.contains(y):
+                raise E.DomainError(f"f({tuple(x)}) = {tuple(y)} leaves the target domain")
+            yield _distance(jv, E.evaluate_vector(y_sys.field, y)), x
+
+    return CheckReport.worst(defects(), tol, witness=lambda residual, x:
+                             f"worst defect {residual:.6g} at x={tuple(float(c) for c in x)}")
 
 
 def check_solution_preservation(
@@ -673,21 +673,26 @@ def check_solution_preservation(
     traj_x = integrate(x_sys, x0, span, rtol=rtol, atol=atol)
     y0 = f([float(v) for v in x0])
     traj_y = integrate(y_sys, y0, span, rtol=rtol, atol=atol)
-    lo = max(traj_x.t_lo, traj_y.t_lo)
-    hi = min(traj_x.t_hi, traj_y.t_hi)
+    return _compare_on_common_span(
+        traj_x, traj_y, span, lambda t: _distance(f(traj_x._sample(t), t=t), traj_y._sample(t)),
+        tol, grid, witness=lambda residual, t: f"max deviation {residual:.6g} at t={t}",
+    )
+
+
+def _compare_on_common_span(a: Trajectory, b: Trajectory, span: float, gap, tol: float,
+                            grid: int, witness) -> CheckReport:
+    """The sup of ``gap(t)`` over ``grid`` times on the span both trajectories
+    reached, which the note gives when early termination cut it short."""
+    lo = max(a.t_lo, b.t_lo)
+    hi = min(a.t_hi, b.t_hi)
     if hi <= lo:
         return CheckReport(False, math.inf, 0, witness="no common span to compare")
-    residual, worst_t = 0.0, None
-    for tcur in _linspace(lo, hi, grid):
-        d = _distance(f(traj_x._sample(tcur), t=tcur), traj_y._sample(tcur))
-        if d > residual:
-            residual, worst_t = d, tcur
     full = (0.0, span) if span > 0 else (span, 0.0)
     note = None
     if abs(lo - full[0]) > 1e-12 or abs(hi - full[1]) > 1e-12:
         note = f"compared on [{lo:.17g}, {hi:.17g}] (early termination)"
-    return CheckReport.numerical(residual, tol, grid, note=note,
-                                 witness=f"max deviation {residual:.6g} at t={worst_t}")
+    return CheckReport.worst(((gap(t), t) for t in _linspace(lo, hi, grid)), tol,
+                             witness=witness, note=note)
 
 
 # --- equilibria and periodic orbits ------------------------------------------
@@ -821,15 +826,17 @@ def solution_morphism_report(
     """
     ts, ys = traj._times, traj._states
     hs = [b - a for a, b in zip(ts, ts[1:])]
-    residual, used = 0.0, 0
-    for i in range(2, len(ts) - 2):
-        h = hs[i - 2]
-        if max(abs(d - h) for d in hs[i - 2:i + 2]) > 1e-9 * h:
-            continue
-        deriv = [(a - 8 * b + 8 * c - d) / (12 * h)
-                 for a, b, c, d in zip(ys[i - 2], ys[i - 1], ys[i + 1], ys[i + 2])]
-        residual = max(residual, _distance(deriv, E.evaluate_vector(sys.field, ys[i], ts[i])))
-        used += 1
-    if used == 0:
+
+    def defects():
+        for i in range(2, len(ts) - 2):
+            h = hs[i - 2]
+            if max(abs(d - h) for d in hs[i - 2:i + 2]) > 1e-9 * h:
+                continue
+            deriv = [(a - 8 * b + 8 * c - d) / (12 * h)
+                     for a, b, c, d in zip(ys[i - 2], ys[i - 1], ys[i + 1], ys[i + 2])]
+            yield _distance(deriv, E.evaluate_vector(sys.field, ys[i], ts[i])), ts[i]
+
+    report = CheckReport.worst(defects(), tol)
+    if report.samples == 0:
         return CheckReport(False, math.inf, 0, witness="no uniform interior stencil")
-    return CheckReport.numerical(residual, tol, used)
+    return report

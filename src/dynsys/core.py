@@ -127,7 +127,8 @@ class CheckReport(Value):
 
     For numerical checks the verdict is residual <= tolerance; for exact
     checks it is the absence of a witness.  ``residual`` is a sup-norm
-    where one applies, otherwise a violation count.
+    where one applies, otherwise a violation count.  A check over many
+    samples builds its report with :meth:`worst` or :meth:`tally`.
     """
 
     __match_args__ = ("passed", "residual", "samples", "witness", "note")
@@ -165,6 +166,33 @@ class CheckReport(Value):
         if (witness is None) != (violations == 0):
             raise ValueError("witness and violation count disagree")
         return CheckReport(witness is None, float(violations), samples, witness, note)
+
+    @staticmethod
+    def worst(gaps, tol: float, witness=None, note: str | None = None) -> "CheckReport":
+        """The numerical report over one ``(gap, where)`` pair per sample: the
+        residual is the largest gap, the first of equal ones, and a failed
+        check's witness is ``witness(residual, where)`` (none if no gap is
+        above 0).  A nan gap raises ``ValueError`` naming its sample, as a
+        check that cannot measure a sample can neither pass nor fail it; an
+        inf gap fails."""
+        residual, at, samples = 0.0, None, 0
+        for gap, where in gaps:
+            samples += 1
+            if gap > residual:
+                residual, at = gap, where
+            elif gap != gap:
+                raise ValueError(f"nan gap at sample {where}, which can neither pass nor fail")
+        passed = residual <= tol
+        text = None if passed or witness is None or at is None else witness(residual, at)
+        return CheckReport(passed, residual, samples, text, note)
+
+    @staticmethod
+    def tally(misses, note: str | None = None) -> "CheckReport":
+        """The exact report over one entry per sample, None or the text of a
+        violation: the residual counts the violations, the first is the witness."""
+        misses = list(misses)
+        found = [miss for miss in misses if miss is not None]
+        return CheckReport.exact(found[0] if found else None, len(misses), len(found), note)
 
 
 class PointedSystem(Value):
@@ -300,12 +328,7 @@ def verify_initiality_discrete(
         witness = "no basepoint-preserving morphism found"
     elif count > 1:
         witness = f"{count} distinct morphisms found, e.g. {found[0]} and {found[1]}"
-    return CheckReport(
-        passed=count == 1,
-        residual=float(abs(count - 1)),
-        samples=total,
-        witness=witness,
-    )
+    return CheckReport(count == 1, float(abs(count - 1)), total, witness)
 
 
 def verify_initiality_continuous(
@@ -324,21 +347,13 @@ def verify_initiality_continuous(
     the solution from ``x0`` is unique; that the integrations run at all is
     the existence half.
     """
-    from .continuous import integrate
+    from .continuous import _compare_on_common_span, integrate
 
     coarse = integrate(sys, x0, span, rtol=rtol, atol=atol)
     fine = integrate(sys, x0, span, rtol=rtol / 100.0, atol=atol / 100.0)
-    lo = max(coarse.t_lo, fine.t_lo)
-    hi = min(coarse.t_hi, fine.t_hi)
-    residual = 0.0
-    for t in _linspace(lo, hi, grid):
-        residual = max(residual, _distance(coarse._sample(t), fine._sample(t)))
-    note = None
-    full = (0.0, span) if span >= 0 else (span, 0.0)
-    if (lo, hi) != full:
-        note = f"compared on [{lo:.17g}, {hi:.17g}] (early termination)"
-    return CheckReport.numerical(
-        residual, tol, samples=grid, witness=f"max deviation {residual:.3e}", note=note
+    return _compare_on_common_span(
+        coarse, fine, span, lambda t: _distance(coarse._sample(t), fine._sample(t)), tol, grid,
+        witness=lambda residual, t: f"max deviation {residual:.3e}",
     )
 
 

@@ -77,17 +77,10 @@ def check_dt_morphism(
     stray = [x for x in src.carrier if alpha[x] not in targets]
     if stray:
         raise ValueError(f"morphism table maps {stray} outside the target carrier")
-    violations = 0
-    witness = None
-    for x in src.carrier:
-        if dst.endomap[alpha[x]] != alpha[src.endomap[x]]:
-            violations += 1
-            if witness is None:
-                witness = (
-                    f"at {x!r}: Y(alpha({x!r}))={dst.endomap[alpha[x]]!r} "
-                    f"but alpha(X({x!r}))={alpha[src.endomap[x]]!r}"
-                )
-    return CheckReport.exact(witness, samples=len(src.carrier), violations=violations)
+    return CheckReport.tally(
+        None if y == ay else f"at {x!r}: Y(alpha({x!r}))={y!r} but alpha(X({x!r}))={ay!r}"
+        for x, y, ay in ((x, dst.endomap[alpha[x]], alpha[src.endomap[x]]) for x in src.carrier)
+    )
 
 
 def fixed_points(sys: DiscreteSystem) -> set[str]:

@@ -92,13 +92,13 @@ class DomainError(ExprError):
 # hash-consing", ML Workshop 2006): every constructor looks its key up in
 # one weak-valued table and returns the live node it finds, so there is at
 # most one node per key.  The key is the class and the fields, children by
-# identity, constants by type and value, except that a zero or a nan goes by
-# its ``repr``: that tells 0.0 from -0.0, which compare equal, and makes all
-# nans one constant.  (Keying every constant by ``repr`` gives the same
-# classes, but ``repr`` costs about 13 % of a parse.)  An entry goes when
-# its node dies.  ``dict.setdefault`` publishes a new node atomically, and
-# ``_remove_dead_weakref`` drops an entry only while its node is dead, so
-# racing threads still get one node per key.
+# identity, constants by float value (1 and 1.0 are one), except that a zero
+# or a nan goes by its ``repr``: that tells 0.0 from -0.0, which compare
+# equal, and makes all nans one constant.  (Keying every constant by ``repr``
+# gives the same classes, but ``repr`` costs about 13 % of a parse.)  An
+# entry goes when its node dies.  ``dict.setdefault`` publishes a new node
+# atomically, and ``_remove_dead_weakref`` drops an entry only while its
+# node is dead, so racing threads still get one node per key.
 
 _nodes: dict = {}  # key -> _Entry of the one live node with that key
 
@@ -198,8 +198,9 @@ class Num(Node):
     __slots__ = __match_args__ = ("value",)
 
     def __new__(cls, value: float):
+        value = float(value)  # an int too large for a float raises OverflowError here
         token = value if value == value and value else repr(value)  # see the section comment
-        return _intern(cls, (cls, type(value), token), value)
+        return _intern(cls, (cls, token), value)
 
 
 class Var(Node):

@@ -313,9 +313,7 @@ def germ_equal(a: Germ, b: Germ, samples: int = 257, tol: float = 1e-12) -> Chec
     never equal.
     """
     if a.basepoint != b.basepoint:
-        return CheckReport.exact(
-            f"no common basepoint: {a.basepoint} vs {b.basepoint}", 0, violations=1
-        )
+        return CheckReport.exact(f"no common basepoint: {a.basepoint} vs {b.basepoint}", 0, 1)
     inter = a.representative.domain.intersect(b.representative.domain)
     comp = inter.component_containing(a.basepoint)
     if comp is None:
@@ -326,10 +324,9 @@ def germ_equal(a: Germ, b: Germ, samples: int = 257, tol: float = 1e-12) -> Chec
     xs = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, samples)
     va = E.evaluate_many(a.representative.map, xs)
     vb = E.evaluate_many(b.representative.map, xs)
-    residual = float(np.max(np.abs(va - vb)))
-    return CheckReport.numerical(
-        residual, tol, samples,
-        witness=f"max value gap {residual:.6g} on ({lo}, {hi})",
+    return CheckReport.worst(
+        zip(np.abs(va - vb).tolist(), xs.tolist()), tol,
+        witness=lambda residual, x: f"max value gap {residual:.6g} on ({lo}, {hi})",
     )
 
 

@@ -107,7 +107,8 @@ def _cont_apply_map_total(f: SmoothMap, total):
 
 
 def _cont_total_distance(p, q) -> float:
-    return max(_distance(p[0], q[0]), _distance(p[1], q[1]))
+    """Euclidean distance in the total space, footing and vector together."""
+    return _distance([*p[0], *p[1]], [*q[0], *q[1]])
 
 
 def _cont_default_points(carrier: Domain, count: int = 200):
@@ -209,24 +210,12 @@ def check_section(sys: TauSystem, samples=None, tol: float = 1e-12) -> CheckRepo
     pts = list(samples) if samples is not None else list(inst.default_points(sys.carrier, 25))
     if samples is not None:
         _guard_samples(sys.carrier, pts, "section-law")
+    footings = ((x, inst.project(inst.apply_section(sys.section, x))) for x in pts)
     if inst.exact:
-        violations, witness = 0, None
-        for x in pts:
-            got = inst.project(inst.apply_section(sys.section, x))
-            if got != x:
-                violations += 1
-                if witness is None:
-                    witness = f"section moves {x!r} to footing {got!r}"
-        return CheckReport.exact(witness, samples=len(pts), violations=violations)
-    residual, worst = 0.0, None
-    for x in pts:
-        d = inst.carrier_distance(inst.project(inst.apply_section(sys.section, x)), x)
-        if d > residual:
-            residual, worst = d, x
-    return CheckReport.numerical(
-        residual, tol, len(pts),
-        witness=None if worst is None else f"footing moved by {residual:.6g} at {worst}",
-    )
+        return CheckReport.tally(None if got == x else f"section moves {x!r} to footing {got!r}"
+                                 for x, got in footings)
+    return CheckReport.worst(((inst.carrier_distance(got, x), x) for x, got in footings), tol,
+                             witness=lambda residual, x: f"footing moved by {residual:.6g} at {x}")
 
 
 def check_tau_morphism(
@@ -248,31 +237,20 @@ def check_tau_morphism(
     pts = list(samples) if samples is not None else list(inst.default_points(src.carrier, 200))
     if samples is not None:
         _guard_samples(src.carrier, pts, "morphism")
-    if inst.exact:
-        violations, witness = 0, None
-        for x in pts:
-            lhs = inst.apply_map_total(f, inst.apply_section(src.section, x))
-            rhs = inst.apply_section(dst.section, inst.apply_map_carrier(f, x))
-            if lhs != rhs:
-                violations += 1
-                if witness is None:
-                    witness = f"at {x!r}: {lhs!r} != {rhs!r}"
-        return CheckReport.exact(witness, samples=len(pts), violations=violations)
-    residual, worst = 0.0, None
-    for x in pts:
-        fx = inst.apply_map_carrier(f, x)
-        if hasattr(dst.carrier, "contains") and not dst.carrier.contains(fx):
-            from .expr import DomainError
 
-            raise DomainError(
-                f"map sends {tuple(x)} to {tuple(fx)}, outside the target carrier"
-            )
-        lhs = inst.apply_map_total(f, inst.apply_section(src.section, x))
-        rhs = inst.apply_section(dst.section, fx)
-        d = inst.total_distance(lhs, rhs)
-        if d > residual:
-            residual, worst = d, x
-    return CheckReport.numerical(
-        residual, tol, len(pts),
-        witness=None if worst is None else f"defect {residual:.6g} at {worst}",
-    )
+    def routes():  # both ways round the square, per sample
+        for x in pts:
+            fx = inst.apply_map_carrier(f, x)
+            if hasattr(dst.carrier, "contains") and not dst.carrier.contains(fx):
+                from .expr import DomainError
+
+                raise DomainError(f"map sends {tuple(x)} to {tuple(fx)}, "
+                                  "outside the target carrier")
+            yield inst.apply_map_total(f, inst.apply_section(src.section, x)), \
+                inst.apply_section(dst.section, fx), x
+
+    if inst.exact:
+        return CheckReport.tally(None if lhs == rhs else f"at {x!r}: {lhs!r} != {rhs!r}"
+                                 for lhs, rhs, x in routes())
+    return CheckReport.worst(((inst.total_distance(lhs, rhs), x) for lhs, rhs, x in routes()),
+                             tol, witness=lambda residual, x: f"defect {residual:.6g} at {x}")

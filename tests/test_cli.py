@@ -217,6 +217,48 @@ def test_check_morphism_kind_mismatch(specs):
     assert res.returncode == 1
 
 
+def test_check_morphism_overflowing_defect_is_input_error(tmp_path):
+    # Jf X = 1e200*1e200 - 1e200*1e200 overflows to nan at every sample: the
+    # map is no morphism, and a defect that cannot be measured must not pass
+    src, dst, fmap = tmp_path / "src.txt", tmp_path / "dst.txt", tmp_path / "map.txt"
+    src.write_text("kind: continuous\ndimension: 2\nfield: 1e200\nfield: 1e200\n")
+    dst.write_text("kind: continuous\ndimension: 1\nfield: 1\n")
+    fmap.write_text("kind: map\ncomponent: 1e200*x1 - 1e200*x2\n")
+    res = run_cli("check-morphism", str(src), str(dst), str(fmap))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: nan gap at sample (")
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv, option, kind", [
+    (["laws", "mod3", "--period", "3"], "--period", "continuous"),
+    (["solve", "funnel", "--horizon", "2", "--x0", "1"], "--x0", "continuous"),
+    (["solve", "funnel", "--horizon", "2", "--span", "1"], "--span", "continuous"),
+    (["solve", "funnel", "--horizon", "2", "--escape-threshold", "10"], "--escape-threshold",
+     "continuous"),
+    (["solve", "time", "--span", "1", "--c0", "a"], "--c0", "discrete"),
+    (["solve", "time", "--span", "1", "--horizon", "3"], "--horizon", "discrete"),
+])
+def test_option_of_the_other_kind_is_input_error(specs, capsys, argv, option, kind):
+    assert cli.main([specs.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} applies to {kind} systems\n"
+
+
+def test_laws_period_in_a_mixed_run_applies_to_the_continuous_spec(specs, capsys):
+    argv = ["laws", specs["mod3"], specs["osc"], "--period", repr(2 * math.pi)]
+    assert cli.main(argv) == 0
+    assert f"name={specs['osc']}:periodic-orbit verdict=pass" in capsys.readouterr().out
+
+
+def test_laws_zero_period_is_input_error(specs, capsys):
+    # a zero period is not "no period": it is checked, and refused
+    assert cli.main(["laws", specs["osc"], "--period", "0"]) == 1
+    assert capsys.readouterr().err == "error: period must be positive\n"
+
+
 def test_check_morphism_with_preservation(specs):
     res = run_cli(
         "check-morphism", specs["time"], specs["growth"], specs["exp"],

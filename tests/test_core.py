@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import hypothesis
 import hypothesis.strategies as st
@@ -25,6 +26,70 @@ def test_check_report_invariant():
     assert not rep.passed and rep.residual == 2.0
     with pytest.raises(ValueError):
         core.CheckReport.exact("oops", 1, violations=0)
+
+
+def test_worst_reports_the_first_of_equal_gaps():
+    def witness(residual, where):
+        return f"{residual} at {where}"
+
+    rep = core.CheckReport.worst([(1.0, "a"), (3.0, "b"), (3.0, "c"), (2.0, "d")], 0.5,
+                                 witness=witness, note="n")
+    assert rep == core.CheckReport(False, 3.0, 4, "3.0 at b", "n")
+    rep = core.CheckReport.worst([(0.25, "a"), (0.5, "b")], 0.5, witness=witness)
+    assert rep == core.CheckReport(True, 0.5, 2)
+    # a tolerance below 0 fails even a zero residual, which blames no sample
+    rep = core.CheckReport.worst([(0.0, "a")], -1.0, witness=witness)
+    assert rep == core.CheckReport(False, 0.0, 1)
+
+
+@pytest.mark.parametrize("gaps", [
+    [(math.nan, "s1")],
+    [(1.0, "s1"), (math.nan, "s2"), (2.0, "s3")],
+    [(math.inf, "s1"), (math.nan, "s2")],
+], ids=["first", "later", "after-inf"])
+def test_worst_raises_on_a_nan_gap(gaps):
+    # a check that cannot measure a sample can neither pass nor fail it
+    where = next(where for gap, where in gaps if math.isnan(gap))
+    with pytest.raises(ValueError, match=f"nan gap at sample {where},"):
+        core.CheckReport.worst(gaps, 1e-8)
+
+
+def test_worst_and_tally_of_no_samples():
+    assert core.CheckReport.worst([], 1e-8) == core.CheckReport(True, 0.0, 0)
+    assert core.CheckReport.tally([]) == core.CheckReport(True, 0.0, 0)
+
+
+def test_worst_fails_an_infinite_gap():
+    # an overflow that nothing cancels: the true defect is near the top of the float range
+    rep = core.CheckReport.worst([(1.0, "a"), (math.inf, "b")], 1e-8,
+                                 witness=lambda residual, where: f"{residual} at {where}")
+    assert rep == core.CheckReport(False, math.inf, 2, "inf at b")
+
+
+def test_tally_counts_violations_with_the_first_witness():
+    rep = core.CheckReport.tally([None, "bad at b", None, "bad at d"], note="n")
+    assert rep == core.CheckReport(False, 2.0, 4, "bad at b", "n")
+    assert core.CheckReport.tally([None, None]) == core.CheckReport(True, 0.0, 2)
+
+
+# a map that is not a morphism, whose defect overflows to inf - inf = nan
+# at every sample: Jf X = 1e200*1e200 - 1e200*1e200, against Y = 1
+CANCEL_SRC = C.ContinuousSystem(C.full_space(2), E.parse_vector(["1e200", "1e200"], 2))
+CANCEL_DST = line_system("1")
+CANCEL_MAP = C.smooth_map(["1e200*x1 - 1e200*x2"], 2)
+
+
+def test_overflowing_defect_raises_in_every_check():
+    from dynsys import tau
+
+    with pytest.raises(ValueError, match="nan gap at sample"):
+        C.check_f_relatedness(CANCEL_MAP, CANCEL_SRC, CANCEL_DST)
+    with pytest.raises(ValueError, match="nan gap at sample"):
+        tau.check_tau_morphism(CANCEL_MAP, tau.from_continuous(CANCEL_SRC),
+                               tau.from_continuous(CANCEL_DST))
+    with pytest.raises(ValueError, match="nan gap at sample"):
+        core.check_composition_closure(C.identity_smooth_map(2), CANCEL_MAP,
+                                       CANCEL_SRC, CANCEL_SRC, CANCEL_DST)
 
 
 def test_pointed_system_validates_basepoint():

@@ -203,7 +203,21 @@ def test_signed_zeros_are_two_constants():
     assert E.Num(0.0) is not E.Num(-0.0) and E.Num(0.0) != E.Num(-0.0)
     assert E.to_string(E.Expr(E.Num(-0.0), 0)) == "-0"
     assert math.copysign(1.0, E.evaluate(E.Expr(E.Num(-0.0), 0), [])) == -1.0
-    assert E.Num(1) is not E.Num(1.0)
+    assert E.Num(1) is E.Num(1.0)
+
+
+@pytest.mark.parametrize("value", [1, -3, 0, 2**53 + 1, 10**300])
+def test_int_constants_round_trip(value):
+    # an int constant is its float's node, so hand-built expressions print and
+    # parse back to themselves
+    e = E.Expr(E.Add(E.Var(1), E.Num(value)), 1)
+    assert E.Num(value) is E.Num(float(value))
+    assert E.parse(E.to_string(e), 1) == e
+
+
+def test_int_constant_too_large_for_a_float_fails_when_built():
+    with pytest.raises(OverflowError):
+        E.Num(10**400)
 
 
 def test_nan_fields_compare_by_identity_first():
