@@ -93,7 +93,7 @@ def _build_parser() -> _Parser:
 
     laws = sub.add_parser("laws", help="run the property suites that apply to the spec kind")
     laws.add_argument("systems", nargs="+", help="system spec files")
-    laws.add_argument("--horizon", type=int, default=6, help="initiality truncation (discrete)")
+    laws.add_argument("--horizon", type=int, help="initiality truncation (discrete; default 6)")
     laws.add_argument("--tol", type=_tolerance, default=1e-8)
     laws.add_argument("--rtol", type=_tolerance, default=1e-9)
     laws.add_argument("--atol", type=_tolerance, default=1e-12)
@@ -278,6 +278,9 @@ def _cmd_laws(args) -> int:
     specs = [load_system(path) for path in args.systems]
     if all(loaded.is_discrete for loaded in specs):  # no spec of the run reads a period
         _refuse(args, "continuous", "--period")
+    if not any(loaded.is_discrete for loaded in specs):  # no spec of the run reads a horizon
+        _refuse(args, "discrete", "--horizon")
+    args.horizon = 6 if args.horizon is None else args.horizon
     for path, loaded in zip(args.systems, specs):
         label = f"{path}:" if len(args.systems) > 1 else ""
         if loaded.is_discrete:

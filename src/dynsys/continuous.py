@@ -26,8 +26,9 @@ from typing import TYPE_CHECKING, Sequence
 from . import expr as E
 from .core import (
     CheckReport, Record, StepLimitError, StepSizeUnderflowError, Value, _distance, _dot,
-    _linspace, _matvec, _norm, _setfield, _solve,
+    _linspace, _norm, _setfield, _solve,
 )
+from .tau import check_tau_morphism, from_continuous
 
 if TYPE_CHECKING:
     import numpy as np
@@ -623,34 +624,11 @@ def default_samples(domain: Domain, count: int = 200) -> list[tuple[float, ...]]
 # --- the f-relatedness story -------------------------------------------------
 
 
-def check_f_relatedness(
-    f: SmoothMap,
-    x_sys: ContinuousSystem,
-    y_sys: ContinuousSystem,
-    samples: Sequence | None = None,
-    tol: float = 1e-8,
-) -> CheckReport:
-    """Is Jf(x) X(x) = Y(f(x)) at the samples?  Jf is symbolically exact.
-
-    The residual is the sup over samples of the euclidean defect norm.
-    """
-    if f.source_dim != x_sys.dimension:
-        raise E.ArityError(f"map expects {f.source_dim} inputs, system has {x_sys.dimension}")
-    if f.target_dim != y_sys.dimension:
-        raise E.ArityError(f"map produces {f.target_dim} outputs, target has {y_sys.dimension}")
-    pts = default_samples(x_sys.domain) if samples is None else samples
-
-    def defects():
-        for x in pts:
-            v = E.evaluate_vector(x_sys.field, x)
-            jv = _matvec(E.evaluate_vector(f._jacobian, x), v)
-            y = f(x)
-            if not y_sys.domain.contains(y):
-                raise E.DomainError(f"f({tuple(x)}) = {tuple(y)} leaves the target domain")
-            yield _distance(jv, E.evaluate_vector(y_sys.field, y)), x
-
-    return CheckReport.worst(defects(), tol, witness=lambda residual, x:
-                             f"worst defect {residual:.6g} at x={tuple(float(c) for c in x)}")
+def check_f_relatedness(f: SmoothMap, x_sys: ContinuousSystem, y_sys: ContinuousSystem,
+                        samples: Sequence | None = None, tol: float = 1e-8) -> CheckReport:
+    """Is Jf(x) X(x) = Y(f(x)) at the samples?  Jf is symbolically exact; the
+    residual is the sup of the euclidean defect norms (:func:`tau.check_tau_morphism`)."""
+    return check_tau_morphism(f, from_continuous(x_sys), from_continuous(y_sys), samples, tol)
 
 
 def check_solution_preservation(

@@ -259,16 +259,12 @@ def check_composition_closure(
 ) -> CheckReport:
     """Given f relating (X, Y) and g relating (Y, Z), verify that the composite
     relates (X, Z) at the samples; the chain rule says it must."""
+    from .tau import _view, check_tau_morphism
+
     gf = compose_morphisms(
         MorphismCandidate(f, x_sys, y_sys), MorphismCandidate(g, y_sys, z_sys)
     )
-    if isinstance(gf.mapping, Mapping):
-        from .discrete import check_dt_morphism
-
-        return check_dt_morphism(gf.mapping, x_sys, z_sys)
-    from .continuous import check_f_relatedness
-
-    return check_f_relatedness(gf.mapping, x_sys, z_sys, samples=samples, tol=tol)
+    return check_tau_morphism(gf, _view(x_sys), _view(z_sys), samples=samples, tol=tol)
 
 
 def enumerate_pointed_morphisms(

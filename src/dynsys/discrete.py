@@ -11,6 +11,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .core import CheckReport, Value, _setfield
+from .tau import check_tau_morphism, from_discrete
 
 
 class UnknownElementError(ValueError):
@@ -62,25 +63,11 @@ def iterate(sys: DiscreteSystem, c0: str, horizon: int) -> Orbit:
     return Orbit(c0, tuple(points))
 
 
-def check_dt_morphism(
-    alpha: Mapping[str, str], src: DiscreteSystem, dst: DiscreteSystem
-) -> CheckReport:
-    """Exact check that alpha intertwines the two endomaps.
-
-    The condition is dst(alpha(x)) == alpha(src(x)) for every carrier
-    element; the witness is the first violating element in carrier order.
-    """
-    missing = [x for x in src.carrier if x not in alpha]
-    if missing:
-        raise ValueError(f"morphism table not total: missing {missing}")
-    targets = set(dst.carrier)
-    stray = [x for x in src.carrier if alpha[x] not in targets]
-    if stray:
-        raise ValueError(f"morphism table maps {stray} outside the target carrier")
-    return CheckReport.tally(
-        None if y == ay else f"at {x!r}: Y(alpha({x!r}))={y!r} but alpha(X({x!r}))={ay!r}"
-        for x, y, ay in ((x, dst.endomap[alpha[x]], alpha[src.endomap[x]]) for x in src.carrier)
-    )
+def check_dt_morphism(alpha: Mapping[str, str], src: DiscreteSystem,
+                      dst: DiscreteSystem) -> CheckReport:
+    """Exact check that dst(alpha(x)) == alpha(src(x)) for every carrier element;
+    the witness is the first violating element (:func:`tau.check_tau_morphism`)."""
+    return check_tau_morphism(alpha, from_discrete(src), from_discrete(dst))
 
 
 def fixed_points(sys: DiscreteSystem) -> set[str]:

@@ -343,6 +343,10 @@ class VectorExpr(Value):
     def _compiled(self):
         return _compile([c.root for c in self.components], vector=True)
 
+    def __call__(self, point: Sequence[float], t: float = 0.0) -> list[float]:
+        """Every component at the point, as :func:`evaluate_vector` gives them."""
+        return evaluate_vector(self, point, t)
+
 
 # --- parsing --------------------------------------------------------------
 
@@ -740,7 +744,7 @@ def _is_num(node: Node, v: float | None = None) -> bool:
     return isinstance(node, Num) and (v is None or node.value == v)
 
 
-def _fold2(cls, a: Node, b: Node, op) -> Node | None:
+def _fold2(a: Node, b: Node, op) -> Node | None:
     if isinstance(a, Num) and isinstance(b, Num):
         r = op(a.value, b.value)
         if math.isfinite(r):
@@ -749,7 +753,7 @@ def _fold2(cls, a: Node, b: Node, op) -> Node | None:
 
 
 def _add(a: Node, b: Node) -> Node:
-    folded = _fold2(Add, a, b, lambda x, y: x + y)
+    folded = _fold2(a, b, lambda x, y: x + y)
     if folded is not None:
         return folded
     if _is_num(a, 0.0):
@@ -760,7 +764,7 @@ def _add(a: Node, b: Node) -> Node:
 
 
 def _sub(a: Node, b: Node) -> Node:
-    folded = _fold2(Sub, a, b, lambda x, y: x - y)
+    folded = _fold2(a, b, lambda x, y: x - y)
     if folded is not None:
         return folded
     if _is_num(b, 0.0):
@@ -779,7 +783,7 @@ def _neg(a: Node) -> Node:
 
 
 def _mul(a: Node, b: Node) -> Node:
-    folded = _fold2(Mul, a, b, lambda x, y: x * y)
+    folded = _fold2(a, b, lambda x, y: x * y)
     if folded is not None:
         return folded
     if _is_num(a, 0.0) or _is_num(b, 0.0):

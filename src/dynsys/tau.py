@@ -6,8 +6,10 @@ continuous systems the total space pairs a state with a tangent vector and
 the section is the vector field; for discrete systems the total space is
 the product carrier x carrier and the section is x |-> (x, X(x)), identity
 on the first factor.  An instance packages the handful of operations the
-checks need (apply a section, project, push a map through both levels);
-full functor objects would add nothing testable.
+checks need (apply a section, push a map through the total space, test the
+map, word a witness); full functor objects would add nothing testable.  A
+morphism is a map that makes the square of sections commute, and
+:func:`check_tau_morphism` is the one loop in the package that checks it.
 
 Sections are *represented* as general maps into the total space, so a
 broken candidate (one that moves the base point) is expressible and the
@@ -16,8 +18,8 @@ instance also provides a canonical section (zero field, diagonal map),
 witnessing constructively that the section space is never empty.
 
 At module level only :mod:`dynsys.core` is imported; the continuous
-operations import the expression and ODE modules when they first run, so a
-discrete system's checks load neither.
+operations import the expression and ODE modules only for sample sets,
+canonical sections and errors, so a discrete system's checks load neither.
 """
 
 from __future__ import annotations
@@ -33,23 +35,33 @@ if TYPE_CHECKING:
 
 
 class TauInstance(Value):
-    """Operation table for one kind of system."""
+    """Operation table for one kind of system.
+
+    ``check_map(f, src, dst)`` raises on a map the check cannot run (a wrong
+    arity; a table that is not total or leaves the target carrier), and
+    ``check_image(dst, x, fx)`` on an image f(x) outside the target carrier.
+    ``witness`` words a failed morphism check, as ``witness(x, lhs, rhs)`` if
+    ``exact``, else as ``witness(residual, x)``.  Only numerical instances
+    have distances, in the carrier and in the total space.
+    """
 
     __match_args__ = (
-        "name", "exact", "apply_section", "project", "apply_map_carrier", "apply_map_total",
-        "carrier_distance", "total_distance", "default_points", "canonical_section",
+        "name", "exact", "apply_section", "apply_map_total", "check_map", "check_image",
+        "witness", "carrier_distance", "total_distance", "default_points", "canonical_section",
     )
 
-    def __init__(self, name: str, exact: bool, apply_section: Callable, project: Callable,
-                 apply_map_carrier: Callable, apply_map_total: Callable,
-                 carrier_distance: Callable, total_distance: Callable,
-                 default_points: Callable, canonical_section: Callable):
+    def __init__(self, name: str, exact: bool, apply_section: Callable,
+                 apply_map_total: Callable, check_map: Callable, check_image: Callable,
+                 witness: Callable, carrier_distance: Callable | None,
+                 total_distance: Callable | None, default_points: Callable,
+                 canonical_section: Callable):
         _setfield(self, "name", name)
         _setfield(self, "exact", exact)
         _setfield(self, "apply_section", apply_section)
-        _setfield(self, "project", project)
-        _setfield(self, "apply_map_carrier", apply_map_carrier)
         _setfield(self, "apply_map_total", apply_map_total)
+        _setfield(self, "check_map", check_map)
+        _setfield(self, "check_image", check_image)
+        _setfield(self, "witness", witness)
         _setfield(self, "carrier_distance", carrier_distance)
         _setfield(self, "total_distance", total_distance)
         _setfield(self, "default_points", default_points)
@@ -88,22 +100,30 @@ class TangentSection(Value):
 
 
 def _cont_apply_section(section: TangentSection, x):
-    from .expr import evaluate_vector
-
-    x = [float(v) for v in x]
-    base = x if section.base is None else evaluate_vector(section.base, x)
-    return (base, evaluate_vector(section.vector, x))
-
-
-def _cont_apply_map_carrier(f: SmoothMap, x):
-    return f([float(v) for v in x])
+    return (x if section.base is None else section.base(x), section.vector(x))
 
 
 def _cont_apply_map_total(f: SmoothMap, total):
-    from .expr import evaluate_vector
-
+    """(f(x), Jf(x) v), the Jacobian evaluated before f."""
     x, v = total
-    return (f(x), _matvec(evaluate_vector(f._jacobian, x), v))
+    jv = _matvec(f._jacobian(x), v)
+    return (f(x), jv)
+
+
+def _cont_check_map(f: SmoothMap, src: Domain, dst: Domain) -> None:
+    from .expr import ArityError
+
+    if f.source_dim != src.dimension:
+        raise ArityError(f"map expects {f.source_dim} inputs, system has {src.dimension}")
+    if f.target_dim != dst.dimension:
+        raise ArityError(f"map produces {f.target_dim} outputs, target has {dst.dimension}")
+
+
+def _cont_check_image(dst: Domain, x, fx) -> None:
+    if not dst.contains(fx):
+        from .expr import DomainError
+
+        raise DomainError(f"f({tuple(x)}) = {tuple(fx)} leaves the target domain")
 
 
 def _cont_total_distance(p, q) -> float:
@@ -127,9 +147,11 @@ CONTINUOUS = TauInstance(
     name="continuous",
     exact=False,
     apply_section=_cont_apply_section,
-    project=_project,
-    apply_map_carrier=_cont_apply_map_carrier,
     apply_map_total=_cont_apply_map_total,
+    check_map=_cont_check_map,
+    check_image=_cont_check_image,
+    witness=lambda residual, x: (f"worst defect {residual:.6g} "
+                                 f"at x={tuple(float(c) for c in x)}"),
     carrier_distance=_distance,
     total_distance=_cont_total_distance,
     default_points=_cont_default_points,
@@ -144,16 +166,18 @@ def _disc_apply_section(section: Mapping[str, tuple[str, str]], x: str):
     return tuple(section[x])
 
 
-def _disc_apply_map_carrier(alpha: Mapping[str, str], x: str) -> str:
-    return alpha[x]
-
-
 def _disc_apply_map_total(alpha: Mapping[str, str], total):
     return (alpha[total[0]], alpha[total[1]])
 
 
-def _disc_distance(a, b) -> float:
-    return 0.0 if a == b else 1.0
+def _disc_check_map(alpha: Mapping[str, str], src: Sequence[str], dst: Sequence[str]) -> None:
+    missing = [x for x in src if x not in alpha]
+    if missing:
+        raise ValueError(f"morphism table not total: missing {missing}")
+    targets = set(dst)
+    stray = [x for x in src if alpha[x] not in targets]
+    if stray:
+        raise ValueError(f"morphism table maps {stray} outside the target carrier")
 
 
 def _disc_default_points(carrier: Sequence[str], count: int = 0):
@@ -168,11 +192,13 @@ DISCRETE = TauInstance(
     name="discrete",
     exact=True,
     apply_section=_disc_apply_section,
-    project=_project,
-    apply_map_carrier=_disc_apply_map_carrier,
     apply_map_total=_disc_apply_map_total,
-    carrier_distance=_disc_distance,
-    total_distance=_disc_distance,
+    check_map=_disc_check_map,
+    check_image=lambda dst, x, fx: None,  # check_map has tested every image
+    witness=lambda x, lhs, rhs: (f"at {x!r}: Y(alpha({x!r}))={rhs[1]!r} "
+                                 f"but alpha(X({x!r}))={lhs[1]!r}"),
+    carrier_distance=None,
+    total_distance=None,
     default_points=_disc_default_points,
     canonical_section=_disc_canonical_section,
 )
@@ -187,6 +213,11 @@ def from_continuous(system: ContinuousSystem) -> TauSystem:
 def from_discrete(system: DiscreteSystem) -> TauSystem:
     section = {x: (x, system.endomap[x]) for x in system.carrier}
     return TauSystem(DISCRETE, system.carrier, section)
+
+
+def _view(system) -> TauSystem:
+    """The abstract view of a discrete or a continuous system."""
+    return from_discrete(system) if hasattr(system, "endomap") else from_continuous(system)
 
 
 # --- the two checks ----------------------------------------------------------
@@ -210,7 +241,7 @@ def check_section(sys: TauSystem, samples=None, tol: float = 1e-12) -> CheckRepo
     pts = list(samples) if samples is not None else list(inst.default_points(sys.carrier, 25))
     if samples is not None:
         _guard_samples(sys.carrier, pts, "section-law")
-    footings = ((x, inst.project(inst.apply_section(sys.section, x))) for x in pts)
+    footings = ((x, _project(inst.apply_section(sys.section, x))) for x in pts)
     if inst.exact:
         return CheckReport.tally(None if got == x else f"section moves {x!r} to footing {got!r}"
                                  for x, got in footings)
@@ -223,9 +254,11 @@ def check_tau_morphism(
 ) -> CheckReport:
     """Does the candidate map intertwine the sections?
 
-    The residual compares the section-then-map route against the
-    map-then-section route in the total space; for exact instances any
-    disagreement is a violation with the first witness reported.
+    The residual compares the section-then-map route, whose footing is
+    f(x), against the map-then-section route in the total space; for exact
+    instances any disagreement is a violation with the first witness
+    reported.  Per sample, the source section, the Jacobian, f, the target
+    test and the target section run in this order: the first to fail raises.
     """
     if isinstance(f, MorphismCandidate):
         f = f.mapping
@@ -234,23 +267,20 @@ def check_tau_morphism(
             f"cannot relate a {src.instance.name} system to a {dst.instance.name} one"
         )
     inst = src.instance
+    inst.check_map(f, src.carrier, dst.carrier)
     pts = list(samples) if samples is not None else list(inst.default_points(src.carrier, 200))
     if samples is not None:
         _guard_samples(src.carrier, pts, "morphism")
 
     def routes():  # both ways round the square, per sample
         for x in pts:
-            fx = inst.apply_map_carrier(f, x)
-            if hasattr(dst.carrier, "contains") and not dst.carrier.contains(fx):
-                from .expr import DomainError
-
-                raise DomainError(f"map sends {tuple(x)} to {tuple(fx)}, "
-                                  "outside the target carrier")
-            yield inst.apply_map_total(f, inst.apply_section(src.section, x)), \
-                inst.apply_section(dst.section, fx), x
+            lhs = inst.apply_map_total(f, inst.apply_section(src.section, x))
+            fx = _project(lhs)
+            inst.check_image(dst.carrier, x, fx)
+            yield lhs, inst.apply_section(dst.section, fx), x
 
     if inst.exact:
-        return CheckReport.tally(None if lhs == rhs else f"at {x!r}: {lhs!r} != {rhs!r}"
+        return CheckReport.tally(None if lhs == rhs else inst.witness(x, lhs, rhs)
                                  for lhs, rhs, x in routes())
     return CheckReport.worst(((inst.total_distance(lhs, rhs), x) for lhs, rhs, x in routes()),
-                             tol, witness=lambda residual, x: f"defect {residual:.6g} at {x}")
+                             tol, witness=inst.witness)

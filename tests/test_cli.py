@@ -239,6 +239,7 @@ def test_check_morphism_overflowing_defect_is_input_error(tmp_path):
      "continuous"),
     (["solve", "time", "--span", "1", "--c0", "a"], "--c0", "discrete"),
     (["solve", "time", "--span", "1", "--horizon", "3"], "--horizon", "discrete"),
+    (["laws", "osc", "--horizon", "3"], "--horizon", "discrete"),
 ])
 def test_option_of_the_other_kind_is_input_error(specs, capsys, argv, option, kind):
     assert cli.main([specs.get(a, a) for a in argv]) == 1
@@ -253,10 +254,69 @@ def test_laws_period_in_a_mixed_run_applies_to_the_continuous_spec(specs, capsys
     assert f"name={specs['osc']}:periodic-orbit verdict=pass" in capsys.readouterr().out
 
 
+def test_laws_horizon_in_a_mixed_run_applies_to_the_discrete_spec(specs, capsys):
+    argv = ["laws", specs["mod3"], specs["osc"], "--horizon", "3"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "config: atol=1e-12 horizon=3 " in out
+    assert f"name={specs['mod3']}:initiality[p] verdict=pass residual=0.0 samples=81 " in out
+
+
 def test_laws_zero_period_is_input_error(specs, capsys):
     # a zero period is not "no period": it is checked, and refused
     assert cli.main(["laws", specs["osc"], "--period", "0"]) == 1
     assert capsys.readouterr().err == "error: period must be positive\n"
+
+
+LOG_SPEC = "kind: continuous\ndimension: 1\nfield: log(x1)\n"
+SHIFT_MAP = "kind: map\ncomponent: x1 - 10\n"
+KINK_MAP = "kind: map\ncomponent: sqrt(x1^2) - 10\n"
+
+
+# the first default sample of the line is 0.0; where two things go wrong
+# there, the line names the first of: the source field, the Jacobian, f
+# leaving the target domain
+@pytest.mark.parametrize("src, dst, fmap, line", [
+    (TIME_SPEC, GROWTH_SPEC, SHIFT_MAP, "f((0.0,)) = (-10.0,) leaves the target domain"),
+    (LOG_SPEC, GROWTH_SPEC, SHIFT_MAP, "log of a non-positive number in log(x1)"),
+    (LOG_SPEC, TIME_SPEC, IDENT_MAP, "log of a non-positive number in log(x1)"),
+    (TIME_SPEC, GROWTH_SPEC, KINK_MAP, "division by zero in 2 * x1 / (2 * sqrt(x1^2))"),
+    (FUNNEL_SPEC, FUNNEL_SPEC, "kind: map\nentry: a -> a\n",
+     "morphism table not total: missing ['b']"),
+    (FUNNEL_SPEC, FUNNEL_SPEC, "kind: map\nentry: a -> z\nentry: b -> b\n",
+     "morphism table maps ['a'] outside the target carrier"),
+], ids=["leaves-target", "field-before-target", "field-undefined", "jacobian-before-target",
+        "table-not-total", "table-leaves-carrier"])
+def test_check_morphism_error_lines(tmp_path, capsys, src, dst, fmap, line):
+    paths = []
+    for name, content in (("src", src), ("dst", dst), ("map", fmap)):
+        paths.append(tmp_path / f"{name}.txt")
+        paths[-1].write_text(content)
+    assert cli.main(["check-morphism", *map(str, paths)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
+def _check_line(capsys, src: str, dst: str, fmap: str) -> str:
+    cli.main(["check-morphism", src, dst, fmap])
+    return next(row for row in capsys.readouterr().out.splitlines() if row.startswith("check: "))
+
+
+@pytest.mark.parametrize("plain, fixture, fmap", [
+    (FUNNEL_SPEC, BROKEN_SPEC, "kind: map\nentry: a -> a\nentry: b -> b\n"),
+    (FUNNEL_SPEC, BROKEN_SPEC, "kind: map\nentry: a -> b\nentry: b -> a\n"),
+    (GROWTH_SPEC, GROWTH_SPEC + "section-base: x1 + 1\n", IDENT_MAP),
+    (TIME_SPEC, TIME_SPEC + "section-base: 2*x1\n", "kind: map\ncomponent: 3*x1\n"),
+], ids=["dt-pass", "dt-fail", "f-relatedness-pass", "f-relatedness-fail"])
+def test_section_fixtures_do_not_reach_morphism_checks(tmp_path, capsys, plain, fixture, fmap):
+    # a section: or section-base: fixture is read by the section law only
+    paths = {}
+    for name, content in (("plain", plain), ("fixture", fixture), ("map", fmap)):
+        paths[name] = str(tmp_path / f"{name}.txt")
+        Path(paths[name]).write_text(content)
+    expected = _check_line(capsys, paths["plain"], paths["plain"], paths["map"])
+    assert _check_line(capsys, paths["fixture"], paths["fixture"], paths["map"]) == expected
 
 
 def test_check_morphism_with_preservation(specs):

@@ -170,6 +170,19 @@ def test_composition_closure_hand_chain_rule():
     assert rep.passed
 
 
+def test_composition_closure_refuses_samples_outside_the_carrier():
+    half = C.ContinuousSystem(C.Domain(((0.0, math.inf),)), E.parse_vector(["x1"], 1))
+    ident = C.identity_smooth_map(1)
+    with pytest.raises(ValueError, match=r"morphism sample \(-1.0,\) outside the carrier"):
+        core.check_composition_closure(ident, ident, half, half, half, samples=[(-1.0,)])
+    funnel = discrete.DiscreteSystem(("a", "b"), {"a": "b", "b": "b"})
+    table = {"a": "a", "b": "b"}
+    with pytest.raises(ValueError, match="morphism sample 'z' not in the carrier"):
+        core.check_composition_closure(table, table, funnel, funnel, funnel, samples=["z"])
+    rep = core.check_composition_closure(table, table, funnel, funnel, funnel, samples=["b"])
+    assert rep.passed and rep.samples == 1
+
+
 def test_composition_closure_discrete_exhaustive():
     import itertools
 

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from batteries import continuous_battery, discrete_battery, line, oscillator
+from reference_checks import reference_dt_morphism, reference_f_relatedness
 from dynsys import continuous as C
 from dynsys import discrete as D
 from dynsys import expr as E
@@ -89,24 +92,40 @@ def test_kind_mismatch_rejected():
         )
 
 
+# reports compare field by field: verdict, residual (==), samples, witness, note
+
+
 def test_tau_agrees_with_concrete_continuous_checker():
     for f, x_sys, y_sys in continuous_battery():
-        samples = C.default_samples(x_sys.domain, 60)
-        concrete = C.check_f_relatedness(f, x_sys, y_sys, samples=samples)
-        abstract = tau.check_tau_morphism(
-            f, tau.from_continuous(x_sys), tau.from_continuous(y_sys), samples=samples
-        )
-        assert abstract.passed == concrete.passed
-        assert abstract.residual == pytest.approx(concrete.residual, abs=1e-12)
+        for samples in (None, C.default_samples(x_sys.domain, 60)):
+            want = reference_f_relatedness(f, x_sys, y_sys, samples=samples)
+            assert tau.check_tau_morphism(
+                f, tau.from_continuous(x_sys), tau.from_continuous(y_sys), samples=samples) == want
+            assert C.check_f_relatedness(f, x_sys, y_sys, samples=samples) == want
 
 
 def test_tau_agrees_with_concrete_discrete_checker():
     for alpha, src, dst in discrete_battery():
-        concrete = D.check_dt_morphism(alpha, src, dst)
-        abstract = tau.check_tau_morphism(
-            alpha, tau.from_discrete(src), tau.from_discrete(dst)
-        )
-        assert abstract.passed == concrete.passed, (alpha, src, dst)
+        want = reference_dt_morphism(alpha, src, dst)
+        assert tau.check_tau_morphism(alpha, tau.from_discrete(src), tau.from_discrete(dst)) == want
+        assert D.check_dt_morphism(alpha, src, dst) == want
+
+
+def test_discrete_table_must_be_total_and_stay_in_the_target():
+    sys = tau.from_discrete(funnel())
+    with pytest.raises(ValueError, match=re.escape("morphism table not total: missing ['b']")):
+        tau.check_tau_morphism({"a": "a"}, sys, sys)
+    with pytest.raises(ValueError, match=re.escape(
+            "morphism table maps ['a'] outside the target carrier")):
+        tau.check_tau_morphism({"a": "z", "b": "b"}, sys, sys)
+
+
+def test_continuous_map_of_the_wrong_arity_is_refused():
+    line_sys, osc = tau.from_continuous(line("1")), tau.from_continuous(oscillator())
+    with pytest.raises(E.ArityError, match="map expects 2 inputs, system has 1"):
+        tau.check_tau_morphism(C.identity_smooth_map(2), line_sys, osc)
+    with pytest.raises(E.ArityError, match="map produces 1 outputs, target has 2"):
+        tau.check_tau_morphism(C.identity_smooth_map(1), line_sys, osc)
 
 
 def test_section_law_for_every_generated_system():

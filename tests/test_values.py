@@ -44,7 +44,7 @@ PMAP_TEXT = (
     "codomain=OpenSet1D(intervals=((-inf, inf),)), pipeline=())"
 )
 TRAJ = C.integrate(C.time_system(), [0.0], 1.0)
-OPS = (_fn,) * 8
+OPS = (_fn,) * 9
 TSYS = tau.TauSystem(tau.DISCRETE, ("a", "b"), {"a": ("a", "b"), "b": ("b", "b")})
 
 
