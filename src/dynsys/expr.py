@@ -25,9 +25,11 @@ Scalar evaluation (:func:`evaluate`, :func:`evaluate_vector`) compiles each
 expression once, lazily on its first evaluation, to straight-line Python and
 caches the function on the ``Expr`` or ``VectorExpr`` instance; a vector
 expression compiles all its components into one function that computes
-each shared subexpression once.  The compiled code makes the same IEEE
-operations in the same order, and the same domain checks, as a recursive
-walk of the tree would.
+each shared subexpression once.  Constants are names in the function's
+namespace, so expressions of one shape (``log(x1 - 2)`` and
+``log(x1 - 3)``) share one code object, compiled once.  The compiled code
+makes the same IEEE operations in the same order, and the same domain
+checks, as a recursive walk of the tree would.
 
 The batched :func:`evaluate_many` stays an uncompiled numpy walk with no
 domain checks: the germ code calls it on many expressions (derivatives and
@@ -41,7 +43,7 @@ import math
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .core import ExprError, Value, _setfield
@@ -343,9 +345,7 @@ class VectorExpr(Value):
     def _compiled(self):
         return _compile([c.root for c in self.components], vector=True)
 
-    def __call__(self, point: Sequence[float], t: float = 0.0) -> list[float]:
-        """Every component at the point, as :func:`evaluate_vector` gives them."""
-        return evaluate_vector(self, point, t)
+    # ``f(point, t)`` is :func:`evaluate_vector` itself, set below it
 
 
 # --- parsing --------------------------------------------------------------
@@ -548,8 +548,8 @@ def to_string(e: Expr) -> str:
 # (one node each) are computed once, in the order a left-to-right walk
 # of the tree computes them (a quotient's denominator first), each followed
 # by the domain check of its operation.  The function is cached on the
-# instance.  A culprit's text is formatted from its node only when the
-# error's message is read.
+# instance, its code object on the generated source.  A culprit's text is
+# formatted from its node only when the error's message is read.
 
 
 def _fail(message: str, node: Node) -> DomainError:
@@ -657,6 +657,13 @@ class _Emitter:
         return v
 
 
+@lru_cache(maxsize=256)
+def _code(src: str):
+    """The code object of one generated source.  Constants and culprits live
+    in each function's namespace, so expressions of one shape share it."""
+    return compile(src, "<dynsys.expr>", "exec")
+
+
 def _compile(roots: Sequence[Node], vector: bool):
     """One function ``(point, t)`` computing every root: a list if ``vector``."""
     em = _Emitter()
@@ -664,7 +671,7 @@ def _compile(roots: Sequence[Node], vector: bool):
     ret = f"[{', '.join(results)}]" if vector else results[0]
     src = "def compiled(point, t):\n" + "".join(f"    {line}\n" for line in em.lines + [f"return {ret}"])
     namespace = {**_RUNTIME, **em.namespace, "nodes": tuple(em.culprits)}
-    exec(compile(src, "<dynsys.expr>", "exec"), namespace)
+    exec(_code(src), namespace)
     return namespace["compiled"]
 
 
@@ -684,6 +691,9 @@ def evaluate_vector(f: VectorExpr, point: Sequence[float], t: float = 0.0) -> li
     if len(point) != f.arity:
         raise ArityError(f"point has {len(point)} coordinates, expected {f.arity}")
     return f._compiled(point, float(t))
+
+
+VectorExpr.__call__ = evaluate_vector
 
 
 def _eval_np(np, order: list[Node], pts: np.ndarray, t) -> np.ndarray:

@@ -23,6 +23,8 @@ from .core import CheckReport, NonMonotoneError, Value, _setfield
 
 _CLIP = 1e8  # infinite interval ends are explored up to here
 _GRID = 513  # derivative sign samples per domain component
+_SANITY = np.linspace(0.1, 0.9, 7)  # where a partial map is probed, as fractions of a window
+_MONOTONE = np.linspace(0.02, 0.98, 65)  # where a piece is probed, as fractions of its width
 
 
 class OpenSet1D(Value):
@@ -118,15 +120,16 @@ class PartialMap(Value):
         _setfield(self, "pipeline", pipeline)
         if self.map.arity != 1:
             raise E.ArityError("partial maps are 1-D: expression must have arity 1")
-        for lo, hi in self.domain.intervals:
-            # sanity probes live in a modest window: a map may legitimately
-            # escape to infinity toward an unbounded end
-            blo, bhi = max(lo, -20.0), min(hi, 20.0)
-            if blo >= bhi:
-                continue
-            width = bhi - blo
-            probes = blo + width * np.linspace(0.1, 0.9, 7)
-            vals = E.evaluate_many(self.map, probes)
+        # sanity probes live in a modest window: a map may legitimately
+        # escape to infinity toward an unbounded end
+        windows = [(lo, hi, max(lo, -20.0), min(hi, 20.0)) for lo, hi in self.domain.intervals]
+        windows = [w for w in windows if w[2] < w[3]]
+        if not windows:
+            return
+        grid = np.array([blo + (bhi - blo) * _SANITY for _, _, blo, bhi in windows])
+        values = E.evaluate_many(self.map, grid.ravel()).reshape(grid.shape)
+        # one evaluation for every component, checked in domain order
+        for (lo, hi, _, _), probes, vals in zip(windows, grid, values):
             if np.any(np.isnan(vals)):
                 raise ValueError(f"map {self.map} is undefined inside ({lo}, {hi})")
             # overflow to +-inf of a mathematically finite value is tolerated
@@ -170,7 +173,7 @@ class Germ(Value):
 def _scalar(m: E.Expr, x: float) -> float:
     """Scalar evaluation that degrades to +-inf instead of raising."""
     try:
-        return E.evaluate(m, [x])
+        return m._compiled((x,), 0.0)
     except E.DomainError:
         return float(E.evaluate_many(m, np.array([x]))[0])
 
@@ -183,6 +186,16 @@ def _limit_value(m: E.Expr, x: float, inward: float, width: float) -> float:
         if not math.isnan(v):
             return v
     raise NonMonotoneError(f"cannot evaluate {m} near {x}")
+
+
+def _sign_brackets(dvals: np.ndarray) -> list[tuple[int, int, bool]]:
+    """Where the sampled derivative changes sign: ``(i, j, rising)`` for each
+    two consecutive finite nonzero samples i < j of opposite signs, rising
+    if the one at j is positive.  A sample exactly 0 is not a crossing."""
+    idx = np.flatnonzero(np.isfinite(dvals) & (dvals != 0.0))
+    positive = dvals[idx] > 0.0
+    flips = np.flatnonzero(positive[1:] != positive[:-1])
+    return list(zip(idx[flips].tolist(), idx[flips + 1].tolist(), positive[flips + 1].tolist()))
 
 
 @lru_cache(maxsize=512)
@@ -210,27 +223,26 @@ def _monotone_pieces(pm: PartialMap) -> tuple[tuple[float, float, float, float, 
             v = _limit_value(m, 0.5 * (blo + bhi), 0.0, width)
             pieces.append((lo, hi, v, v, 0))
             continue
-        crossings = []
-        prev_idx, prev_sign = None, 0
-        for i in np.where(valid)[0]:
-            v = dvals[i]
-            sign = 1 if v > 0.0 else (-1 if v < 0.0 else 0)
-            if sign == 0:
-                continue  # a sample exactly on a critical point is not a crossing
-            if prev_sign != 0 and sign != prev_sign:
-                crossings.append(_bisect(
-                    lambda x: (_scalar(dm, x) > 0.0) == (sign > 0),
-                    float(grid[prev_idx]), float(grid[i]),
-                ))
-            prev_idx, prev_sign = i, sign
+        xs = grid.tolist()
+        crossings = [
+            _bisect(lambda x, rising=rising: (_scalar(dm, x) > 0.0) == rising, xs[i], xs[j])
+            for i, j, rising in _sign_brackets(dvals)
+        ]
         cuts = [lo] + crossings + [hi]
-        for p_lo, p_hi in zip(cuts, cuts[1:]):
-            c_lo, c_hi = max(p_lo, -_CLIP), min(p_hi, _CLIP)
+        spans = [(p_lo, p_hi, max(p_lo, -_CLIP), min(p_hi, _CLIP)) for p_lo, p_hi in zip(cuts, cuts[1:])]
+        # one row per piece: the two ends as _limit_value tries them first,
+        # x + inward*0.0*w (so a -0.0 lower end reads +0.0), then the probes
+        rows = np.empty((len(spans), 2 + _MONOTONE.size))
+        for row, (_, _, c_lo, c_hi) in zip(rows, spans):
             w = c_hi - c_lo
-            v_lo = _limit_value(m, c_lo, +1.0, w)
-            v_hi = _limit_value(m, c_hi, -1.0, w)
-            probes = c_lo + w * np.linspace(0.02, 0.98, 65)
-            vals = E.evaluate_many(m, probes)
+            row[0], row[1] = c_lo + 0.0 * w, c_hi - 0.0 * w
+            row[2:] = c_lo + w * _MONOTONE
+        values = E.evaluate_many(m, rows.ravel()).reshape(rows.shape)
+        for (p_lo, p_hi, c_lo, c_hi), row in zip(spans, values):
+            w = c_hi - c_lo
+            v_lo = float(row[0]) if not math.isnan(row[0]) else _limit_value(m, c_lo, +1.0, w)
+            v_hi = float(row[1]) if not math.isnan(row[1]) else _limit_value(m, c_hi, -1.0, w)
+            vals = row[2:]
             diffs = np.diff(vals[np.isfinite(vals)])
             if np.all(diffs >= 0.0) and v_lo <= v_hi:
                 direction = 1
@@ -247,10 +259,17 @@ def _monotone_pieces(pm: PartialMap) -> tuple[tuple[float, float, float, float, 
 
 def _solve_crossing(m: E.Expr, lo: float, hi: float, y: float, increasing: bool) -> float:
     """x in (lo, hi) where the monotone map crosses level y (bisection)."""
+    compiled = m._compiled
+
+    def flipped(x: float) -> bool:
+        try:
+            v = compiled((x,), 0.0)
+        except E.DomainError:
+            v = float(E.evaluate_many(m, np.array([x]))[0])
+        return (v >= y) == increasing
+
     # the predicate flips exactly once on a monotone piece
-    return _bisect(
-        lambda x: (_scalar(m, x) >= y) == increasing, max(lo, -_CLIP), min(hi, _CLIP)
-    )
+    return _bisect(flipped, max(lo, -_CLIP), min(hi, _CLIP))
 
 
 def _piece_preimage(m: E.Expr, piece, target: tuple[float, float]):

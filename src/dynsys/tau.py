@@ -272,15 +272,17 @@ def check_tau_morphism(
     if samples is not None:
         _guard_samples(src.carrier, pts, "morphism")
 
-    def routes():  # both ways round the square, per sample
+    def gaps():  # both ways round the square, per sample
         for x in pts:
             lhs = inst.apply_map_total(f, inst.apply_section(src.section, x))
             fx = _project(lhs)
             inst.check_image(dst.carrier, x, fx)
-            yield lhs, inst.apply_section(dst.section, fx), x
+            rhs = inst.apply_section(dst.section, fx)
+            if inst.exact:
+                yield None if lhs == rhs else inst.witness(x, lhs, rhs)
+            else:
+                yield inst.total_distance(lhs, rhs), x
 
     if inst.exact:
-        return CheckReport.tally(None if lhs == rhs else inst.witness(x, lhs, rhs)
-                                 for lhs, rhs, x in routes())
-    return CheckReport.worst(((inst.total_distance(lhs, rhs), x) for lhs, rhs, x in routes()),
-                             tol, witness=inst.witness)
+        return CheckReport.tally(gaps())
+    return CheckReport.worst(gaps(), tol, witness=inst.witness)

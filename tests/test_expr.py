@@ -266,6 +266,26 @@ def test_compiled_jacobian_shares_subexpressions_exactly():
         assert got == _outcome(_reference_vector, [e.root for e in entries], point, 0.3)
 
 
+def test_expressions_of_one_shape_share_code_but_not_constants_or_culprits():
+    two, three = E.parse("log(x1 - 2)", 1), E.parse("log(x1 - 3)", 1)
+    assert two._compiled.__code__ is three._compiled.__code__
+    assert two._compiled is not three._compiled
+    assert E.evaluate(two, [5.0]) == math.log(3.0)
+    assert E.evaluate(three, [5.0]) == math.log(2.0)
+    with pytest.raises(E.DomainError) as low:
+        E.evaluate(two, [1.0])
+    with pytest.raises(E.DomainError) as high:
+        E.evaluate(three, [2.5])
+    assert str(low.value) == "log of a non-positive number in log(x1 - 2)"
+    assert str(high.value) == "log of a non-positive number in log(x1 - 3)"
+    # the vector form keys its code on the same source text
+    pair = E.parse_vector(["x1 - 2", "x1 / 2"], 1)
+    other = E.parse_vector(["x1 - 7", "x1 / 7"], 1)
+    assert pair._compiled.__code__ is other._compiled.__code__
+    assert E.evaluate_vector(pair, [1.0]) == [-1.0, 0.5]
+    assert E.evaluate_vector(other, [1.0]) == [-6.0, 1 / 7]
+
+
 def test_evaluate_many_matches_scalar():
     e = E.parse("sin(x1)*x2 + t", 2)
     pts = np.array([[0.3, 1.0], [1.1, -2.0], [2.0, 0.5]])

@@ -9,6 +9,7 @@ from dynsys import continuous as C
 from dynsys import expr as E
 from dynsys import germ as G
 from germgen import membership_equivalence_violations, random_monotone_piece_map
+from reference_germ import reference_sign_brackets
 
 
 # --- open sets ---------------------------------------------------------------
@@ -151,6 +152,104 @@ def test_non_monotone_rejected():
     g = G.partial_map("x1", G.open_set((0.0, 0.5)))
     with pytest.raises(G.NonMonotoneError):
         G.compose_partial(f, g)
+
+
+# Domains of germgen composites from seed 1207 (20 pairs, then 2 triples), as
+# the per-sample sign loop of reference_germ.py and one evaluation per probe
+# computed them.  The seed was picked so that both triples are nonempty.
+GOLDEN_PAIRS = [
+    ((-7.544662427873972, -6.96646981249332),),
+    ((-math.inf, -6.821209248079122), (0.4834011262935818, 0.7769313604014981),
+     (2.45261905702143, 2.8490723781034957)),
+    ((-4.659909864398495, -3.6228254572218983), (-3.0349863907821746, -1.0838813583734555),
+     (3.308636741117088, 5.889945017674958)),
+    ((-1.583910574632956, -0.4375581591836308), (-0.4375581591836308, -0.1208011889772832)),
+    ((-5.2532465296586, -2.069408971906228), (-1.6481544435035003, 2.9855997581992746),
+     (3.628771773083691, 3.808516689200119)),
+    ((-9.163672457070453, -8.210789275414184),),
+    ((-math.inf, -1.9605501304764918), (2.687570498444322, 2.892689328104733)),
+    ((-2.1583014844224384, 4.91514249442355),),
+    ((-7.260374804648203, -0.7757662232352673), (-0.6715641095677195, -0.5765983177193863),
+     (0.9037827879288909, 1.8046825287129031), (1.8046825287129031, 2.705582269496915),
+     (4.185963375145192, 4.280929166993526), (4.385131280661073, math.inf)),
+    ((-0.4077708914627236, -0.339758842150174), (3.8403649503183432, 3.908376999630893)),
+    (),
+    ((-1.516644241601642, -1.4938534374656114), (-0.3199979713612382, 0.1839434408825306),
+     (3.580927871006129, 4.436595504818625)),
+    ((-7.1116438118536145, -4.615364477165756), (-3.3251254466139626, -1.025242365047137),
+     (0.5239159148896356, 1.3167122129901152), (1.995639890334429, 7.002396765543077)),
+    ((-4.7737737590443965, -3.542377468121656), (-3.1543227716496003, -1.9854211084039912),
+     (-1.2137480726621328, 0.5434497595913973), (3.214370143755189, 3.6740205668711665)),
+    ((1.1735137819732013, 1.7985296987842971), (2.4746601087934317, 2.532141150589924),
+     (5.346407468433197, 7.1968363533712045)),
+    ((-math.inf, -4.279135737297153), (0.1847868762536328, 11.089956428043129)),
+    ((-2.9238367017211497, -1.7167451044197977), (-0.9942993425676248, 1.4949432875061877),
+     (1.5444114713909827, 5.473216091470387)),
+    ((-0.5823909041919073, -0.30718087660831184),),
+    ((-2.3633981812385825, 1.9856399576907986),),
+    ((-math.inf, 0.8527949122969974),),
+]
+GOLDEN_TRIPLES = [
+    ((0.47208770380166715, 1.0431629401828697), (1.0431629401828697, 1.6142381765640725)),
+    ((-5.032614603264759, -1.8778398156356182), (-1.8778398156356182, 1.2769349719935223)),
+]
+
+
+def test_golden_composite_domains():
+    rng = np.random.default_rng(1207)
+    for expected in GOLDEN_PAIRS:
+        f, g = random_monotone_piece_map(rng), random_monotone_piece_map(rng)
+        assert repr(G.compose_partial(f, g).domain.intervals) == repr(expected)
+    for expected in GOLDEN_TRIPLES:
+        f, g, h = (random_monotone_piece_map(rng) for _ in range(3))
+        left = G.compose_partial(G.compose_partial(f, g), h)
+        right = G.compose_partial(f, G.compose_partial(g, h))
+        assert repr(left.domain.intervals) == repr(right.domain.intervals) == repr(expected)
+
+
+# derivative samples as runs of one value, so that runs of exact zeros (and of
+# nan or +-inf) of any length occur, an all-zero array among them
+_sample = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_derivative = st.lists(st.tuples(_sample, st.integers(1, 40)), max_size=30).map(
+    lambda runs: np.array([v for v, n in runs for _ in range(n)], dtype=float))
+
+
+@hypothesis.given(_derivative)
+@hypothesis.example(np.zeros(513))
+@hypothesis.example(np.array([1.0, math.nan, 0.0, -math.inf, -2.0, 0.0, 0.0, 3.0, math.inf, -1e-300]))
+def test_sign_scan_matches_the_sample_loop(dvals):
+    assert G._sign_brackets(dvals) == reference_sign_brackets(dvals)
+
+
+def test_sanity_probes_report_components_in_domain_order():
+    halves, below = G.open_set((-5.0, -1.0), (1.0, 5.0)), G.open_set((-math.inf, 0.5))
+    # undefined on the first component, outside the codomain on the second
+    with pytest.raises(ValueError) as first:
+        G.partial_map("log(x1)", halves, below)
+    assert str(first.value) == "map log(x1) is undefined inside (-5.0, -1.0)"
+    # and the other way round
+    with pytest.raises(ValueError) as first:
+        G.partial_map("log(-x1)", halves, below)
+    assert str(first.value) == ("map log(-x1) sends -4.6 to 1.5260563034950492, "
+                                "outside the declared codomain (-inf,0.5)")
+
+
+@pytest.mark.parametrize("src, domain, pieces", [
+    # nan at the lower end, 0*log(0): nudged inward
+    ("x1*log(x1)", (0.0, 2.0),
+     ((0.0, 0.3678794411714424, -1.0532764048295561e-11, -0.36787944117144233, -1),
+      (0.3678794411714424, 2.0, -0.36787944117144233, 1.3862943611198906, 1))),
+    # nan at the upper end
+    ("(2 - x1)*log(2 - x1)", (0.0, 2.0),
+     ((0.0, 1.6321205588285579, 1.3862943611198906, -0.36787944117144233, -1),
+      (1.6321205588285579, 2.0, -0.36787944117144233, -1.0534103298296696e-11, 1))),
+    ("sin(x1)/x1", (0.0, 3.0), ((0.0, 3.0, 1.0, 0.0470400026866224, -1),)),
+    # the end -0.0 is evaluated as -0.0 + 0.0 = +0.0: 1/x1 is +inf there
+    ("1/x1", (-0.0, 1.0), ((-0.0, 1.0, math.inf, 1.0, -1),)),
+])
+def test_piece_end_values(src, domain, pieces):
+    assert repr(G._monotone_pieces(G.partial_map(src, G.open_set(domain)))) == repr(pieces)
 
 
 # --- germ equality -------------------------------------------------------------
