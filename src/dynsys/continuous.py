@@ -43,6 +43,8 @@ DEFAULT_ESCAPE = 1e8
 EXIT_BISECT_TOL = 1e-9
 
 _SAMPLE_CLIP = 5.0  # unbounded domains are sampled inside [-clip, clip]
+_EQUILIBRIUM_GRID = 21  # points per axis of the scan that seeds the equilibrium search
+_PRESERVATION_GRID = 201  # times at which solution preservation compares the two curves
 
 
 class EarlyTerminationError(RuntimeError):
@@ -640,7 +642,6 @@ def check_solution_preservation(
     tol: float = 1e-5,
     rtol: float = 1e-9,
     atol: float = 1e-12,
-    grid: int = 201,
 ) -> CheckReport:
     """Push the solution through f and compare with the solution started at
     f(x0): by uniqueness they must be the same curve.
@@ -653,7 +654,8 @@ def check_solution_preservation(
     traj_y = integrate(y_sys, y0, span, rtol=rtol, atol=atol)
     return _compare_on_common_span(
         traj_x, traj_y, span, lambda t: _distance(f(traj_x._sample(t), t=t), traj_y._sample(t)),
-        tol, grid, witness=lambda residual, t: f"max deviation {residual:.6g} at t={t}",
+        tol, _PRESERVATION_GRID,
+        witness=lambda residual, t: f"max deviation {residual:.6g} at t={t}",
     )
 
 
@@ -679,7 +681,6 @@ def _compare_on_common_span(a: Trajectory, b: Trajectory, span: float, gap, tol:
 def find_equilibria(
     sys: ContinuousSystem,
     box: Sequence[tuple[float, float]] | None = None,
-    resolution: int = 21,
     tol: float = 1e-9,
 ) -> list[tuple[float, ...]]:
     """Zeros of the field inside the search box and the domain.
@@ -693,7 +694,8 @@ def find_equilibria(
     n = sys.dimension
     if box is None:
         box = [(max(lo, -_SAMPLE_CLIP), min(hi, _SAMPLE_CLIP)) for lo, hi in sys.domain.bounds]
-    axes = [_linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), resolution) for lo, hi in box]
+    axes = [_linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), _EQUILIBRIUM_GRID)
+            for lo, hi in box]
     field = sys.field._compiled  # every component in one call, as in integrate
     norms = []  # over the grid in row-major order, inf where the field is undefined
     for x in itertools.product(*axes):
@@ -703,15 +705,15 @@ def find_equilibria(
             norms.append(math.inf)
 
     # seeds: the grid's local minima of |X| along every axis
-    strides = [resolution ** (n - 1 - a) for a in range(n)]
+    strides = [_EQUILIBRIUM_GRID ** (n - 1 - a) for a in range(n)]
     seeds = []
-    for flat, idx in enumerate(itertools.product(range(resolution), repeat=n)):
+    for flat, idx in enumerate(itertools.product(range(_EQUILIBRIUM_GRID), repeat=n)):
         val = norms[flat]
         if not math.isfinite(val):
             continue
         for i, stride in zip(idx, strides):
             if (i > 0 and norms[flat - stride] < val) or \
-                    (i < resolution - 1 and norms[flat + stride] < val):
+                    (i < _EQUILIBRIUM_GRID - 1 and norms[flat + stride] < val):
                 break
         else:
             seeds.append([axis[i] for axis, i in zip(axes, idx)])

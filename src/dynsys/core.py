@@ -259,12 +259,13 @@ def check_composition_closure(
 ) -> CheckReport:
     """Given f relating (X, Y) and g relating (Y, Z), verify that the composite
     relates (X, Z) at the samples; the chain rule says it must."""
-    from .tau import _view, check_tau_morphism
+    from .tau import check_tau_morphism, from_continuous, from_discrete
 
     gf = compose_morphisms(
         MorphismCandidate(f, x_sys, y_sys), MorphismCandidate(g, y_sys, z_sys)
     )
-    return check_tau_morphism(gf, _view(x_sys), _view(z_sys), samples=samples, tol=tol)
+    view = from_discrete if isinstance(gf.mapping, Mapping) else from_continuous
+    return check_tau_morphism(gf, view(x_sys), view(z_sys), samples=samples, tol=tol)
 
 
 def enumerate_pointed_morphisms(
@@ -327,6 +328,9 @@ def verify_initiality_discrete(
     return CheckReport(count == 1, float(abs(count - 1)), total, witness)
 
 
+_INITIALITY_GRID = 101  # times at which continuous initiality compares the two runs
+
+
 def verify_initiality_continuous(
     sys,
     x0,
@@ -334,7 +338,6 @@ def verify_initiality_continuous(
     rtol: float = 1e-9,
     atol: float = 1e-12,
     tol: float = 1e-6,
-    grid: int = 101,
 ) -> CheckReport:
     """Numerical corroboration of existence and uniqueness of solutions.
 
@@ -348,8 +351,8 @@ def verify_initiality_continuous(
     coarse = integrate(sys, x0, span, rtol=rtol, atol=atol)
     fine = integrate(sys, x0, span, rtol=rtol / 100.0, atol=atol / 100.0)
     return _compare_on_common_span(
-        coarse, fine, span, lambda t: _distance(coarse._sample(t), fine._sample(t)), tol, grid,
-        witness=lambda residual, t: f"max deviation {residual:.3e}",
+        coarse, fine, span, lambda t: _distance(coarse._sample(t), fine._sample(t)), tol,
+        _INITIALITY_GRID, witness=lambda residual, t: f"max deviation {residual:.3e}",
     )
 
 

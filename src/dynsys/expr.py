@@ -552,28 +552,24 @@ def to_string(e: Expr) -> str:
 # formatted from its node only when the error's message is read.
 
 
-def _fail(message: str, node: Node) -> DomainError:
-    return DomainError(message, node)
-
-
 def _pow_value(b: float, x: float, node: Node) -> float:
     # a negative base needs an integer-valued exponent
     if b < 0.0 and not float(x).is_integer():
-        raise _fail("negative base with non-integer exponent", node)
+        raise DomainError("negative base with non-integer exponent", node)
     if b == 0.0 and x < 0:
-        raise _fail("zero base with negative exponent", node)
+        raise DomainError("zero base with negative exponent", node)
     try:
         v = b ** x
     except OverflowError:
-        raise _fail("overflow", node) from None
+        raise DomainError("overflow", node) from None
     if not math.isfinite(v):
-        raise _fail("non-finite result", node)
+        raise DomainError("non-finite result", node)
     return v
 
 
 # names the compiled code refers to, besides ``nodes`` and constants
 _RUNTIME = {
-    "isfinite": math.isfinite, "_fail": _fail, "_pow_value": _pow_value,
+    "isfinite": math.isfinite, "DomainError": DomainError, "_pow_value": _pow_value,
     **{f: getattr(math, f) for f in FUNCTIONS},
 }
 _BINARY_OPS = {cls: op for op, cls in _BINARY.items()}
@@ -599,7 +595,7 @@ class _Emitter:
         return f"nodes[{len(self.culprits) - 1}]"
 
     def _raise(self, message: str, node: Node) -> str:
-        return f"raise _fail({message!r}, {self._culprit(node)})"
+        return f"raise DomainError({message!r}, {self._culprit(node)})"
 
     def operand(self, root: Node) -> str:
         """Emit the code that computes ``root``; return the name holding it."""

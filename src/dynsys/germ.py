@@ -13,7 +13,7 @@ two association orders of a triple produce bitwise-identical interval sets.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,9 +54,14 @@ class OpenSet1D(Value):
     def contains(self, x: float) -> bool:
         return any(lo < x < hi for lo, hi in self.intervals)
 
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        """The interval ends in order, built once for :meth:`contains_array`."""
+        return np.array([v for iv in self.intervals for v in iv])
+
     def contains_array(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        flat = np.array([v for iv in self.intervals for v in iv])
+        flat = self._ends
         if flat.size == 0:
             return np.zeros(xs.shape, dtype=bool)
         left = np.searchsorted(flat, xs, side="left")

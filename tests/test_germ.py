@@ -110,6 +110,24 @@ def test_square_preimage_two_components():
     assert np.array_equal(inside[keep], oracle[keep])
 
 
+# a constant map has one piece, of direction 0: its preimage is all of the
+# domain or nothing, by whether the constant lies inside the target
+
+
+def test_preimage_through_a_constant_map():
+    two = G.partial_map("2", G.open_set((-1.0, 5.0)))
+    log = G.partial_map("log(x1)", G.open_set((0.0, math.inf)))
+    assert G.compose_partial(two, log).domain.intervals == ((-1.0, 5.0),)
+    log_beyond = G.partial_map("log(x1)", G.open_set((3.0, math.inf)))
+    assert G.compose_partial(two, log_beyond).domain.is_empty
+
+
+def test_preimage_misses_a_constant_on_the_target_end():
+    seven = G.partial_map("x1 - x1 + 7")
+    assert G.preimage(seven, G.open_set((7.0, 8.0))).is_empty
+    assert G.preimage(seven, G.open_set((6.0, 8.0))) == G.FULL_LINE
+
+
 def test_pipeline_survives_composition():
     f = G.partial_map("x1 + 1")
     g = G.partial_map("x1^2")

@@ -317,3 +317,19 @@ def test_no_expression_function_recurses():
                 reached.add(callee)
                 todo.extend(calls[callee])
         assert name not in reached, f"{name} calls itself"
+
+
+def test_traced_functions_still_exist():
+    # perfbench's tracer wraps these functions by name, so renaming one breaks
+    # a traced benchmark run; the list is read from the source, not imported
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign) and len(node.targets) == 1
+                   and getattr(node.targets[0], "id", None) == "TARGETS")
+    assert targets
+    for label, modname, attr in targets:
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), f"{label}: {modname}.{attr} is gone"

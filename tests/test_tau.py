@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -90,6 +92,31 @@ def test_kind_mismatch_rejected():
         tau.check_tau_morphism(
             C.identity_smooth_map(1), tau.from_continuous(line("1")), tau.from_discrete(funnel())
         )
+
+
+# --- each kind is one instance, which copies and pickles as itself -------------
+
+
+@pytest.mark.parametrize("inst", [tau.CONTINUOUS, tau.DISCRETE], ids=lambda inst: inst.name)
+def test_instances_copy_and_pickle_as_themselves(inst):
+    for clone in (copy.copy(inst), copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+        assert clone is inst
+
+
+@pytest.mark.parametrize("kind", ["continuous", "discrete"])
+def test_copied_and_unpickled_systems_relate_to_the_original(kind):
+    if kind == "continuous":
+        view, ident = tau.from_continuous(oscillator()), C.identity_smooth_map(2)
+    else:
+        view, ident = tau.from_discrete(funnel()), {"a": "a", "b": "b"}
+    want = tau.check_tau_morphism(ident, view, view)
+    assert want.passed
+    for copier in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        clone = copier(view)
+        assert clone.instance is view.instance and clone == view
+        assert tau.check_tau_morphism(ident, view, clone) == want
+        assert tau.check_tau_morphism(ident, clone, view) == want
+        assert tau.check_section(clone) == tau.check_section(view)
 
 
 # reports compare field by field: verdict, residual (==), samples, witness, note
