@@ -601,15 +601,20 @@ def default_samples(domain: Domain, count: int = 200) -> list[tuple[float, ...]]
     """Deterministic low-discrepancy (Halton) samples inside the domain.
 
     Unbounded coordinates are clipped to [-5, 5] so every example in the
-    battery gets reproducible coverage.
+    battery gets reproducible coverage.  A coordinate whose bounds miss
+    [-5, 5] is sampled on its own bounds instead, an infinite end replaced
+    by the finite one +-10.
     """
     d = domain.dimension
     if d > len(_PRIMES):
         raise ValueError(f"sampling supports up to {len(_PRIMES)} dimensions")
     boxes = []
-    for lo, hi in domain.bounds:
-        lo = max(lo, -_SAMPLE_CLIP)
-        hi = min(hi, _SAMPLE_CLIP)
+    for bound_lo, bound_hi in domain.bounds:
+        lo = max(bound_lo, -_SAMPLE_CLIP)
+        hi = min(bound_hi, _SAMPLE_CLIP)
+        if lo >= hi:
+            lo = bound_lo if math.isfinite(bound_lo) else bound_hi - 10.0
+            hi = bound_hi if math.isfinite(bound_hi) else bound_lo + 10.0
         width = hi - lo
         boxes.append((lo + 1e-9 * width, width * (1 - 2e-9)))
     pts: list[tuple[float, ...]] = []

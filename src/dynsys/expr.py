@@ -31,15 +31,23 @@ namespace, so expressions of one shape (``log(x1 - 2)`` and
 makes the same IEEE operations in the same order, and the same domain
 checks, as a recursive walk of the tree would.
 
-The batched :func:`evaluate_many` stays an uncompiled numpy walk with no
-domain checks: the germ code calls it on many expressions (derivatives and
-composites built on the fly) a few times each, where compiling would cost
-more than it saves.  It is the one function here that loads numpy.
+The germ code's bisection for where a monotone map crosses a level is
+compiled too: ``Expr._crossing`` is the loop of ``continuous._bisect``
+emitted around the same body, so a halving runs in one Python frame.
+
+The batched :func:`evaluate_many` is an uncompiled numpy walk with no
+domain checks, one numpy operation per distinct node.  The germ code calls
+it a few times per partial map, each time on the points of every domain
+component at once.  A constant beside an array in ``+ - * /`` stays a
+float; elsewhere it is an array (np.power rounds some float exponents
+differently), so the bits are an all-array walk's.  It is the one
+function here that loads numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import weakref
 from _weakref import _remove_dead_weakref
@@ -318,6 +326,10 @@ class Expr(Value):
     @cached_property
     def _compiled(self):
         return _compile((self.root,), vector=False)
+
+    @cached_property
+    def _crossing(self):
+        return _compile((self.root,), vector=False, template=_CROSSING)
 
 
 class VectorExpr(Value):
@@ -660,12 +672,39 @@ def _code(src: str):
     return compile(src, "<dynsys.expr>", "exec")
 
 
-def _compile(roots: Sequence[Node], vector: bool):
-    """One function ``(point, t)`` computing every root: a list if ``vector``."""
+# the function around a body: the value at one point, or (for
+# ``Expr._crossing``) the loop of ``continuous._bisect`` at tolerance 0 for
+# where a map of x1 crosses the level y on a monotone piece, valuing a
+# point whose body raises DomainError by ``fallback`` instead
+_VALUE = (4, "def compiled(point, t):\n{body}    return {ret}\n")
+_CROSSING = (12, """def compiled(good, bad, y, increasing, fallback, t=0.0):
+    for _ in range(200):
+        if abs(bad - good) <= 0.0:
+            break
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            break
+        point = (mid,)
+        try:
+{body}            value = {ret}
+        except DomainError:
+            value = fallback(mid)
+        if (value >= y) == increasing:
+            bad = mid
+        else:
+            good = mid
+    return bad
+""")
+
+
+def _compile(roots: Sequence[Node], vector: bool, template: tuple[int, str] = _VALUE):
+    """The ``template`` function, as its body's indent and its text, around
+    the code computing every root (a list if ``vector``)."""
     em = _Emitter()
     results = [em.operand(root) for root in roots]
     ret = f"[{', '.join(results)}]" if vector else results[0]
-    src = "def compiled(point, t):\n" + "".join(f"    {line}\n" for line in em.lines + [f"return {ret}"])
+    indent, text = template
+    src = text.format(body="".join(f"{' ' * indent}{line}\n" for line in em.lines), ret=ret)
     namespace = {**_RUNTIME, **em.namespace, "nodes": tuple(em.culprits)}
     exec(_code(src), namespace)
     return namespace["compiled"]
@@ -692,36 +731,43 @@ def evaluate_vector(f: VectorExpr, point: Sequence[float], t: float = 0.0) -> li
 VectorExpr.__call__ = evaluate_vector
 
 
+_ARITH = {Mul: operator.mul, Add: operator.add, Sub: operator.sub, Div: operator.truediv}
+
+
 def _eval_np(np, order: list[Node], pts: np.ndarray, t) -> np.ndarray:
     # ``np`` is the numpy module, imported once per evaluate_many call; the
-    # class tests (most frequent first) measured ~20 % faster than a ``match``
-    vals: dict[Node, np.ndarray] = {}
+    # class tests (most frequent first) measured ~20 % faster than a ``match``.
+    # A constant (a float) meets an array in + - * / as a float, one IEEE
+    # operation either way; it is an array as a power's operand (np.power
+    # rounds differently with a float exponent), a function's argument,
+    # beside another constant, and as the root
+    n = pts.shape[0]
+    vals: dict[Node, np.ndarray | float] = {}
+
+    def array(v):
+        return np.full(n, v) if v.__class__ is float else v
+
     for node in order:
         cls = node.__class__
         if cls is Var:
             val = pts[:, node.index - 1]
         elif cls is Num:
-            val = np.full(pts.shape[0], node.value)
-        elif cls is Mul:
-            val = vals[node.left] * vals[node.right]
-        elif cls is Add:
-            val = vals[node.left] + vals[node.right]
-        elif cls is Sub:
-            val = vals[node.left] - vals[node.right]
-        elif cls is Div:
-            val = vals[node.left] / vals[node.right]
+            val = node.value
+        elif cls in _ARITH:
+            a, b = vals[node.left], vals[node.right]
+            val = _ARITH[cls](array(a) if b.__class__ is float else a, b)
         elif cls is Pow:
-            val = np.power(vals[node.base], vals[node.exponent])
+            val = np.power(array(vals[node.base]), array(vals[node.exponent]))
         elif cls is Call:
-            val = getattr(np, node.func)(vals[node.arg])
+            val = getattr(np, node.func)(array(vals[node.arg]))
         elif cls is Neg:
             val = -vals[node.arg]
         elif cls is TimeVar:
-            val = np.broadcast_to(np.asarray(t, dtype=float), (pts.shape[0],)).copy()
+            val = np.broadcast_to(np.asarray(t, dtype=float), (n,)).copy()
         else:
             raise TypeError(f"unknown node {node!r}")
         vals[node] = val
-    return vals[order[-1]]
+    return array(vals[order[-1]])
 
 
 def evaluate_many(e: Expr, points, t=0.0) -> np.ndarray:

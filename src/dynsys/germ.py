@@ -23,6 +23,7 @@ from .core import CheckReport, NonMonotoneError, Value, _setfield
 
 _CLIP = 1e8  # infinite interval ends are explored up to here
 _GRID = 513  # derivative sign samples per domain component
+_RAMP = np.arange(float(_GRID))  # 0, 1, ..., _GRID - 1
 _SANITY = np.linspace(0.1, 0.9, 7)  # where a partial map is probed, as fractions of a window
 _MONOTONE = np.linspace(0.02, 0.98, 65)  # where a piece is probed, as fractions of its width
 
@@ -133,11 +134,14 @@ class PartialMap(Value):
             return
         grid = np.array([blo + (bhi - blo) * _SANITY for _, _, blo, bhi in windows])
         values = E.evaluate_many(self.map, grid.ravel()).reshape(grid.shape)
-        # one evaluation for every component, checked in domain order
+        # one test of every probe: inside the codomain, or overflowed to
+        # +-inf (tolerated for a mathematically finite value), so not nan
+        if np.all(self.codomain.contains_array(values) | np.isinf(values)):
+            return
+        # name the first failure in domain order
         for (lo, hi, _, _), probes, vals in zip(windows, grid, values):
             if np.any(np.isnan(vals)):
                 raise ValueError(f"map {self.map} is undefined inside ({lo}, {hi})")
-            # overflow to +-inf of a mathematically finite value is tolerated
             finite = np.isfinite(vals)
             inside = self.codomain.contains_array(vals[finite])
             if not np.all(inside):
@@ -175,19 +179,25 @@ class Germ(Value):
 # --- monotone pieces and preimages ------------------------------------------
 
 
+def _walk_value(m: E.Expr, x: float) -> float:
+    """The numpy walk's value at one point, which masks a domain exit as
+    nan or +-inf where the compiled function raises DomainError."""
+    return float(E.evaluate_many(m, np.array([x]))[0])
+
+
 def _scalar(m: E.Expr, x: float) -> float:
     """Scalar evaluation that degrades to +-inf instead of raising."""
     try:
         return m._compiled((x,), 0.0)
     except E.DomainError:
-        return float(E.evaluate_many(m, np.array([x]))[0])
+        return _walk_value(m, x)
 
 
 def _limit_value(m: E.Expr, x: float, inward: float, width: float) -> float:
     """Value of the map at an interval end, nudging inward past removable
     evaluation trouble; may legitimately be +-inf at a clipped end."""
     for eps in (0.0, 1e-12, 1e-9, 1e-6):
-        v = float(E.evaluate_many(m, np.array([x + inward * eps * width]))[0])
+        v = _walk_value(m, x + inward * eps * width)
         if not math.isnan(v):
             return v
     raise NonMonotoneError(f"cannot evaluate {m} near {x}")
@@ -203,78 +213,130 @@ def _sign_brackets(dvals: np.ndarray) -> list[tuple[int, int, bool]]:
     return list(zip(idx[flips].tolist(), idx[flips + 1].tolist(), positive[flips + 1].tolist()))
 
 
+def _linspace_rows(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``np.linspace(start, stop, _GRID)`` per row, built by np.linspace's own
+    formula (ramp times step, plus start, the last column set to stop)
+    without its per-call overhead."""
+    grid = _RAMP * ((stops - starts) / (_GRID - 1))[:, None]
+    grid += starts[:, None]
+    grid[:, -1] = stops
+    return grid
+
+
+def _directions(values: np.ndarray) -> list[tuple[bool, bool]]:
+    """Per row: are its finite values nondecreasing, and nonincreasing?  One
+    np.diff for the rows that are all finite; a row with a non-finite value
+    drops it first, on its own."""
+    finite = np.isfinite(values).all(axis=1)
+    diffs = np.diff(values[finite], axis=1)
+    batched = zip((diffs >= 0.0).all(axis=1).tolist(), (diffs <= 0.0).all(axis=1).tolist())
+    out = []
+    for row, kept in zip(values, finite.tolist()):
+        if kept:
+            out.append(next(batched))
+        else:
+            diffs = np.diff(row[np.isfinite(row)])
+            out.append((bool(np.all(diffs >= 0.0)), bool(np.all(diffs <= 0.0))))
+    return out
+
+
 @lru_cache(maxsize=512)
 def _monotone_pieces(pm: PartialMap) -> tuple[tuple[float, float, float, float, int], ...]:
     """Split the domain at critical points: (lo, hi, v_lo, v_hi, direction)
     per piece, direction +1 increasing, -1 decreasing, 0 constant.
 
     The limit values v_lo/v_hi are taken at the clipped ends, so they may
-    be infinite; the piece endpoints keep the exact domain floats.
+    be infinite; the piece endpoints keep the exact domain floats.  All
+    domain components share one derivative grid and one evaluation of
+    piece ends and probes; each component's outcome, its pieces or the
+    error it raises, is kept, and the first error in domain order raised.
     """
     m = pm.map
     dm = E.differentiate(m, 1)
-    pieces: list[tuple[float, float, float, float, int]] = []
+    comps, beyond = [], []  # (lo, hi, blo, bhi) per component before any beyond the clip
     for lo, hi in pm.domain.intervals:
         blo, bhi = max(lo, -_CLIP), min(hi, _CLIP)
-        if blo >= bhi:
-            raise NonMonotoneError(f"domain component ({lo}, {hi}) lies beyond +-{_CLIP}")
-        width = bhi - blo
-        grid = np.linspace(blo + 1e-12 * max(1.0, abs(blo)), bhi - 1e-12 * max(1.0, abs(bhi)), _GRID)
-        dvals = E.evaluate_many(dm, grid)
+        if blo >= bhi:  # raised in its turn; no later component is looked at
+            beyond.append(NonMonotoneError(f"domain component ({lo}, {hi}) lies beyond +-{_CLIP}"))
+            break
+        comps.append((lo, hi, blo, bhi))
+    outcomes: list[list | NonMonotoneError] = []
+    spans = []  # (component, p_lo, p_hi, c_lo, c_hi) per candidate piece
+    if comps:
+        grid = _linspace_rows(
+            np.array([blo + 1e-12 * max(1.0, abs(blo)) for _, _, blo, _ in comps]),
+            np.array([bhi - 1e-12 * max(1.0, abs(bhi)) for _, _, _, bhi in comps]))
+        dvals = E.evaluate_many(dm, grid.ravel()).reshape(grid.shape)
         valid = np.isfinite(dvals)
-        if not np.any(valid):
-            raise NonMonotoneError(f"derivative of {m} not evaluable on ({lo}, {hi})")
-        if np.all(dvals[valid] == 0.0):
-            v = _limit_value(m, 0.5 * (blo + bhi), 0.0, width)
-            pieces.append((lo, hi, v, v, 0))
-            continue
-        xs = grid.tolist()
-        crossings = [
-            _bisect(lambda x, rising=rising: (_scalar(dm, x) > 0.0) == rising, xs[i], xs[j])
-            for i, j, rising in _sign_brackets(dvals)
-        ]
-        cuts = [lo] + crossings + [hi]
-        spans = [(p_lo, p_hi, max(p_lo, -_CLIP), min(p_hi, _CLIP)) for p_lo, p_hi in zip(cuts, cuts[1:])]
+        evaluable = valid.any(axis=1).tolist()
+        flat = ((dvals == 0.0) | ~valid).all(axis=1).tolist()
+        # one scan of all rows; a bracket from one row into the next is no crossing
+        xs, crossings = grid.ravel(), [[] for _ in comps]
+        for i, j, rising in _sign_brackets(dvals.ravel()):
+            if i // _GRID == j // _GRID:
+                crossings[i // _GRID].append(_bisect(
+                    lambda x, rising=rising: (_scalar(dm, x) > 0.0) == rising,
+                    float(xs[i]), float(xs[j])))
+    for c, (lo, hi, blo, bhi) in enumerate(comps):
+        if not evaluable[c]:
+            outcomes.append(NonMonotoneError(f"derivative of {m} not evaluable on ({lo}, {hi})"))
+        elif flat[c]:
+            try:
+                v = _limit_value(m, 0.5 * (blo + bhi), 0.0, bhi - blo)
+            except NonMonotoneError as exc:
+                outcomes.append(exc)
+            else:
+                outcomes.append([(lo, hi, v, v, 0)])
+        else:
+            cuts = [lo] + crossings[c] + [hi]
+            spans += [(c, p_lo, p_hi, max(p_lo, -_CLIP), min(p_hi, _CLIP))
+                      for p_lo, p_hi in zip(cuts, cuts[1:])]
+            outcomes.append([])
+    if spans:
+        los, his = np.array([span[3:] for span in spans]).T
+        widths = his - los
         # one row per piece: the two ends as _limit_value tries them first,
         # x + inward*0.0*w (so a -0.0 lower end reads +0.0), then the probes
         rows = np.empty((len(spans), 2 + _MONOTONE.size))
-        for row, (_, _, c_lo, c_hi) in zip(rows, spans):
-            w = c_hi - c_lo
-            row[0], row[1] = c_lo + 0.0 * w, c_hi - 0.0 * w
-            row[2:] = c_lo + w * _MONOTONE
+        rows[:, 0] = los + 0.0 * widths
+        rows[:, 1] = his - 0.0 * widths
+        rows[:, 2:] = los[:, None] + widths[:, None] * _MONOTONE
         values = E.evaluate_many(m, rows.ravel()).reshape(rows.shape)
-        for (p_lo, p_hi, c_lo, c_hi), row in zip(spans, values):
+        for (c, p_lo, p_hi, c_lo, c_hi), (v_lo, v_hi), (up, down) in zip(
+                spans, values[:, :2].tolist(), _directions(values[:, 2:])):
+            pieces = outcomes[c]
+            if not isinstance(pieces, list):
+                continue  # an earlier piece of this component failed
             w = c_hi - c_lo
-            v_lo = float(row[0]) if not math.isnan(row[0]) else _limit_value(m, c_lo, +1.0, w)
-            v_hi = float(row[1]) if not math.isnan(row[1]) else _limit_value(m, c_hi, -1.0, w)
-            vals = row[2:]
-            diffs = np.diff(vals[np.isfinite(vals)])
-            if np.all(diffs >= 0.0) and v_lo <= v_hi:
-                direction = 1
-            elif np.all(diffs <= 0.0) and v_lo >= v_hi:
-                direction = -1
+            try:
+                v_lo = v_lo if not math.isnan(v_lo) else _limit_value(m, c_lo, +1.0, w)
+                v_hi = v_hi if not math.isnan(v_hi) else _limit_value(m, c_hi, -1.0, w)
+            except NonMonotoneError as exc:
+                outcomes[c] = exc
+                continue
+            if up and v_lo <= v_hi:
+                pieces.append((p_lo, p_hi, v_lo, v_hi, 1))
+            elif down and v_lo >= v_hi:
+                pieces.append((p_lo, p_hi, v_lo, v_hi, -1))
             else:
-                raise NonMonotoneError(
+                outcomes[c] = NonMonotoneError(
                     f"{m} is not monotone on ({p_lo}, {p_hi}); root isolation "
                     "failed to separate derivative crossings"
                 )
-            pieces.append((p_lo, p_hi, v_lo, v_hi, direction))
+    pieces = []
+    for outcome in outcomes + beyond:
+        if not isinstance(outcome, list):
+            raise outcome
+        pieces += outcome
     return tuple(pieces)
 
 
 def _solve_crossing(m: E.Expr, lo: float, hi: float, y: float, increasing: bool) -> float:
-    """x in (lo, hi) where the monotone map crosses level y (bisection)."""
-    compiled = m._compiled
-
-    def flipped(x: float) -> bool:
-        try:
-            v = compiled((x,), 0.0)
-        except E.DomainError:
-            v = float(E.evaluate_many(m, np.array([x]))[0])
-        return (v >= y) == increasing
-
-    # the predicate flips exactly once on a monotone piece
-    return _bisect(flipped, max(lo, -_CLIP), min(hi, _CLIP))
+    """x in (lo, hi) where the monotone map crosses level y: the bisection of
+    ``continuous._bisect`` on ``(m(x) >= y) == increasing``, which flips
+    exactly once on a monotone piece, compiled around the map."""
+    return m._crossing(max(lo, -_CLIP), min(hi, _CLIP), y, increasing,
+                       lambda x: _walk_value(m, x))
 
 
 def _piece_preimage(m: E.Expr, piece, target: tuple[float, float]):

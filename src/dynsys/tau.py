@@ -65,11 +65,14 @@ class TauInstance:
 
     def points(self, carrier, samples, count: int, what: str):
         """The given samples, each checked against the carrier, else the
-        kind's default ones."""
+        kind's default ones; none at all is an error, not a vacuous pass."""
         if samples is None:
-            return self.default_points(carrier, count)
-        pts = list(samples)
-        self.check_samples(carrier, pts, what)
+            pts = self.default_points(carrier, count)
+        else:
+            pts = list(samples)
+            self.check_samples(carrier, pts, what)
+        if not pts:
+            raise ValueError(f"{what} check has no samples")
         return pts
 
 

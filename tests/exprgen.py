@@ -114,6 +114,37 @@ def reference_eval(node: E.Node, point, t: float) -> float:
     raise TypeError(f"unknown node {node!r}")
 
 
+def reference_eval_many(e: E.Expr, pts: np.ndarray, t: float) -> np.ndarray:
+    """Oracle for :func:`dynsys.expr.evaluate_many`: its numpy walk as it was
+    when every constant was an array (``np.full``) of its value."""
+    vals = {}
+    with np.errstate(all="ignore"):
+        for node in e._order:
+            match node:
+                case E.Var(index=i):
+                    val = pts[:, i - 1]
+                case E.Num(value=v):
+                    val = np.full(pts.shape[0], v)
+                case E.Mul(left=l, right=r):
+                    val = vals[l] * vals[r]
+                case E.Add(left=l, right=r):
+                    val = vals[l] + vals[r]
+                case E.Sub(left=l, right=r):
+                    val = vals[l] - vals[r]
+                case E.Div(left=l, right=r):
+                    val = vals[l] / vals[r]
+                case E.Pow(base=b, exponent=x):
+                    val = np.power(vals[b], vals[x])
+                case E.Call(func=f, arg=a):
+                    val = getattr(np, f)(vals[a])
+                case E.Neg(arg=a):
+                    val = -vals[a]
+                case E.TimeVar():
+                    val = np.broadcast_to(np.asarray(t, dtype=float), (pts.shape[0],)).copy()
+            vals[node] = val
+    return vals[e.root]
+
+
 def reference_to_string(node: E.Node) -> str:
     """Oracle for :func:`dynsys.expr.to_string`: the recursive printer."""
 

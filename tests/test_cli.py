@@ -206,6 +206,33 @@ def test_check_morphism_failure_exit_code(specs):
     assert "verdict=fail" in res.stdout and "witness=" in res.stdout
 
 
+def test_checks_beside_the_sample_window_are_not_vacuous(tmp_path):
+    # (5, 10) misses the [-5, 5] window that unbounded domains are sampled
+    # in; with no samples the checks used to pass
+    one, two, ident = tmp_path / "one.spec", tmp_path / "two.spec", tmp_path / "ident.spec"
+    one.write_text("kind: continuous\ndimension: 1\ndomain: 5 10\nfield: 1\n")
+    two.write_text("kind: continuous\ndimension: 1\ndomain: 5 10\nfield: 2\n")
+    ident.write_text(IDENT_MAP)
+    res = run_cli("check-morphism", one, two, ident)
+    assert res.returncode == 3, res.stderr
+    assert "name=f-relatedness verdict=fail residual=1.0 samples=200" in res.stdout
+    res = run_cli("laws", one)
+    assert res.returncode == 0, res.stderr
+    for check in ("section-law", "identity-morphism", "compose-associativity"):
+        assert f"name={check} verdict=pass" in res.stdout
+    assert "samples=0" not in res.stdout
+
+
+def test_a_check_with_no_samples_is_an_input_error(tmp_path):
+    spec, ident = tmp_path / "far.spec", tmp_path / "ident.spec"
+    spec.write_text("kind: continuous\ndimension: 1\ndomain: 1e308 inf\nfield: 1\n")
+    ident.write_text(IDENT_MAP)
+    res = run_cli("check-morphism", spec, spec, ident)
+    assert (res.returncode, res.stderr) == (1, "error: morphism check has no samples\n")
+    res = run_cli("laws", spec)
+    assert (res.returncode, res.stderr) == (1, "error: section-law check has no samples\n")
+
+
 def test_check_morphism_arity_error(specs):
     res = run_cli("check-morphism", specs["time"], specs["time"], specs["badmap"])
     assert res.returncode == 1

@@ -600,3 +600,18 @@ def test_default_samples_deterministic_and_inside():
     assert pts == C.default_samples(dom, 50)
     assert all(dom.contains(p) for p in pts)
     assert all(p[0] <= 5.0 for p in pts)
+
+
+@pytest.mark.parametrize("bounds, window", [
+    ((5.0, 10.0), (5.0, 10.0)),
+    ((7.0, math.inf), (7.0, 17.0)),
+    ((-math.inf, -6.0), (-16.0, -6.0)),
+])
+def test_default_samples_of_a_coordinate_beside_the_clip_window(bounds, window):
+    # clipping to [-5, 5] would leave no window at all: the coordinate is
+    # sampled on its own bounds, and the other one as before
+    dom = C.Domain((bounds, (-math.inf, math.inf)))
+    pts = C.default_samples(dom, 50)
+    assert len(pts) == 50
+    assert all(window[0] < x < window[1] and -5.0 < y < 5.0 for x, y in pts)
+    assert [y for _, y in pts] == [y for _, y in C.default_samples(C.full_space(2), 50)]

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from dynsys import expr as E
-from exprgen import (central_difference, random_expr, reference_eval, reference_parse,
-                     reference_to_string)
+from exprgen import (central_difference, random_expr, reference_eval, reference_eval_many,
+                     reference_parse, reference_to_string)
 
 # random ASTs over x1..x3 and t
 
@@ -292,6 +292,38 @@ def test_evaluate_many_matches_scalar():
     batch = E.evaluate_many(e, pts, t=0.25)
     for row, got in zip(pts, batch):
         assert got == pytest.approx(E.evaluate(e, row, t=0.25), abs=1e-15)
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+_seeded = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_expr(np.random.default_rng(seed), arity=3, depth=4).root)
+
+
+@hypothesis.given(st.one_of(_asts, _seeded), st.lists(_coords, min_size=3, max_size=30), _coords)
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.example(E.Num(2.5), [1.0, 2.0, 3.0], 0.0)  # a constant root
+@hypothesis.example(E.Call("sin", E.Add(E.Num(1.0), E.Num(2.0))), [1.0, 2.0, 3.0], 0.0)
+@hypothesis.example(E.Div(E.Var(1), E.Num(0.0)), [0.0, -1.0, 1.0], 0.0)
+@hypothesis.example(E.Sub(E.Num(-0.0), E.Mul(E.TimeVar(), E.Num(0.0))), [1.0, 2.0, 3.0], -0.0)
+@hypothesis.example(E.Pow(E.Var(2), E.Num(2.0)), [1.1, -2.3, 0.7, 4.1, 9.9, -0.3], 0.0)
+def test_evaluate_many_matches_the_all_array_walk(root, coords, t):
+    # a constant kept as a float must give the bits its np.full array gave
+    e = E.Expr(root, 3)
+    pts = np.array(coords[: len(coords) // 3 * 3]).reshape(-1, 3)
+    assert _same_bits(E.evaluate_many(e, pts, t), reference_eval_many(e, pts, t))
+
+
+@pytest.mark.parametrize("src", ["x1^2", "x1^0.5", "x1^(0 - 1)", "2^x1", "(x1 + 1)^2 * 3 - 1 / x1"])
+def test_constant_powers_match_the_all_array_walk(src):
+    # np.power with a float exponent takes other loops, which round some
+    # squares and roots differently on some CPUs: the exponent stays an array
+    e = E.parse(src, 1)
+    pts = np.random.default_rng(5).uniform(-3.0, 3.0, size=(4096, 1))
+    assert _same_bits(E.evaluate_many(e, pts), reference_eval_many(e, pts, 0.0))
 
 
 def test_evaluate_many_masks_instead_of_raising():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import hypothesis
 import hypothesis.strategies as st
@@ -8,8 +9,9 @@ import pytest
 from dynsys import continuous as C
 from dynsys import expr as E
 from dynsys import germ as G
+from exprgen import random_expr
 from germgen import membership_equivalence_violations, random_monotone_piece_map
-from reference_germ import reference_sign_brackets
+from reference_germ import reference_crossing, reference_sign_brackets
 
 
 # --- open sets ---------------------------------------------------------------
@@ -238,6 +240,89 @@ _derivative = st.lists(st.tuples(_sample, st.integers(1, 40)), max_size=30).map(
 @hypothesis.example(np.array([1.0, math.nan, 0.0, -math.inf, -2.0, 0.0, 0.0, 3.0, math.inf, -1e-300]))
 def test_sign_scan_matches_the_sample_loop(dvals):
     assert G._sign_brackets(dvals) == reference_sign_brackets(dvals)
+
+
+@pytest.mark.parametrize("src, lo, hi, y, increasing", [
+    ("2*x1 + 1", -3.0, 5.0, 0.3, True),
+    ("1 - x1^3", -math.inf, math.inf, -7.25, False),  # both ends clipped at +-1e8
+    ("x1", -math.inf, 0.0, -2e8, True),  # the level lies beyond the clip
+    ("x1 + t", -1.0, 1.0, 0.125, True),
+    # the compiled map raises DomainError below 0: the walk's nan is below y
+    ("log(x1)", -1.0, 4.0, 0.5, True),
+    ("sqrt(x1)", -2.0, 9.0, 1e-9, True),
+    ("0 - sqrt(x1)", -2.0, 9.0, -1e-300, False),
+    ("exp(x1)", 0.0, 1000.0, 1e300, True),  # overflow raises: the walk's inf
+    ("1/x1", -1.0, 1.0, 3.0, False),  # a midpoint lands on 0: division by zero
+])
+def test_compiled_crossing_matches_the_scalar_bisection(src, lo, hi, y, increasing):
+    m = E.parse(src, 1)
+    got = G._solve_crossing(m, lo, hi, y, increasing)
+    assert got.hex() == reference_crossing(m, lo, hi, y, increasing).hex()
+
+
+def test_compiled_crossing_matches_on_random_maps():
+    # the two bisections must agree step for step on any map, monotone or not
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        m = random_expr(rng, arity=1, depth=int(rng.integers(1, 5)))
+        lo, hi = sorted(rng.uniform(-3e8, 3e8, size=2) / 10.0 ** rng.integers(0, 9, size=2))
+        y, increasing = float(rng.normal() * 10.0 ** rng.integers(-3, 4)), bool(rng.random() < 0.5)
+        got = G._solve_crossing(m, float(lo), float(hi), y, increasing)
+        assert got.hex() == reference_crossing(m, float(lo), float(hi), y, increasing).hex()
+
+
+_ends = st.floats(min_value=-G._CLIP, max_value=G._CLIP)
+_widths = st.one_of(st.sampled_from([5e-324, 1e-300, 1e-15, 2.5e-12, 1e-9, 2e8]),
+                    st.floats(min_value=1e-12, max_value=2e8))
+
+
+@hypothesis.given(st.lists(st.tuples(_ends, _widths), min_size=1, max_size=4))
+@hypothesis.example([(-G._CLIP, 2 * G._CLIP), (G._CLIP - 1e-7, 1e-7), (0.0, 5e-324), (1.0, 2.2e-16)])
+def test_grid_rows_match_linspace(components):
+    # the hand-built grid must be np.linspace's, row by row, bit for bit,
+    # with the ends nudged inward as _monotone_pieces nudges them
+    clipped = [(lo, min(lo + width, G._CLIP)) for lo, width in components]
+    starts = np.array([lo + 1e-12 * max(1.0, abs(lo)) for lo, _ in clipped])
+    stops = np.array([hi - 1e-12 * max(1.0, abs(hi)) for _, hi in clipped])
+    grid = G._linspace_rows(starts, stops)
+    for row, start, stop in zip(grid, starts, stops):
+        assert np.array_equal(row.view(np.int64), np.linspace(start, stop, G._GRID).view(np.int64))
+
+
+def test_pieces_never_join_two_components():
+    # one sign scan runs over the grids of both components: the derivative's
+    # change of sign between them is no critical point
+    pieces = G._monotone_pieces(G.partial_map("x1^2", G.open_set((-3.0, -1.0), (1.0, 3.0))))
+    assert [(lo, hi, d) for lo, hi, _, _, d in pieces] == [(-3.0, -1.0, -1), (1.0, 3.0, 1)]
+
+
+_SPAN = 512 * 2 * math.pi  # the derivative grid's step is ~2 pi: cos looks positive
+
+
+@pytest.mark.parametrize("second", [(2e8, 3e8), (10.0, 20.0)])
+def test_piece_errors_come_in_domain_order(second):
+    # the first component hides a non-monotone piece from the derivative
+    # grid; the second lies beyond the clip, or has a derivative that
+    # overflows everywhere: the first component's error wins
+    pm = G.partial_map("sin(x1) + exp(exp(x1))", G.open_set((-_SPAN - 1.0, -1.0), second))
+    with pytest.raises(G.NonMonotoneError) as err:
+        G._monotone_pieces(pm)
+    assert str(err.value) == ("sin(x1) + exp(exp(x1)) is not monotone on (-3217.990877275948, -1.0); "
+                              "root isolation failed to separate derivative crossings")
+
+
+def test_composition_is_warning_clean():
+    # the batched piece tests must not take a difference of two infinities
+    G._monotone_pieces.cache_clear()
+    rng = np.random.default_rng(5150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(50):
+            G.compose_partial(random_monotone_piece_map(rng), random_monotone_piece_map(rng))
+        for _ in range(5):
+            f, g, h = (random_monotone_piece_map(rng) for _ in range(3))
+            G.compose_partial(G.compose_partial(f, g), h)
+            G.compose_partial(f, G.compose_partial(g, h))
 
 
 def test_sanity_probes_report_components_in_domain_order():

@@ -87,6 +87,17 @@ def test_samples_outside_carrier_rejected():
         tau.check_section(dsys, samples=["z"])
 
 
+def test_an_empty_sample_set_is_refused():
+    # a check over no samples would pass vacuously
+    sys = tau.from_continuous(line("x1"))
+    with pytest.raises(ValueError, match="^morphism check has no samples$"):
+        tau.check_tau_morphism(C.identity_smooth_map(1), sys, sys, samples=[])
+    with pytest.raises(ValueError, match="^section-law check has no samples$"):
+        tau.check_section(sys, samples=[])
+    with pytest.raises(ValueError, match="^section-law check has no samples$"):
+        tau.check_section(tau.from_discrete(funnel()), samples=[])
+
+
 def test_kind_mismatch_rejected():
     with pytest.raises(ValueError):
         tau.check_tau_morphism(
