@@ -283,10 +283,12 @@ def enumerate_pointed_morphisms(
         raise ValueError("horizon must be non-negative")
     sys = target.system
     carrier = tuple(sys.carrier)
-    total = len(carrier) ** (horizon + 1)
+    # n^e > cap for n >= 2 and e > cap's bit length, so the power is computed
+    # no further than the cap test needs (exactly, when the test passes)
+    total = len(carrier) ** min(horizon + 1, cap.bit_length() + 1)
     if total > cap:
         raise EnumerationCapError(
-            f"{len(carrier)}^{horizon + 1} = {total} candidate functions exceeds cap {cap}"
+            f"{len(carrier)}^{horizon + 1} candidate functions exceeds cap {cap}"
         )
     endomap = sys.endomap
     found = []

@@ -29,11 +29,13 @@ each shared subexpression once.  Constants are names in the function's
 namespace, so expressions of one shape (``log(x1 - 2)`` and
 ``log(x1 - 3)``) share one code object, compiled once.  The compiled code
 makes the same IEEE operations in the same order, and the same domain
-checks, as a recursive walk of the tree would.
+checks, as a recursive walk of the tree would, and calls no Python-level
+helper: every operation, a power included, is emitted inline.
 
-The germ code's bisection for where a monotone map crosses a level is
-compiled too: ``Expr._crossing`` is the loop of ``continuous._bisect``
-emitted around the same body, so a halving runs in one Python frame.
+The germ code's bisections are compiled too: ``Expr._crossing`` is the
+loop of ``continuous._bisect`` emitted around the same body, so a halving
+runs in one Python frame.  It finds where a monotone map crosses a level,
+and where a derivative turns positive (crosses the least positive float).
 
 The batched :func:`evaluate_many` is an uncompiled numpy walk with no
 domain checks, one numpy operation per distinct node.  The germ code calls
@@ -559,29 +561,15 @@ def to_string(e: Expr) -> str:
 # assignment per distinct node, so that repeated terms and shared subtrees
 # (one node each) are computed once, in the order a left-to-right walk
 # of the tree computes them (a quotient's denominator first), each followed
-# by the domain check of its operation.  The function is cached on the
-# instance, its code object on the generated source.  A culprit's text is
-# formatted from its node only when the error's message is read.
-
-
-def _pow_value(b: float, x: float, node: Node) -> float:
-    # a negative base needs an integer-valued exponent
-    if b < 0.0 and not float(x).is_integer():
-        raise DomainError("negative base with non-integer exponent", node)
-    if b == 0.0 and x < 0:
-        raise DomainError("zero base with negative exponent", node)
-    try:
-        v = b ** x
-    except OverflowError:
-        raise DomainError("overflow", node) from None
-    if not math.isfinite(v):
-        raise DomainError("non-finite result", node)
-    return v
+# by the domain check of its operation, inline: no Python-level helper.
+# The function is cached on the instance, its code object on the generated
+# source.  A culprit's text is formatted from its node only when the
+# error's message is read.
 
 
 # names the compiled code refers to, besides ``nodes`` and constants
 _RUNTIME = {
-    "isfinite": math.isfinite, "DomainError": DomainError, "_pow_value": _pow_value,
+    "isfinite": math.isfinite, "DomainError": DomainError,
     **{f: getattr(math, f) for f in FUNCTIONS},
 }
 _BINARY_OPS = {cls: op for op, cls in _BINARY.items()}
@@ -649,7 +637,22 @@ class _Emitter:
             emit(f"{v} = {args[0]} {_BINARY_OPS[type(node)]} {args[1]}")
             emit(f"if not isfinite({v}): " + self._raise("non-finite result", node))
         elif isinstance(node, Pow):
-            emit(f"{v} = _pow_value({args[0]}, {args[1]}, {self._culprit(node)})")
+            # a negative base needs an integer-valued exponent, a zero base a
+            # non-negative one; a constant exponent settles its half of each
+            # test here, and a test it cannot fail is left out
+            b, x = args
+            k = node.exponent.value if isinstance(node.exponent, Num) else None
+            if k is None or not k.is_integer():
+                fractional = "" if k is not None else f" and not {x}.is_integer()"
+                emit(f"if {b} < 0.0{fractional}: "
+                     + self._raise("negative base with non-integer exponent", node))
+            if k is None or k < 0.0:
+                negative = "" if k is not None else f" and {x} < 0.0"
+                emit(f"if {b} == 0.0{negative}: "
+                     + self._raise("zero base with negative exponent", node))
+            emit(f"try: {v} = {b} ** {x}")
+            emit("except OverflowError: " + self._raise("overflow", node) + " from None")
+            emit(f"if not isfinite({v}): " + self._raise("non-finite result", node))
         elif isinstance(node, Call) and node.func == "exp":
             emit(f"try: {v} = exp({args[0]})")
             emit("except OverflowError: " + self._raise("overflow", node) + " from None")
@@ -674,8 +677,10 @@ def _code(src: str):
 
 # the function around a body: the value at one point, or (for
 # ``Expr._crossing``) the loop of ``continuous._bisect`` at tolerance 0 for
-# where a map of x1 crosses the level y on a monotone piece, valuing a
-# point whose body raises DomainError by ``fallback`` instead
+# where ``(value >= y) == increasing`` flips, valuing a point whose body
+# raises DomainError by ``fallback`` instead: where a map of x1 crosses the
+# level y on a monotone piece, or (y = 5e-324) where a derivative turns
+# positive
 _VALUE = (4, "def compiled(point, t):\n{body}    return {ret}\n")
 _CROSSING = (12, """def compiled(good, bad, y, increasing, fallback, t=0.0):
     for _ in range(200):

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import expr as E
-from .continuous import ContinuousSystem, Trajectory, _bisect, integrate
+from .continuous import ContinuousSystem, Trajectory, integrate
 from .core import CheckReport, NonMonotoneError, Value, _setfield
 
 _CLIP = 1e8  # infinite interval ends are explored up to here
@@ -136,18 +136,17 @@ class PartialMap(Value):
         values = E.evaluate_many(self.map, grid.ravel()).reshape(grid.shape)
         # one test of every probe: inside the codomain, or overflowed to
         # +-inf (tolerated for a mathematically finite value), so not nan
-        if np.all(self.codomain.contains_array(values) | np.isinf(values)):
+        good = self.codomain.contains_array(values) | np.isinf(values)
+        if good.all():
             return
-        # name the first failure in domain order
-        for (lo, hi, _, _), probes, vals in zip(windows, grid, values):
-            if np.any(np.isnan(vals)):
+        # name the first failure in domain order: a nan, else the first probe
+        # sent outside the codomain
+        for (lo, hi, _, _), probes, vals, ok in zip(windows, grid, values, good):
+            if np.isnan(vals).any():
                 raise ValueError(f"map {self.map} is undefined inside ({lo}, {hi})")
-            finite = np.isfinite(vals)
-            inside = self.codomain.contains_array(vals[finite])
-            if not np.all(inside):
-                bad = probes[finite][~inside][0]
+            if not ok.all():
                 raise ValueError(
-                    f"map {self.map} sends {bad} to {vals[finite][~inside][0]}, "
+                    f"map {self.map} sends {probes[~ok][0]} to {vals[~ok][0]}, "
                     f"outside the declared codomain {self.codomain}"
                 )
 
@@ -185,14 +184,6 @@ def _walk_value(m: E.Expr, x: float) -> float:
     return float(E.evaluate_many(m, np.array([x]))[0])
 
 
-def _scalar(m: E.Expr, x: float) -> float:
-    """Scalar evaluation that degrades to +-inf instead of raising."""
-    try:
-        return m._compiled((x,), 0.0)
-    except E.DomainError:
-        return _walk_value(m, x)
-
-
 def _limit_value(m: E.Expr, x: float, inward: float, width: float) -> float:
     """Value of the map at an interval end, nudging inward past removable
     evaluation trouble; may legitimately be +-inf at a clipped end."""
@@ -224,20 +215,14 @@ def _linspace_rows(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 
 
 def _directions(values: np.ndarray) -> list[tuple[bool, bool]]:
-    """Per row: are its finite values nondecreasing, and nonincreasing?  One
-    np.diff for the rows that are all finite; a row with a non-finite value
-    drops it first, on its own."""
-    finite = np.isfinite(values).all(axis=1)
-    diffs = np.diff(values[finite], axis=1)
-    batched = zip((diffs >= 0.0).all(axis=1).tolist(), (diffs <= 0.0).all(axis=1).tolist())
-    out = []
-    for row, kept in zip(values, finite.tolist()):
-        if kept:
-            out.append(next(batched))
-        else:
-            diffs = np.diff(row[np.isfinite(row)])
-            out.append((bool(np.all(diffs >= 0.0)), bool(np.all(diffs <= 0.0))))
-    return out
+    """Per row: are its finite values nondecreasing, and nonincreasing?  Each
+    finite value is compared with the running max (min) of the finite values
+    up to it, a non-finite one counting as -inf (+inf); no difference is
+    taken, so nothing overflows."""
+    finite = np.isfinite(values)
+    up = (values >= np.maximum.accumulate(np.where(finite, values, -np.inf), axis=1)) | ~finite
+    down = (values <= np.minimum.accumulate(np.where(finite, values, np.inf), axis=1)) | ~finite
+    return list(zip(up.all(axis=1).tolist(), down.all(axis=1).tolist()))
 
 
 @lru_cache(maxsize=512)
@@ -274,9 +259,10 @@ def _monotone_pieces(pm: PartialMap) -> tuple[tuple[float, float, float, float, 
         xs, crossings = grid.ravel(), [[] for _ in comps]
         for i, j, rising in _sign_brackets(dvals.ravel()):
             if i // _GRID == j // _GRID:
-                crossings[i // _GRID].append(_bisect(
-                    lambda x, rising=rising: (_scalar(dm, x) > 0.0) == rising,
-                    float(xs[i]), float(xs[j])))
+                # where dm turns positive (negative): for every float v, nan
+                # included, v >= 5e-324 exactly when v > 0.0
+                crossings[i // _GRID].append(_solve_crossing(
+                    dm, float(xs[i]), float(xs[j]), math.ulp(0.0), rising))
     for c, (lo, hi, blo, bhi) in enumerate(comps):
         if not evaluable[c]:
             outcomes.append(NonMonotoneError(f"derivative of {m} not evaluable on ({lo}, {hi})"))
@@ -332,9 +318,10 @@ def _monotone_pieces(pm: PartialMap) -> tuple[tuple[float, float, float, float, 
 
 
 def _solve_crossing(m: E.Expr, lo: float, hi: float, y: float, increasing: bool) -> float:
-    """x in (lo, hi) where the monotone map crosses level y: the bisection of
-    ``continuous._bisect`` on ``(m(x) >= y) == increasing``, which flips
-    exactly once on a monotone piece, compiled around the map."""
+    """x in (lo, hi) where ``(m(x) >= y) == increasing`` flips: the bisection
+    of ``continuous._bisect``, compiled around the map.  On a monotone piece
+    it flips once, where the map crosses level y; across a sign bracket of a
+    derivative (y = 5e-324), where the derivative turns positive."""
     return m._crossing(max(lo, -_CLIP), min(hi, _CLIP), y, increasing,
                        lambda x: _walk_value(m, x))
 
@@ -391,7 +378,10 @@ def compose_partial(f: PartialMap, g: PartialMap) -> PartialMap:
 # --- germ equality ------------------------------------------------------------
 
 
-def germ_equal(a: Germ, b: Germ, samples: int = 257, tol: float = 1e-12) -> CheckReport:
+_EQUAL_SAMPLES = 257  # points at which germ_equal compares the representatives
+
+
+def germ_equal(a: Germ, b: Germ, tol: float = 1e-12) -> CheckReport:
     """Do the representatives agree near the (shared) basepoint?
 
     Values are compared on the connected component of the basepoint inside
@@ -407,7 +397,7 @@ def germ_equal(a: Germ, b: Germ, samples: int = 257, tol: float = 1e-12) -> Chec
     lo = max(comp[0], a.basepoint - 1e3)
     hi = min(comp[1], a.basepoint + 1e3)
     width = hi - lo
-    xs = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, samples)
+    xs = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, _EQUAL_SAMPLES)
     va = E.evaluate_many(a.representative.map, xs)
     vb = E.evaluate_many(b.representative.map, xs)
     return CheckReport.worst(

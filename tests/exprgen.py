@@ -84,6 +84,21 @@ def _call_value(func: str, a: float, node: E.Node) -> float:
     raise ValueError(f"unknown function {func!r}")
 
 
+def _pow_value(b: float, x: float, node: E.Node) -> float:
+    # a negative base needs an integer-valued exponent
+    if b < 0.0 and not float(x).is_integer():
+        raise E.DomainError("negative base with non-integer exponent", node)
+    if b == 0.0 and x < 0:
+        raise E.DomainError("zero base with negative exponent", node)
+    try:
+        v = b ** x
+    except OverflowError:
+        raise E.DomainError("overflow", node) from None
+    if not math.isfinite(v):
+        raise E.DomainError("non-finite result", node)
+    return v
+
+
 def reference_eval(node: E.Node, point, t: float) -> float:
     """Oracle for :func:`dynsys.expr.evaluate`: a recursive walk with the same
     domain checks, computing every occurrence of a subexpression anew."""
@@ -108,7 +123,7 @@ def reference_eval(node: E.Node, point, t: float) -> float:
                 raise E.DomainError("division by zero", E._fmt_node(node))
             return _finite(reference_eval(l, point, t) / den, node)
         case E.Pow(base=b, exponent=x):
-            return E._pow_value(reference_eval(b, point, t), reference_eval(x, point, t), node)
+            return _pow_value(reference_eval(b, point, t), reference_eval(x, point, t), node)
         case E.Call(func=f, arg=a):
             return _call_value(f, reference_eval(a, point, t), node)
     raise TypeError(f"unknown node {node!r}")

@@ -452,6 +452,16 @@ def test_laws_enumeration_cap_reported_not_fatal(tmp_path):
     assert "name=section-law verdict=pass" in res.stdout
 
 
+@pytest.mark.parametrize("horizon", [100_000, 100_000_000])
+def test_laws_huge_horizon_is_skipped_at_once(specs, horizon):
+    # the cap test must not build 3^(horizon + 1), nor print it
+    argv = [sys.executable, "-m", "dynsys", "laws", specs["mod3"], "--horizon", str(horizon)]
+    res = subprocess.run(argv, capture_output=True, text=True, timeout=30)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert (f"note: initiality[p] skipped: 3^{horizon + 1} candidate functions exceeds cap 10000000\n"
+            in res.stdout)
+
+
 def test_laws_reports_are_byte_identical(specs, tmp_path):
     a, b = tmp_path / "a.rpt", tmp_path / "b.rpt"
     for out in (a, b):

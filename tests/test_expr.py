@@ -236,6 +236,19 @@ def test_compiled_matches_reference_walker(asts, point, t):
     assert _outcome(E.evaluate_vector, field, point, t) == _outcome(_reference_vector, asts, point, t)
 
 
+@pytest.mark.parametrize("base", [-2.0, -0.0, 0.0, 1e200])
+@pytest.mark.parametrize("k", [0.0, 2.0, 3.0, -1.0, -2.0, 0.5, -0.5])
+def test_powers_match_the_reference_walker(base, k):
+    # the exponent k as a constant, whose tests are settled when the code is
+    # emitted, and as a variable and the time, whose tests run
+    for expo in (E.Num(k), E.Var(2), E.TimeVar()):
+        e = E.Expr(E.Pow(E.Var(1), expo), 2)
+        point = [base, k]
+        assert _outcome(E.evaluate, e, point, k) == _outcome(reference_eval, e.root, point, k)
+        assert (_outcome(E.evaluate_vector, E.VectorExpr((e, e)), point, k)
+                == _outcome(_reference_vector, (e.root, e.root), point, k))
+
+
 @pytest.mark.parametrize("src, point, message", [
     ("log(x1 - x2) + x1", [1.0, 1.0], "log of a non-positive number in log(x1 - x2)"),
     ("x2 + 1/(x1 - x2)", [2.0, 2.0], "division by zero in 1 / (x1 - x2)"),

@@ -10,8 +10,9 @@ from dynsys import continuous as C
 from dynsys import expr as E
 from dynsys import germ as G
 from exprgen import random_expr
-from germgen import membership_equivalence_violations, random_monotone_piece_map
-from reference_germ import reference_crossing, reference_sign_brackets
+from germgen import membership_equivalence_violations, random_monotone_piece_map, random_open_set
+from reference_germ import (reference_critical_point, reference_crossing, reference_directions,
+                            reference_sign_brackets)
 
 
 # --- open sets ---------------------------------------------------------------
@@ -271,6 +272,87 @@ def test_compiled_crossing_matches_on_random_maps():
         assert got.hex() == reference_crossing(m, float(lo), float(hi), y, increasing).hex()
 
 
+def _reference_spans(pm: G.PartialMap) -> list[tuple[float, float]]:
+    """The pieces' ends as the grid of each domain component, the per-sample
+    sign loop and the scalar critical-point bisection make them."""
+    dm = E.differentiate(pm.map, 1)
+    spans = []
+    for lo, hi in pm.domain.intervals:
+        blo, bhi = max(lo, -G._CLIP), min(hi, G._CLIP)
+        xs = G._linspace_rows(np.array([blo + 1e-12 * max(1.0, abs(blo))]),
+                              np.array([bhi - 1e-12 * max(1.0, abs(bhi))]))[0]
+        cuts = [reference_critical_point(dm, float(xs[i]), float(xs[j]), rising)
+                for i, j, rising in reference_sign_brackets(E.evaluate_many(dm, xs))]
+        ends = [lo] + cuts + [hi]
+        spans += zip(ends, ends[1:])
+    return spans
+
+
+@pytest.mark.parametrize("src, domain", [
+    # a midpoint lands on 0.0, where the derivative is exactly 0: not positive
+    ("x1^2", (-3.0, 3.0)),
+    ("sqrt(x1^2 + 1) - x1^2/4", (-5.0, 5.0)),
+    ("cos(x1)", (-10.0, 10.0)),
+    # a midpoint where the compiled derivative raises DomainError: the walk's value
+    ("log(x1^2)", (-1.0, 1.0)),  # 2 * x1 / x1^2: division by zero
+    ("sqrt(x1^2)", (-1.0, 1.0)),  # 2 * x1 / (2 * sqrt(x1^2)): division by zero
+    ("(x1^2)^0.75", (-2.0, 2.0)),  # zero base with negative exponent
+    ("x1^2*exp(1/x1^2)", (-1.0, 2.0)),  # exp overflows across the bracket
+])
+def test_critical_points_match_the_scalar_bisection(src, domain):
+    pm = G.partial_map(src, G.open_set(domain))
+    pieces = G._monotone_pieces(pm)
+    assert repr([piece[:2] for piece in pieces]) == repr(_reference_spans(pm))
+
+
+def test_critical_points_match_on_random_maps():
+    rng = np.random.default_rng(31)
+    crossed = 0
+    for _ in range(300):
+        m = random_expr(rng, arity=1, depth=int(rng.integers(1, 5)))
+        try:
+            pm = G.PartialMap(random_open_set(rng), m)
+            pieces = G._monotone_pieces(pm)
+        except (ValueError, G.NonMonotoneError):
+            continue  # undefined, or no monotone pieces to compare
+        assert repr([piece[:2] for piece in pieces]) == repr(_reference_spans(pm))
+        crossed += len(pieces) > len(pm.domain.intervals)
+    assert crossed >= 50
+
+
+# rows of probes whose finite values are sorted up, down or not at all, with
+# nan, +-inf, signed zeros, the least subnormals and values whose
+# differences overflow among them
+_probe = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _probe_rows(draw):
+    width = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.lists(_probe, min_size=width, max_size=width))
+        order = draw(st.sampled_from(["up", "down", "as drawn"]))
+        if order != "as drawn":
+            finite = iter(sorted((v for v in row if math.isfinite(v)), reverse=order == "down"))
+            row = [next(finite) if math.isfinite(v) else v for v in row]
+        rows.append(row)
+    return np.array(rows)
+
+
+@hypothesis.given(_probe_rows())
+@hypothesis.example(np.array([[1.7e308, -1.7e308, 0.0], [-1.7e308, math.inf, 1.7e308],
+                              [math.nan, math.nan, math.nan]]))
+@hypothesis.example(np.array([[-0.0, 0.0, -0.0, 5e-324, math.nan, -math.inf, 5e-324]]))
+def test_directions_match_the_row_differences(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = G._directions(values)
+    assert got == reference_directions(values)
+
+
 _ends = st.floats(min_value=-G._CLIP, max_value=G._CLIP)
 _widths = st.one_of(st.sampled_from([5e-324, 1e-300, 1e-15, 2.5e-12, 1e-9, 2e8]),
                     st.floats(min_value=1e-12, max_value=2e8))
@@ -392,6 +474,15 @@ def test_germ_symmetry_and_transitivity():
         assert G.germ_equal(ga, gb).passed == G.germ_equal(gb, ga).passed
         if G.germ_equal(ga, gb).passed and G.germ_equal(gb, gc).passed:
             assert G.germ_equal(ga, gc).passed
+
+
+def test_germ_equal_always_compares_its_samples():
+    a = G.Germ(G.partial_map("x1"), 0.0)
+    b = G.Germ(G.partial_map("x1 + 1"), 0.0)
+    rep = G.germ_equal(a, b)
+    assert not rep.passed and rep.residual == 1.0 and rep.samples == G._EQUAL_SAMPLES
+    with pytest.raises(TypeError):
+        G.germ_equal(a, b, samples=0)
 
 
 def test_germ_requires_basepoint_in_domain():
