@@ -4,8 +4,9 @@ Three subcommands: ``solve`` integrates (or iterates) a system and writes
 the trajectory, ``check-morphism`` tests a candidate map between two
 systems, and ``laws`` runs the property suites that apply to a spec.
 
-Exit codes: 0 success/pass, 1 input error, 2 early termination of a solve
-(blow-up or domain exit, partial output still written), 3 a check failed.
+Exit codes: 0 success/pass, 1 input error (an output path that cannot be
+written included), 2 early termination of a solve (blow-up or domain exit,
+partial output still written), 3 a check failed.
 
 At module level only argument parsing is imported; each command imports
 the modules it uses, so ``--version`` loads no system code, a discrete spec
@@ -63,6 +64,11 @@ def _threshold(text: str) -> float:
     return _number(text, lambda v: v > 0.0, "a positive number")
 
 
+def _period(text: str) -> float:
+    """The type of ``--period``: a positive finite number."""
+    return _number(text, lambda v: 0.0 < v < math.inf, "a positive finite number")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dynsys", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dynsys {__version__}")
@@ -97,15 +103,26 @@ def _build_parser() -> _Parser:
     laws.add_argument("--tol", type=_tolerance, default=1e-8)
     laws.add_argument("--rtol", type=_tolerance, default=1e-9)
     laws.add_argument("--atol", type=_tolerance, default=1e-12)
-    laws.add_argument("--period", type=float, help="also check a periodic orbit at this period")
+    laws.add_argument("--period", type=_period, help="also check a periodic orbit at this period")
     laws.add_argument("--output", help="report path (default stdout)")
     return parser
 
 
+def _write(path: str, write) -> None:
+    """``write(path)``; a path that cannot be written is an input error."""
+    from .specio import SpecError
+
+    try:
+        write(path)
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        from pathlib import Path  # loaded already: specio reads the specs with it
+
+        _write(output, lambda path: Path(path).write_text(text))
     else:
         sys.stdout.write(text)
 
@@ -160,7 +177,10 @@ def _cmd_solve(args) -> int:
     traj = C.integrate(
         loaded.system, x0, args.span, rtol=args.rtol, atol=args.atol, escape_threshold=escape,
     )
-    traj.to_csv(args.output or None)
+    if args.output:
+        _write(args.output, traj.to_csv)
+    else:
+        traj.to_csv()
     if traj.termination != C.TERM_SPAN:
         end = traj.t_hi if args.span > 0 else traj.t_lo
         print(f"early termination: {traj.termination} at t={end:.9g}", file=sys.stderr)

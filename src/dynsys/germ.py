@@ -18,6 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import expr as E
+from .calculus import differentiate, evaluate_many, substitute
 from .continuous import ContinuousSystem, Trajectory, integrate
 from .core import CheckReport, NonMonotoneError, Value, _setfield
 
@@ -133,7 +134,7 @@ class PartialMap(Value):
         if not windows:
             return
         grid = np.array([blo + (bhi - blo) * _SANITY for _, _, blo, bhi in windows])
-        values = E.evaluate_many(self.map, grid.ravel()).reshape(grid.shape)
+        values = evaluate_many(self.map, grid.ravel()).reshape(grid.shape)
         # one test of every probe: inside the codomain, or overflowed to
         # +-inf (tolerated for a mathematically finite value), so not nan
         good = self.codomain.contains_array(values) | np.isinf(values)
@@ -181,7 +182,7 @@ class Germ(Value):
 def _walk_value(m: E.Expr, x: float) -> float:
     """The numpy walk's value at one point, which masks a domain exit as
     nan or +-inf where the compiled function raises DomainError."""
-    return float(E.evaluate_many(m, np.array([x]))[0])
+    return float(evaluate_many(m, np.array([x]))[0])
 
 
 def _limit_value(m: E.Expr, x: float, inward: float, width: float) -> float:
@@ -237,7 +238,7 @@ def _monotone_pieces(pm: PartialMap) -> tuple[tuple[float, float, float, float, 
     error it raises, is kept, and the first error in domain order raised.
     """
     m = pm.map
-    dm = E.differentiate(m, 1)
+    dm = differentiate(m, 1)
     comps, beyond = [], []  # (lo, hi, blo, bhi) per component before any beyond the clip
     for lo, hi in pm.domain.intervals:
         blo, bhi = max(lo, -_CLIP), min(hi, _CLIP)
@@ -251,7 +252,7 @@ def _monotone_pieces(pm: PartialMap) -> tuple[tuple[float, float, float, float, 
         grid = _linspace_rows(
             np.array([blo + 1e-12 * max(1.0, abs(blo)) for _, _, blo, _ in comps]),
             np.array([bhi - 1e-12 * max(1.0, abs(bhi)) for _, _, _, bhi in comps]))
-        dvals = E.evaluate_many(dm, grid.ravel()).reshape(grid.shape)
+        dvals = evaluate_many(dm, grid.ravel()).reshape(grid.shape)
         valid = np.isfinite(dvals)
         evaluable = valid.any(axis=1).tolist()
         flat = ((dvals == 0.0) | ~valid).all(axis=1).tolist()
@@ -287,7 +288,7 @@ def _monotone_pieces(pm: PartialMap) -> tuple[tuple[float, float, float, float, 
         rows[:, 0] = los + 0.0 * widths
         rows[:, 1] = his - 0.0 * widths
         rows[:, 2:] = los[:, None] + widths[:, None] * _MONOTONE
-        values = E.evaluate_many(m, rows.ravel()).reshape(rows.shape)
+        values = evaluate_many(m, rows.ravel()).reshape(rows.shape)
         for (c, p_lo, p_hi, c_lo, c_hi), (v_lo, v_hi), (up, down) in zip(
                 spans, values[:, :2].tolist(), _directions(values[:, 2:])):
             pieces = outcomes[c]
@@ -366,7 +367,7 @@ def preimage(pm: PartialMap, target: OpenSet1D) -> OpenSet1D:
 def compose_partial(f: PartialMap, g: PartialMap) -> PartialMap:
     """The composite g after f with dom = dom(f) n f^{-1}(dom(g))."""
     new_domain = f.domain.intersect(preimage(f, g.domain))
-    composite = E.substitute(g.map, [f.map])
+    composite = substitute(g.map, [f.map])
     return PartialMap(
         domain=new_domain,
         map=composite,
@@ -398,8 +399,8 @@ def germ_equal(a: Germ, b: Germ, tol: float = 1e-12) -> CheckReport:
     hi = min(comp[1], a.basepoint + 1e3)
     width = hi - lo
     xs = np.linspace(lo + 1e-9 * width, hi - 1e-9 * width, _EQUAL_SAMPLES)
-    va = E.evaluate_many(a.representative.map, xs)
-    vb = E.evaluate_many(b.representative.map, xs)
+    va = evaluate_many(a.representative.map, xs)
+    vb = evaluate_many(b.representative.map, xs)
     return CheckReport.worst(
         zip(np.abs(va - vb).tolist(), xs.tolist()), tol,
         witness=lambda residual, x: f"max value gap {residual:.6g} on ({lo}, {hi})",

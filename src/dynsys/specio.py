@@ -31,12 +31,16 @@ morphism files::
     entry: a -> x            # discrete: one row per source element
 
 Each kind of spec imports the modules that build it when it is loaded, so
-a discrete spec loads no expression or ODE code.
+a discrete spec loads no expression or ODE code.  A loaded system's tau
+view (:mod:`dynsys.tau`), which only ``laws`` reads, is built on first
+read, except that ``section:`` and ``section-base:`` fixtures build theirs
+at load.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -54,11 +58,19 @@ class SpecError(ValueError):
 class LoadedSystem(Record):
     __match_args__ = ("kind", "system", "basepoint", "tau_system")
 
-    def __init__(self, kind: str, system, basepoint, tau_system: TauSystem):
+    def __init__(self, kind: str, system, basepoint, tau_system: TauSystem | None = None):
         self.kind = kind  # discrete | continuous | germed
         self.system = system
         self.basepoint = basepoint
-        self.tau_system = tau_system
+        if tau_system is not None:  # a fixture's section; else the system's own, when read
+            self.tau_system = tau_system
+
+    @cached_property
+    def tau_system(self) -> TauSystem:
+        from . import tau
+
+        return tau.from_discrete(self.system) if self.is_discrete else \
+            tau.from_continuous(self.system)
 
     @property
     def is_discrete(self) -> bool:
@@ -130,7 +142,6 @@ def load_system(path) -> LoadedSystem:
 
 
 def _load_discrete(pairs, path) -> LoadedSystem:
-    from . import tau
     from .discrete import DiscreteSystem
 
     elements_line = _single(pairs, "elements", path, required=True)
@@ -146,9 +157,11 @@ def _load_discrete(pairs, path) -> LoadedSystem:
     basepoint = _single(pairs, "basepoint", path)
     if basepoint is not None and basepoint not in table:
         raise SpecError(f"{path}: basepoint {basepoint!r} not among the elements")
-    section = None
+    tau_system = None
     section_rows = _collect(pairs, "section")
     if section_rows:
+        from . import tau
+
         section = {}
         for value in section_rows:
             src, (first, second) = _parse_arrow(value, path, parts=2)
@@ -156,17 +169,12 @@ def _load_discrete(pairs, path) -> LoadedSystem:
         missing = set(carrier) - set(section)
         if missing:
             raise SpecError(f"{path}: section rows missing for {sorted(missing)}")
-    tau_system = (
-        tau.from_discrete(system)
-        if section is None
-        else tau.TauSystem(tau.DISCRETE, carrier, section)
-    )
+        tau_system = tau.TauSystem(tau.DISCRETE, carrier, section)
     return LoadedSystem("discrete", system, basepoint, tau_system)
 
 
 def _load_continuous(pairs, path, kind: str) -> LoadedSystem:
     from . import expr as E
-    from . import tau
     from .continuous import ContinuousSystem, Domain
 
     dim_tok = _single(pairs, "dimension", path, required=True)
@@ -220,6 +228,7 @@ def _load_continuous(pairs, path, kind: str) -> LoadedSystem:
         if not domain.contains(basepoint):
             raise SpecError(f"{path}: basepoint {basepoint} outside the domain")
 
+    tau_system = None
     base_rows = _collect(pairs, "section-base")
     if base_rows:
         if len(base_rows) != n:
@@ -228,10 +237,9 @@ def _load_continuous(pairs, path, kind: str) -> LoadedSystem:
             footing = E.parse_vector(base_rows, n)
         except E.ExprError as exc:
             raise SpecError(f"{path}: {exc}") from None
-        section = tau.TangentSection(field, base=footing)
-        tau_system = tau.TauSystem(tau.CONTINUOUS, domain, section)
-    else:
-        tau_system = tau.from_continuous(system)
+        from . import tau
+
+        tau_system = tau.TauSystem(tau.CONTINUOUS, domain, tau.TangentSection(field, base=footing))
     return LoadedSystem(kind, system, basepoint, tau_system)
 
 

@@ -292,7 +292,41 @@ def test_laws_horizon_in_a_mixed_run_applies_to_the_discrete_spec(specs, capsys)
 def test_laws_zero_period_is_input_error(specs, capsys):
     # a zero period is not "no period": it is checked, and refused
     assert cli.main(["laws", specs["osc"], "--period", "0"]) == 1
-    assert capsys.readouterr().err == "error: period must be positive\n"
+    assert capsys.readouterr().err == \
+        "error: argument --period: expected a positive finite number, got '0'\n"
+
+
+@pytest.mark.parametrize("period", ["nan", "inf", "0", "-1"])
+def test_laws_period_must_be_positive_and_finite(specs, period):
+    # refused by the option's type, naming the option, before any spec is read
+    res = run_cli("laws", specs["osc"], "--period", period)
+    assert res.returncode == 1
+    assert res.stderr == \
+        f"error: argument --period: expected a positive finite number, got '{period}'\n"
+    assert res.stdout == ""
+
+
+# one run of each command kind that writes --output; the last ends early, and
+# a failed write then exits 1, not 2
+UNWRITABLE_CASES = [
+    ["solve", "osc", "--span", "1"],
+    ["solve", "mod3", "--horizon", "3"],
+    ["check-morphism", "time", "time", "translate"],
+    ["laws", "mod3"],
+    ["solve", "quad", "--span", "2"],
+]
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("argv", UNWRITABLE_CASES, ids=[" ".join(a) for a in UNWRITABLE_CASES])
+def test_unwritable_output_is_input_error(specs, tmp_path, argv, where):
+    output = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    res = run_cli(*[specs.get(a, a) for a in argv], "--output", str(output))
+    assert res.returncode == 1
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert res.stderr.startswith(f"error: cannot write {output}: [Errno ")
+    assert res.stdout == ""
+    assert not (tmp_path / "missing").exists()
 
 
 LOG_SPEC = "kind: continuous\ndimension: 1\nfield: log(x1)\n"
@@ -483,9 +517,11 @@ def test_negative_scientific_option_values(specs, capsys, argv, code):
     spaced = capsys.readouterr()
     assert cli.main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == code
     assert capsys.readouterr() == spaced
-    assert "argument" not in spaced.err
-    if argv[0] == "laws":
-        assert spaced.err == "error: period must be positive\n"
+    if argv[0] == "laws":  # refused by --period's type, which saw the whole value
+        assert spaced.err == ("error: argument --period: expected a positive finite number, "
+                              "got '-6.283185307179586e0'\n")
+    else:
+        assert "argument" not in spaced.err
 
 
 @pytest.mark.parametrize("values", [["-1e-1", "1"], ["0", "-1e-1"], ["-5E-1", "-2.5e0"]])

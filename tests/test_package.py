@@ -110,7 +110,9 @@ MODULE_CASES = [
     (["solve", "endo.txt", "--horizon", "4"], None, _DISCRETE),
     (["check-morphism", "endo.txt", "endo.txt", "endo_map.txt"], None, _DISCRETE),
     (["laws", "endo.txt", "--horizon", "4"], None, _DISCRETE),
-    (["solve", "osc.txt", "--span", "1", "--output", "osc.csv"], None, _CONTINUOUS),
+    (["solve", "osc.txt", "--span", "1", "--output", "osc.csv"],
+     {"dynsys", "dynsys.__main__", "dynsys.cli", "dynsys.core", "dynsys.specio", "dynsys.expr",
+      "dynsys.continuous"}, _CONTINUOUS),
     (["check-morphism", "osc.txt", "osc.txt", "ident.txt", "--preserve-solutions", "1", "0",
       "1"], None, _CONTINUOUS),
     (["laws", "osc.txt"], None, ("dynsys.germ", "numpy")),
@@ -302,12 +304,12 @@ def _callees(fn: ast.FunctionDef) -> set[str]:
 def test_no_expression_function_recurses():
     # every walker and the parser work on explicit stacks, so that no
     # expression is too deep for them; a function that reaches itself again,
-    # directly or through others of the module, would bring the limit back
-    tree = ast.parse(Path(dynsys.expr.__file__).read_text())
+    # directly or through others of the two modules, would bring the limit back
     calls: dict[str, set[str]] = {}
-    for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef):
-            calls.setdefault(fn.name, set()).update(_callees(fn))
+    for module in (dynsys.expr, dynsys.calculus):
+        for fn in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                calls.setdefault(fn.name, set()).update(_callees(fn))
     assert {"_parse", "_diff", "_subst", "_eval_np", "_postorder"} <= calls.keys()
     for name in calls:
         reached, todo = set(), list(calls[name])
@@ -317,6 +319,50 @@ def test_no_expression_function_recurses():
                 reached.add(callee)
                 todo.extend(calls[callee])
         assert name not in reached, f"{name} calls itself"
+
+
+# the modules whose code a continuous ``solve`` never runs, by the module
+# their names were moved out of, which still reads each of them
+MOVED = {
+    "expr": ("calculus", ["_ARITH", "_eval_np", "evaluate_many", "_is_num", "_fold2", "_add",
+                          "_sub", "_neg", "_mul", "_div", "_power", "_diff_node", "_diff",
+                          "differentiate", "jacobian", "_subst", "substitute", "compose",
+                          "identity_map"]),
+    "continuous": ("ode_checks", ["_SAMPLE_CLIP", "_EQUILIBRIUM_GRID", "_PRESERVATION_GRID",
+                                  "_PRIMES", "_radical_inverse", "default_samples",
+                                  "check_f_relatedness", "check_solution_preservation",
+                                  "_compare_on_common_span", "find_equilibria",
+                                  "check_equilibrium_morphism", "check_periodic_orbit",
+                                  "solution_morphism_report"]),
+}
+
+MOVED_SCRIPT = """
+import sys
+from dynsys import {old}
+
+print(*sorted(m for m in sys.modules if m.startswith("dynsys")))
+print(all(getattr({old}, name) is getattr(sys.modules["dynsys.{new}"], name) for name in {names!r}))
+print(*sorted(set({names!r}) - set(dir({old}))))
+"""
+
+
+@pytest.mark.parametrize("old", sorted(MOVED))
+def test_moved_names_read_as_the_same_objects(tmp_path, old):
+    new, names = MOVED[old]
+    module = importlib.import_module(f"dynsys.{new}")
+    # the list is every name the new module defines, its imports aside
+    body = ast.parse(Path(module.__file__).read_text()).body
+    defined = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+    defined |= {target.id for node in body if isinstance(node, ast.Assign)
+                for target in node.targets}
+    assert defined == set(names)
+    # in a fresh interpreter, the old module loads the new one on the first read
+    loaded, same, missing = _run(MOVED_SCRIPT.format(old=old, new=new, names=names), tmp_path)
+    assert f"dynsys.{new}" not in loaded.split()
+    assert same == "True"
+    assert missing == ""
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(f"dynsys.{old}"), "no_such_name")
 
 
 def test_traced_functions_still_exist():
