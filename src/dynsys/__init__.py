@@ -40,7 +40,8 @@ _EXPORTS = {
              "partial_map", "preimage"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"calculus", "cli", "ode_checks", "specio"}
+_SUBMODULES = frozenset(_EXPORTS) | {"calculus", "category", "checkcmd", "cli", "ode_checks",
+                                      "specio"}
 
 __all__ = [name for name, module in _HOME.items() if module != "germ"]
 

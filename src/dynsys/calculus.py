@@ -1,10 +1,14 @@
-"""Batched evaluation, differentiation and substitution of expressions.
+"""Printing, unpickling, batched evaluation, differentiation and
+substitution of expressions.
 
 The parts of the expression DSL that only the checks and the germ code
 run: a ``dynsys solve`` parses and evaluates its field through
-:mod:`dynsys.expr` and never loads this module.  Every name here is also
-readable from :mod:`dynsys.expr`, which imports this module on first
-access (PEP 562), so ``expr.differentiate is calculus.differentiate``.
+:mod:`dynsys.expr` and never loads this module.  An expression's text
+(:func:`to_string`, ``str``, a :class:`~dynsys.expr.DomainError`'s culprit)
+and its unpickling (:func:`_rebuild`) come from here too, on first use.
+Every name here is also readable from :mod:`dynsys.expr`, which imports
+this module on first access (PEP 562), so ``expr.differentiate is
+calculus.differentiate``.
 
 Like the rest of the DSL, no function here recurses: each walks the
 distinct nodes of an expression once, in the order of ``Expr._order``.
@@ -30,6 +34,92 @@ from .expr import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+# --- unpickling -----------------------------------------------------------
+
+
+def _rebuild(program: tuple) -> "Node":
+    """Unpickle what :meth:`Node.__reduce__` flattened: the distinct nodes in
+    post-order, each as its class and fields, a child field as its position."""
+    built: list[Node] = []
+    for cls, *fields in program:
+        if cls is not Num and cls is not Var:  # all fields are children but a call's name
+            fields = [f if f.__class__ is str else built[f] for f in fields]
+        built.append(cls(*fields))
+    return built[-1]
+
+
+# --- printing -------------------------------------------------------------
+
+_LEVEL_EXPR, _LEVEL_TERM, _LEVEL_FACTOR, _LEVEL_ATOM = 0, 1, 2, 3
+
+
+def _level(node: Node) -> int:
+    match node:
+        case Add() | Sub():
+            return _LEVEL_EXPR
+        case Mul() | Div():
+            return _LEVEL_TERM
+        case Pow():
+            return _LEVEL_FACTOR
+        case _:
+            return _LEVEL_ATOM
+
+
+def _fmt_number(v: float) -> str:
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+        return str(int(v)) if v or math.copysign(1.0, v) > 0.0 else "-0"
+    return repr(v)
+
+
+def _fmt_parts(node: Node) -> list:
+    """The text of one node: strings, and (child, required level) pairs."""
+    match node:
+        case Num(value=v):
+            return [_fmt_number(v)]
+        case Var(index=i):
+            return [f"x{i}"]
+        case TimeVar():
+            return ["t"]
+        case Neg(arg=a):
+            return ["-", (a, _LEVEL_ATOM)]
+        case Add(left=l, right=r):
+            return [(l, _LEVEL_EXPR), " + ", (r, _LEVEL_TERM)]
+        case Sub(left=l, right=r):
+            return [(l, _LEVEL_EXPR), " - ", (r, _LEVEL_TERM)]
+        case Mul(left=l, right=r):
+            return [(l, _LEVEL_TERM), " * ", (r, _LEVEL_FACTOR)]
+        case Div(left=l, right=r):
+            return [(l, _LEVEL_TERM), " / ", (r, _LEVEL_FACTOR)]
+        case Pow(base=b, exponent=x):
+            return [(b, _LEVEL_ATOM), "^", (x, _LEVEL_ATOM)]
+        case Call(func=f, arg=a):
+            return [f"{f}(", (a, _LEVEL_EXPR), ")"]
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _fmt_node(root: Node) -> str:
+    """Render a tree, parenthesizing a child whose level is below what its
+    parent requires; an explicit stack, so any depth prints."""
+    out: list[str] = []
+    stack: list = [(root, _LEVEL_EXPR)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, required = item
+        parts = _fmt_parts(node)
+        if _level(node) < required:
+            parts = ["(", *parts, ")"]
+        stack.extend(reversed(parts))
+    return "".join(out)
+
+
+def to_string(e: Expr) -> str:
+    """Render so that ``parse(to_string(e), e.arity)`` reproduces the AST."""
+    return _fmt_node(e.root)
 
 
 # --- batched evaluation ---------------------------------------------------

@@ -11,6 +11,12 @@ partial output still written), 3 a check failed.
 At module level only argument parsing is imported; each command imports
 the modules it uses, so ``--version`` loads no system code, a discrete spec
 no expression or ODE code, and a continuous one no discrete code.
+
+The bodies of ``check-morphism`` and ``laws`` live in
+:mod:`dynsys.checkcmd`, which :func:`main` imports only for those two
+commands, so ``--version`` and ``solve`` do not compile them.  Each of
+their names still reads from this module: the first access imports
+:mod:`dynsys.checkcmd` and binds the name here (PEP 562).
 """
 
 from __future__ import annotations
@@ -19,12 +25,8 @@ import argparse
 import math
 import re
 import sys
-from typing import TYPE_CHECKING
 
 from . import __version__, core
-
-if TYPE_CHECKING:
-    from .specio import LoadedSystem
 
 
 # an argument that reads as a negative number is a value, not an option;
@@ -188,148 +190,41 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_check_morphism(args) -> int:
-    from .specio import SpecError, load_map, load_system, render_report
-
-    src = load_system(args.src)
-    dst = load_system(args.dst)
-    mapping = load_map(args.map, src, dst)
-    config = {
-        "tol": args.tol, "rtol": args.rtol, "atol": args.atol,
-        "preserve_tol": args.preserve_tol,
-    }
-    checks = []
-    if src.is_discrete:
-        from . import discrete
-
-        _refuse(args, "continuous", "--preserve-solutions")
-        checks.append(("dt-morphism", discrete.check_dt_morphism(mapping, src.system, dst.system)))
-    else:
-        from . import continuous as C
-
-        checks.append(("f-relatedness",
-                       C.check_f_relatedness(mapping, src.system, dst.system, tol=args.tol)))
-        if args.preserve_solutions:
-            n = src.system.dimension
-            if len(args.preserve_solutions) != n + 1:
-                raise SpecError(f"--preserve-solutions needs {n} coordinates plus T")
-            x0 = tuple(float(v) for v in args.preserve_solutions[:n])
-            span = float(args.preserve_solutions[n])
-            checks.append(("solution-preservation", C.check_solution_preservation(
-                mapping, src.system, dst.system, x0, span,
-                tol=args.preserve_tol, rtol=args.rtol, atol=args.atol,
-            )))
-    command = f"check-morphism {args.src} {args.dst} {args.map}"
-    _emit(render_report(command, config, checks), args.output)
-    return 0 if all(rep.passed for _, rep in checks) else 3
-
-
-def _laws_for_discrete(loaded: LoadedSystem, args, checks, notes, label: str) -> None:
-    from . import discrete, tau
-
-    sys_ = loaded.system
-    checks.append((f"{label}section-law", tau.check_section(loaded.tau_system)))
-    checks.append((f"{label}identity-morphism", discrete.check_dt_morphism(
-        core.identity_morphism(sys_).mapping, sys_, sys_)))
-    # the endomap is itself an endomorphism; associate its cube both ways
-    x_cand = core.MorphismCandidate(dict(sys_.endomap), sys_, sys_)
-    left = core.compose_morphisms(core.compose_morphisms(x_cand, x_cand), x_cand)
-    right = core.compose_morphisms(x_cand, core.compose_morphisms(x_cand, x_cand))
-    checks.append((f"{label}compose-associativity", core.CheckReport.tally(
-        None if left.mapping[x] == right.mapping[x] else f"association orders disagree at {x!r}"
-        for x in sys_.carrier)))
-    basepoints = [loaded.basepoint] if loaded.basepoint else list(sys_.carrier)
-    for bp in basepoints:
-        try:
-            rep = core.verify_initiality_discrete(
-                args.horizon, core.PointedSystem(sys_, bp))
-            checks.append((f"{label}initiality[{bp}]", rep))
-        except core.EnumerationCapError as exc:
-            notes.append(f"{label}initiality[{bp}] skipped: {exc}")
-    fp = sorted(discrete.fixed_points(sys_))
-    notes.append(f"{label}fixed-points: {' '.join(fp) if fp else '(none)'}")
-
-
-def _laws_for_continuous(loaded: LoadedSystem, args, checks, notes, label: str) -> None:
-    from . import continuous as C
-    from . import tau
-    from .specio import SpecError
-
-    sys_ = loaded.system
-    checks.append((f"{label}section-law", tau.check_section(loaded.tau_system)))
-    checks.append((f"{label}identity-morphism", C.check_f_relatedness(
-        C.identity_smooth_map(sys_.dimension), sys_, sys_, tol=args.tol)))
-    ident = core.identity_morphism(sys_)
-    left = core.compose_morphisms(core.compose_morphisms(ident, ident), ident)
-    right = core.compose_morphisms(ident, core.compose_morphisms(ident, ident))
-    checks.append((f"{label}compose-associativity", core.CheckReport.worst(
-        ((core._distance(left.mapping(p), right.mapping(p)), p)
-         for p in C.default_samples(sys_.domain, 25)), 1e-12)))
-    equilibria = C.find_equilibria(sys_, tol=max(args.tol, 1e-10))
-    if equilibria:
-        checks.append((f"{label}equilibrium-morphisms", core.CheckReport.worst(
-            ((C.check_equilibrium_morphism(sys_, eq, tol=args.tol).residual, eq)
-             for eq in equilibria), args.tol)))
-    notes.append(f"{label}equilibria: {len(equilibria)} found")
-    if loaded.basepoint is not None:
-        traj = C.integrate(sys_, loaded.basepoint, 1.0,
-                           rtol=args.rtol, atol=args.atol, max_step=2e-3)
-        bound = 10 * (args.atol + args.rtol * max(abs(v) for row in traj._states for v in row))
-        checks.append((f"{label}solution-morphism",
-                       C.solution_morphism_report(traj, sys_, bound)))
-        if args.period is not None:
-            try:
-                checks.append((f"{label}periodic-orbit", C.check_periodic_orbit(
-                    sys_, loaded.basepoint, args.period,
-                    rtol=args.rtol, atol=args.atol)))
-            except C.EarlyTerminationError as exc:
-                checks.append((f"{label}periodic-orbit",
-                               core.CheckReport.exact(str(exc), 0, violations=1)))
-    else:
-        notes.append(f"{label}solution-morphism skipped: no basepoint in the spec")
-        if args.period is not None:
-            raise SpecError("--period needs a basepoint in the spec file")
-
-
-def _cmd_laws(args) -> int:
-    from .specio import load_system, render_report
-
-    checks, notes = [], []
-    specs = [load_system(path) for path in args.systems]
-    if all(loaded.is_discrete for loaded in specs):  # no spec of the run reads a period
-        _refuse(args, "continuous", "--period")
-    if not any(loaded.is_discrete for loaded in specs):  # no spec of the run reads a horizon
-        _refuse(args, "discrete", "--horizon")
-    args.horizon = 6 if args.horizon is None else args.horizon
-    for path, loaded in zip(args.systems, specs):
-        label = f"{path}:" if len(args.systems) > 1 else ""
-        if loaded.is_discrete:
-            _laws_for_discrete(loaded, args, checks, notes, label)
-        else:
-            _laws_for_continuous(loaded, args, checks, notes, label)
-    config = {
-        "horizon": args.horizon, "tol": args.tol, "rtol": args.rtol,
-        "atol": args.atol, "period": args.period,
-    }
-    command = "laws " + " ".join(args.systems)
-    _emit(render_report(command, config, checks, notes), args.output)
-    return 0 if all(rep.passed for _, rep in checks) else 3
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "solve":
             return _cmd_solve(args)
+        from . import checkcmd
+
         if args.command == "check-morphism":
-            return _cmd_check_morphism(args)
-        return _cmd_laws(args)
+            return checkcmd._cmd_check_morphism(args)
+        return checkcmd._cmd_laws(args)
     # a SpecError is a ValueError; the other errors are defined in core, so
     # that naming them here loads none of the modules that raise them
     except (ValueError, core.ExprError, core.NonMonotoneError,
             core.StepSizeUnderflowError, core.StepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+# --- the check commands: see dynsys.checkcmd ---------------------------------
+
+_CHECKCMD = frozenset({"_cmd_check_morphism", "_laws_for_discrete", "_laws_for_continuous",
+                       "_cmd_laws"})
+
+
+def __getattr__(name):
+    if name not in _CHECKCMD:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import checkcmd
+
+    value = globals()[name] = getattr(checkcmd, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _CHECKCMD)
 
 
 if __name__ == "__main__":

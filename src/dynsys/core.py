@@ -1,27 +1,19 @@
-"""Category kernel: check reports, morphism candidates, composition and
-initiality checking where it is decidable.
-
-Initiality of the truncated successor system is checked by an exhaustive
-search over every function from {0..horizon} into the carrier that counts
-the basepoint-preserving ones intertwining the dynamics; exactly one must
-survive.  The search drops a partial table as soon as it breaks either
-condition, so it visits only the surviving prefixes, while the reported
-``samples`` still counts the whole space of |carrier|^(horizon+1) tables.
-The continuous analog has an uncountable candidate space, so there the
-solution-uniqueness corroboration in :mod:`dynsys.continuous` stands in
-(see :func:`verify_initiality_continuous`).
+"""The package's kernel: its errors, its value-class bases and the dot
+product of the integrator.
 
 The value-class bases :class:`Record` and :class:`Value` come first: every
-system, morphism, report and expression node of the package is one.  The
-last section holds the arithmetic on lists of floats (dot products,
-norms, grids, a linear solve) that the integrator and the numerical checks
-share, so that none of them needs numpy.
+system, morphism, report and expression node of the package is one.
+:func:`_dot` sums a product of two lists of floats, left to right, so that
+neither the integrator nor the checks need numpy.
+
+Check reports, morphism candidates, composition and the initiality checks
+live in :mod:`dynsys.category`, which only the checks run, so a ``dynsys
+solve`` and ``--version`` do not compile them.  Each of their names,
+private ones included, still reads from this module: the first access
+imports :mod:`dynsys.category` and binds the name here (PEP 562).
 """
 
 from __future__ import annotations
-
-import math
-from typing import Mapping, Sequence
 
 
 class SystemMismatchError(ValueError):
@@ -122,243 +114,7 @@ class Value(Record):
 _setfield = object.__setattr__
 
 
-class CheckReport(Value):
-    """Structured verdict of a single check.
-
-    For numerical checks the verdict is residual <= tolerance; for exact
-    checks it is the absence of a witness.  ``residual`` is a sup-norm
-    where one applies, otherwise a violation count.  A check over many
-    samples builds its report with :meth:`worst` or :meth:`tally`.
-    """
-
-    __match_args__ = ("passed", "residual", "samples", "witness", "note")
-
-    def __init__(self, passed: bool, residual: float, samples: int,
-                 witness: str | None = None, note: str | None = None):
-        _setfield(self, "passed", passed)
-        _setfield(self, "residual", residual)
-        _setfield(self, "samples", samples)
-        _setfield(self, "witness", witness)
-        _setfield(self, "note", note)
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
-
-    @staticmethod
-    def numerical(
-        residual: float,
-        tol: float,
-        samples: int,
-        witness: str | None = None,
-        note: str | None = None,
-    ) -> "CheckReport":
-        passed = residual <= tol
-        return CheckReport(passed, residual, samples, None if passed else witness, note)
-
-    @staticmethod
-    def exact(
-        witness: str | None,
-        samples: int,
-        violations: int = 0,
-        note: str | None = None,
-    ) -> "CheckReport":
-        if (witness is None) != (violations == 0):
-            raise ValueError("witness and violation count disagree")
-        return CheckReport(witness is None, float(violations), samples, witness, note)
-
-    @staticmethod
-    def worst(gaps, tol: float, witness=None, note: str | None = None) -> "CheckReport":
-        """The numerical report over one ``(gap, where)`` pair per sample: the
-        residual is the largest gap, the first of equal ones, and a failed
-        check's witness is ``witness(residual, where)`` (none if no gap is
-        above 0).  A nan gap raises ``ValueError`` naming its sample, as a
-        check that cannot measure a sample can neither pass nor fail it; an
-        inf gap fails."""
-        residual, at, samples = 0.0, None, 0
-        for gap, where in gaps:
-            samples += 1
-            if gap > residual:
-                residual, at = gap, where
-            elif gap != gap:
-                raise ValueError(f"nan gap at sample {where}, which can neither pass nor fail")
-        passed = residual <= tol
-        text = None if passed or witness is None or at is None else witness(residual, at)
-        return CheckReport(passed, residual, samples, text, note)
-
-    @staticmethod
-    def tally(misses, note: str | None = None) -> "CheckReport":
-        """The exact report over one entry per sample, None or the text of a
-        violation: the residual counts the violations, the first is the witness."""
-        misses = list(misses)
-        found = [miss for miss in misses if miss is not None]
-        return CheckReport.exact(found[0] if found else None, len(misses), len(found), note)
-
-
-class PointedSystem(Value):
-    """A system together with a chosen state of its carrier."""
-
-    __match_args__ = ("system", "basepoint")
-
-    def __init__(self, system, basepoint):
-        _setfield(self, "system", system)
-        _setfield(self, "basepoint", basepoint)
-        if hasattr(system, "endomap"):
-            if basepoint not in system.endomap:
-                raise ValueError(f"basepoint {basepoint!r} not in the carrier")
-        elif hasattr(system, "domain"):
-            if not system.domain.contains(basepoint):
-                raise ValueError(f"basepoint {basepoint!r} outside the domain")
-
-
-class MorphismCandidate(Value):
-    """A map between carriers plus the systems it claims to relate."""
-
-    __match_args__ = ("mapping", "src", "dst")
-
-    def __init__(self, mapping, src, dst):
-        # SmoothMap for continuous systems, a str->str table for discrete
-        _setfield(self, "mapping", mapping)
-        _setfield(self, "src", src)
-        _setfield(self, "dst", dst)
-
-
-def identity_morphism(system) -> MorphismCandidate:
-    if hasattr(system, "endomap"):
-        return MorphismCandidate({x: x for x in system.carrier}, system, system)
-    from .continuous import ContinuousSystem, identity_smooth_map
-
-    if isinstance(system, ContinuousSystem):
-        return MorphismCandidate(identity_smooth_map(system.dimension), system, system)
-    raise TypeError(f"no identity morphism for {type(system).__name__}")
-
-
-def compose_morphisms(f: MorphismCandidate, g: MorphismCandidate) -> MorphismCandidate:
-    """The composite g o f (f applied first); expression-backed maps compose
-    by substitution, discrete tables by lookup."""
-    if f.dst != g.src:
-        raise SystemMismatchError("target system of f differs from source system of g")
-    if isinstance(f.mapping, Mapping) and isinstance(g.mapping, Mapping):
-        table = {x: g.mapping[y] for x, y in f.mapping.items()}
-        return MorphismCandidate(table, f.src, g.dst)
-    from .continuous import SmoothMap, compose_smooth_maps
-
-    if isinstance(f.mapping, SmoothMap) and isinstance(g.mapping, SmoothMap):
-        return MorphismCandidate(compose_smooth_maps(g.mapping, f.mapping), f.src, g.dst)
-    raise TypeError("cannot compose a smooth map with a discrete table")
-
-
-def check_composition_closure(
-    f,
-    g,
-    x_sys,
-    y_sys,
-    z_sys,
-    samples: Sequence | None = None,
-    tol: float = 1e-8,
-) -> CheckReport:
-    """Given f relating (X, Y) and g relating (Y, Z), verify that the composite
-    relates (X, Z) at the samples; the chain rule says it must."""
-    from .tau import check_tau_morphism, from_continuous, from_discrete
-
-    gf = compose_morphisms(
-        MorphismCandidate(f, x_sys, y_sys), MorphismCandidate(g, y_sys, z_sys)
-    )
-    view = from_discrete if isinstance(gf.mapping, Mapping) else from_continuous
-    return check_tau_morphism(gf, view(x_sys), view(z_sys), samples=samples, tol=tol)
-
-
-def enumerate_pointed_morphisms(
-    target: PointedSystem, horizon: int, cap: int = 10**7
-) -> tuple[list[tuple[str, ...]], int]:
-    """Exhaustive oracle for discrete initiality.
-
-    Searches every function {0..horizon} -> carrier, in the order of
-    ``itertools.product(carrier, repeat=horizon + 1)``, for those that
-    send 0 to the basepoint and satisfy alpha(n+1) = X(alpha(n)); a
-    partial table that breaks either condition is not extended.  Returns
-    the surviving tables and the size of the space searched.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    sys = target.system
-    carrier = tuple(sys.carrier)
-    # n^e > cap for n >= 2 and e > cap's bit length, so the power is computed
-    # no further than the cap test needs (exactly, when the test passes)
-    total = len(carrier) ** min(horizon + 1, cap.bit_length() + 1)
-    if total > cap:
-        raise EnumerationCapError(
-            f"{len(carrier)}^{horizon + 1} candidate functions exceeds cap {cap}"
-        )
-    endomap = sys.endomap
-    found = []
-    seq: list[str] = []  # the partial table
-    # per position of seq: the carrier elements still to try there, and the
-    # one value the conditions allow there
-    frames = [(iter(carrier), target.basepoint)]
-    while frames:
-        values, allowed = frames[-1]
-        for c in values:
-            if c == allowed:
-                break
-        else:  # position exhausted: backtrack
-            frames.pop()
-            if seq:
-                seq.pop()
-            continue
-        seq.append(c)
-        if len(seq) == horizon + 1:
-            found.append(tuple(seq))
-            seq.pop()
-        else:
-            frames.append((iter(carrier), endomap[c]))
-    return found, total
-
-
-def verify_initiality_discrete(
-    horizon: int, target: PointedSystem, cap: int = 10**7
-) -> CheckReport:
-    """Count basepoint-preserving morphisms from the truncated successor
-    system; universality demands exactly one."""
-    found, total = enumerate_pointed_morphisms(target, horizon, cap=cap)
-    count = len(found)
-    witness = None
-    if count == 0:
-        witness = "no basepoint-preserving morphism found"
-    elif count > 1:
-        witness = f"{count} distinct morphisms found, e.g. {found[0]} and {found[1]}"
-    return CheckReport(count == 1, float(abs(count - 1)), total, witness)
-
-
-_INITIALITY_GRID = 101  # times at which continuous initiality compares the two runs
-
-
-def verify_initiality_continuous(
-    sys,
-    x0,
-    span: float,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-    tol: float = 1e-6,
-) -> CheckReport:
-    """Numerical corroboration of existence and uniqueness of solutions.
-
-    Integrates twice, the second time with 100x tighter tolerances, and
-    compares on the common span: agreement within ``tol`` corroborates that
-    the solution from ``x0`` is unique; that the integrations run at all is
-    the existence half.
-    """
-    from .continuous import _compare_on_common_span, integrate
-
-    coarse = integrate(sys, x0, span, rtol=rtol, atol=atol)
-    fine = integrate(sys, x0, span, rtol=rtol / 100.0, atol=atol / 100.0)
-    return _compare_on_common_span(
-        coarse, fine, span, lambda t: _distance(coarse._sample(t), fine._sample(t)), tol,
-        _INITIALITY_GRID, witness=lambda residual, t: f"max deviation {residual:.3e}",
-    )
-
-
-# --- arithmetic on lists of floats, shared by the numerical checks ----------
+# --- the dot product of the integrator and the checks ------------------------
 
 
 def _dot(a, b) -> float:
@@ -370,50 +126,24 @@ def _dot(a, b) -> float:
     return total
 
 
-def _norm(values) -> float:
-    """Euclidean norm, the one the checks measure residuals with."""
-    return math.hypot(*values)
+# --- the category layer: see dynsys.category ---------------------------------
+
+_CATEGORY = frozenset({
+    "CheckReport", "PointedSystem", "MorphismCandidate", "identity_morphism",
+    "compose_morphisms", "check_composition_closure", "enumerate_pointed_morphisms",
+    "verify_initiality_discrete", "_INITIALITY_GRID", "verify_initiality_continuous",
+    "_norm", "_distance", "_matvec", "_linspace", "_solve",
+})
 
 
-def _distance(p, q) -> float:
-    return _norm([a - b for a, b in zip(p, q)])
+def __getattr__(name):
+    if name not in _CATEGORY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import category
+
+    value = globals()[name] = getattr(category, name)
+    return value
 
 
-def _matvec(entries, v) -> list[float]:
-    """The row-major matrix ``entries`` (len(v) columns) times v."""
-    n = len(v)
-    return [_dot(entries[i:i + n], v) for i in range(0, len(entries), n)]
-
-
-def _linspace(lo: float, hi: float, num: int) -> list[float]:
-    """The floats of ``numpy.linspace(lo, hi, num)``: i*step + lo, the last
-    one hi, in numpy's order of operations."""
-    if num < 2:
-        return [0.0 * (hi - lo) + lo][:num]
-    div, delta = num - 1, hi - lo
-    step = delta / div
-    if step == 0.0:  # a subnormal step: numpy scales by delta instead
-        return [i / div * delta + lo for i in range(div)] + [hi]
-    return [i * step + lo for i in range(div)] + [hi]
-
-
-def _solve(a, b) -> list[float] | None:
-    """x with A x = b for the row-major square matrix ``a``, by Gaussian
-    elimination with partial pivoting; None when a pivot is exactly zero."""
-    n = len(b)
-    rows = [a[i * n:(i + 1) * n] + [b[i]] for i in range(n)]
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
-        if rows[p][k] == 0.0:
-            return None
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot = rows[k]
-        for row in rows[k + 1:]:
-            m = row[k] / pivot[k]
-            for j in range(k, n + 1):
-                row[j] -= m * pivot[j]
-    x = [0.0] * n
-    for k in reversed(range(n)):
-        row = rows[k]
-        x[k] = (row[n] - _dot(row[k + 1:n], x[k + 1:])) / row[k]
-    return x
+def __dir__():
+    return sorted(set(globals()) | _CATEGORY)

@@ -8,10 +8,12 @@ morphism out of the (truncated) successor system on the naturals.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .core import CheckReport, Value, _setfield
-from .tau import check_tau_morphism, from_discrete
+from .core import Value, _setfield
+
+if TYPE_CHECKING:
+    from .category import CheckReport
 
 
 class UnknownElementError(ValueError):
@@ -67,6 +69,8 @@ def check_dt_morphism(alpha: Mapping[str, str], src: DiscreteSystem,
                       dst: DiscreteSystem) -> CheckReport:
     """Exact check that dst(alpha(x)) == alpha(src(x)) for every carrier element;
     the witness is the first violating element (:func:`tau.check_tau_morphism`)."""
+    from .tau import check_tau_morphism, from_discrete
+
     return check_tau_morphism(alpha, from_discrete(src), from_discrete(dst))
 
 

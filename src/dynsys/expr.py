@@ -37,13 +37,15 @@ loop of ``continuous._bisect`` emitted around the same body, so a halving
 runs in one Python frame.  It finds where a monotone map crosses a level,
 and where a derivative turns positive (crosses the least positive float).
 
-Batched evaluation (:func:`evaluate_many`), differentiation
-(:func:`differentiate`, :func:`jacobian`) and substitution
-(:func:`substitute`, :func:`compose`, :func:`identity_map`) live in
-:mod:`dynsys.calculus`, which only the checks and the germ code run, so a
-``dynsys solve`` does not compile them.  Each of their names, private ones
-included, still reads from this module: the first access imports
-:mod:`dynsys.calculus` and binds the name here (PEP 562).
+The printer (:func:`to_string`, which ``str`` and a :class:`DomainError`'s
+culprit reach on first use), the unpickler of nodes, batched evaluation
+(:func:`evaluate_many`), differentiation (:func:`differentiate`,
+:func:`jacobian`) and substitution (:func:`substitute`, :func:`compose`,
+:func:`identity_map`) live in :mod:`dynsys.calculus`, which only the
+checks and the germ code run, so a ``dynsys solve`` does not compile
+them.  Each of their names, private ones included, still reads from this
+module: the first access imports :mod:`dynsys.calculus` and binds the name
+here (PEP 562).
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ class DomainError(ExprError):
     @property
     def culprit(self) -> str:
         if not isinstance(self._culprit, str):
+            from .calculus import _fmt_node
+
             self._culprit = _fmt_node(self._culprit)
         return self._culprit
 
@@ -182,6 +186,8 @@ class Node(Value):
                                for v in node._astuple()])
             for node in order
         )
+        from .calculus import _rebuild
+
         return _rebuild, (program,)
 
     def __copy__(self):
@@ -189,17 +195,6 @@ class Node(Value):
 
     def __deepcopy__(self, memo):
         return self
-
-
-def _rebuild(program: tuple) -> "Node":
-    """Unpickle what :meth:`Node.__reduce__` flattened: the distinct nodes in
-    post-order, each as its class and fields, a child field as its position."""
-    built: list[Node] = []
-    for cls, *fields in program:
-        if cls is not Num and cls is not Var:  # all fields are children but a call's name
-            fields = [f if f.__class__ is str else built[f] for f in fields]
-        built.append(cls(*fields))
-    return built[-1]
 
 
 class Num(Node):
@@ -319,6 +314,8 @@ class Expr(Value):
             raise ArityError(f"expression references x{used} but arity is {arity}")
 
     def __str__(self) -> str:
+        from .calculus import to_string
+
         return to_string(self)
 
     @cached_property
@@ -476,78 +473,6 @@ def parse(src: str, arity: int) -> Expr:
 
 def parse_vector(sources: Sequence[str], arity: int) -> VectorExpr:
     return VectorExpr(tuple(parse(s, arity) for s in sources))
-
-
-# --- printing -------------------------------------------------------------
-
-_LEVEL_EXPR, _LEVEL_TERM, _LEVEL_FACTOR, _LEVEL_ATOM = 0, 1, 2, 3
-
-
-def _level(node: Node) -> int:
-    match node:
-        case Add() | Sub():
-            return _LEVEL_EXPR
-        case Mul() | Div():
-            return _LEVEL_TERM
-        case Pow():
-            return _LEVEL_FACTOR
-        case _:
-            return _LEVEL_ATOM
-
-
-def _fmt_number(v: float) -> str:
-    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-        return str(int(v)) if v or math.copysign(1.0, v) > 0.0 else "-0"
-    return repr(v)
-
-
-def _fmt_parts(node: Node) -> list:
-    """The text of one node: strings, and (child, required level) pairs."""
-    match node:
-        case Num(value=v):
-            return [_fmt_number(v)]
-        case Var(index=i):
-            return [f"x{i}"]
-        case TimeVar():
-            return ["t"]
-        case Neg(arg=a):
-            return ["-", (a, _LEVEL_ATOM)]
-        case Add(left=l, right=r):
-            return [(l, _LEVEL_EXPR), " + ", (r, _LEVEL_TERM)]
-        case Sub(left=l, right=r):
-            return [(l, _LEVEL_EXPR), " - ", (r, _LEVEL_TERM)]
-        case Mul(left=l, right=r):
-            return [(l, _LEVEL_TERM), " * ", (r, _LEVEL_FACTOR)]
-        case Div(left=l, right=r):
-            return [(l, _LEVEL_TERM), " / ", (r, _LEVEL_FACTOR)]
-        case Pow(base=b, exponent=x):
-            return [(b, _LEVEL_ATOM), "^", (x, _LEVEL_ATOM)]
-        case Call(func=f, arg=a):
-            return [f"{f}(", (a, _LEVEL_EXPR), ")"]
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _fmt_node(root: Node) -> str:
-    """Render a tree, parenthesizing a child whose level is below what its
-    parent requires; an explicit stack, so any depth prints."""
-    out: list[str] = []
-    stack: list = [(root, _LEVEL_EXPR)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        node, required = item
-        parts = _fmt_parts(node)
-        if _level(node) < required:
-            parts = ["(", *parts, ")"]
-        stack.extend(reversed(parts))
-    return "".join(out)
-
-
-def to_string(e: Expr) -> str:
-    """Render so that ``parse(to_string(e), e.arity)`` reproduces the AST."""
-    return _fmt_node(e.root)
 
 
 # --- evaluation -----------------------------------------------------------
@@ -732,9 +657,11 @@ def evaluate_vector(f: VectorExpr, point: Sequence[float], t: float = 0.0) -> li
 VectorExpr.__call__ = evaluate_vector
 
 
-# --- batched evaluation, differentiation, substitution: see dynsys.calculus ---
+# --- printing, batched evaluation, calculus: see dynsys.calculus -------------
 
 _CALCULUS = frozenset({
+    "_LEVEL_EXPR", "_LEVEL_TERM", "_LEVEL_FACTOR", "_LEVEL_ATOM", "_level", "_fmt_number",
+    "_fmt_parts", "_fmt_node", "to_string", "_rebuild",
     "_ARITH", "_eval_np", "evaluate_many",
     "_is_num", "_fold2", "_add", "_sub", "_neg", "_mul", "_div", "_power", "_diff_node", "_diff",
     "differentiate", "jacobian", "_subst", "substitute", "compose", "identity_map",

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import expr as E
 from .calculus import differentiate, evaluate_many, substitute
+from .category import CheckReport
 from .continuous import ContinuousSystem, Trajectory, integrate
-from .core import CheckReport, NonMonotoneError, Value, _setfield
+from .core import NonMonotoneError, Value, _setfield
 
 _CLIP = 1e8  # infinite interval ends are explored up to here
 _GRID = 513  # derivative sign samples per domain component

@@ -19,10 +19,10 @@ from typing import Sequence
 # ``continuous.integrate`` (a test's stub, a tracer's wrapper) reaches these checks
 from . import continuous as C
 from . import expr as E
+from .category import CheckReport, _distance, _linspace, _norm, _solve
 from .continuous import (
     ContinuousSystem, Domain, EarlyTerminationError, SmoothMap, TERM_SPAN, Trajectory,
 )
-from .core import CheckReport, _distance, _linspace, _norm, _solve
 from .tau import check_tau_morphism, from_continuous
 
 _SAMPLE_CLIP = 5.0  # unbounded domains are sampled inside [-clip, clip]

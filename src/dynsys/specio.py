@@ -1,8 +1,10 @@
-"""System/morphism spec files and machine-readable reports.
+"""System spec files: the reader that every command runs.
 
 Spec files are line-oriented ``key: value`` text with ``#`` comments.
 Repeated keys accumulate in order; a ``;`` inside a value separates
-entries of the same key.  Exact field names:
+entries of the same key.  A table row (``map:``, ``section:``, ``entry:``)
+may be given once per element: a second row for one element is an input
+error, not an override.  Exact field names:
 
 discrete systems::
 
@@ -35,6 +37,13 @@ a discrete spec loads no expression or ODE code.  A loaded system's tau
 view (:mod:`dynsys.tau`), which only ``laws`` reads, is built on first
 read, except that ``section:`` and ``section-base:`` fixtures build theirs
 at load.
+
+The morphism spec reader :func:`load_map` and the report writer
+:func:`render_report`, which only ``check-morphism`` and ``laws`` run, live
+in :mod:`dynsys.checkcmd`, so a ``dynsys solve`` does not compile them.
+Each of their names, private ones included, still reads from this module:
+the first access imports :mod:`dynsys.checkcmd` and binds the name here
+(PEP 562).
 """
 
 from __future__ import annotations
@@ -44,8 +53,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__
-from .core import CheckReport, Record
+from .core import Record
 
 if TYPE_CHECKING:
     from .tau import TauSystem
@@ -131,6 +139,18 @@ def _parse_arrow(value: str, path, parts: int = 1) -> tuple[str, list[str]]:
     return lhs.strip(), rhs_toks
 
 
+def _table(pairs, key: str, path, parts: int = 1) -> dict[str, list[str]]:
+    """The ``x -> y`` rows of ``key`` by x; two rows for one x are an input
+    error, as a later row would silently override the earlier one."""
+    rows = [_parse_arrow(value, path, parts) for value in _collect(pairs, key)]
+    table = dict(rows)
+    if len(table) < len(rows):
+        sources = [src for src, _ in rows]
+        src = next(src for src in sources if sources.count(src) > 1)
+        raise SpecError(f"{path}: {key} row for {src!r} given {sources.count(src)} times")
+    return table
+
+
 def load_system(path) -> LoadedSystem:
     pairs = _read_pairs(path)
     kind = _single(pairs, "kind", path, required=True)
@@ -146,10 +166,7 @@ def _load_discrete(pairs, path) -> LoadedSystem:
 
     elements_line = _single(pairs, "elements", path, required=True)
     carrier = tuple(elements_line.split())
-    table = {}
-    for value in _collect(pairs, "map"):
-        src, (dst,) = _parse_arrow(value, path)
-        table[src] = dst
+    table = {src: dst for src, (dst,) in _table(pairs, "map", path).items()}
     try:
         system = DiscreteSystem(carrier, table)
     except ValueError as exc:
@@ -158,14 +175,10 @@ def _load_discrete(pairs, path) -> LoadedSystem:
     if basepoint is not None and basepoint not in table:
         raise SpecError(f"{path}: basepoint {basepoint!r} not among the elements")
     tau_system = None
-    section_rows = _collect(pairs, "section")
-    if section_rows:
+    section = {src: tuple(row) for src, row in _table(pairs, "section", path, parts=2).items()}
+    if section:
         from . import tau
 
-        section = {}
-        for value in section_rows:
-            src, (first, second) = _parse_arrow(value, path, parts=2)
-            section[src] = (first, second)
         missing = set(carrier) - set(section)
         if missing:
             raise SpecError(f"{path}: section rows missing for {sorted(missing)}")
@@ -243,76 +256,19 @@ def _load_continuous(pairs, path, kind: str) -> LoadedSystem:
     return LoadedSystem(kind, system, basepoint, tau_system)
 
 
-def load_map(path, src: LoadedSystem, dst: LoadedSystem):
-    """A SmoothMap or a discrete table, checked against both systems."""
-    pairs = _read_pairs(path)
-    kind = _single(pairs, "kind", path, required=True)
-    if kind != "map":
-        raise SpecError(f"{path}: expected kind: map, got {kind!r}")
-    components = _collect(pairs, "component")
-    entries = _collect(pairs, "entry")
-    if components and entries:
-        raise SpecError(f"{path}: give either component rows or entry rows, not both")
-    if src.is_discrete != dst.is_discrete:
-        raise SpecError("kind mismatch: cannot map between discrete and continuous systems")
-    if src.is_discrete:
-        if not entries:
-            raise SpecError(f"{path}: discrete morphisms need entry rows")
-        table = {}
-        for value in entries:
-            a, (b,) = _parse_arrow(value, path)
-            table[a] = b
-        return table
-    if not components:
-        raise SpecError(f"{path}: continuous morphisms need component rows")
-    from . import expr as E
-    from .continuous import SmoothMap
+# --- the morphism spec and the report: see dynsys.checkcmd --------------------
 
-    if len(components) != dst.system.dimension:
-        raise SpecError(
-            f"{path}: need {dst.system.dimension} components, got {len(components)}"
-        )
-    try:
-        return SmoothMap(E.parse_vector(components, src.system.dimension))
-    except E.ExprError as exc:
-        raise SpecError(f"{path}: {exc}") from None
+_CHECKCMD = frozenset({"load_map", "_fmt_value", "_fmt_text", "render_report"})
 
 
-# --- reports -----------------------------------------------------------------
+def __getattr__(name):
+    if name not in _CHECKCMD:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import checkcmd
+
+    value = globals()[name] = getattr(checkcmd, name)
+    return value
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if v is None:
-        return "-"
-    return str(v)
-
-
-def _fmt_text(v: str | None) -> str:
-    if v is None:
-        return "-"
-    return '"' + v.replace('"', "'") + '"'
-
-
-def render_report(
-    command: str,
-    config: dict,
-    checks: list[tuple[str, CheckReport]],
-    notes: list[str] = (),
-) -> str:
-    """Deterministic text report: identical inputs give identical bytes."""
-    lines = [f"tool: dynsys {__version__}", f"command: {command}"]
-    lines.append(
-        "config: " + " ".join(f"{k}={_fmt_value(v)}" for k, v in sorted(config.items()))
-    )
-    for name, rep in checks:
-        lines.append(
-            f"check: name={name} verdict={rep.verdict} residual={_fmt_value(rep.residual)}"
-            f" samples={rep.samples} witness={_fmt_text(rep.witness)} note={_fmt_text(rep.note)}"
-        )
-    for note in notes:
-        lines.append(f"note: {note}")
-    overall = "pass" if all(rep.passed for _, rep in checks) else "fail"
-    lines.append(f"result: {overall}")
-    return "\n".join(lines) + "\n"
+def __dir__():
+    return sorted(set(globals()) | _CHECKCMD)

@@ -25,16 +25,18 @@ section law is an actual check, not a construction-time axiom.  Each
 instance also provides a canonical section (zero field, diagonal map),
 witnessing constructively that the section space is never empty.
 
-At module level only :mod:`dynsys.core` is imported; the continuous
-operations import the expression and ODE modules only for sample sets,
-canonical sections and errors, so a discrete system's checks load neither.
+At module level only :mod:`dynsys.core` and :mod:`dynsys.category` are
+imported; the continuous operations import the expression and ODE modules
+only for sample sets, canonical sections and errors, so a discrete
+system's checks load neither.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .core import CheckReport, MorphismCandidate, Value, _distance, _matvec, _setfield
+from .category import CheckReport, MorphismCandidate, _distance, _matvec
+from .core import Value, _setfield
 
 if TYPE_CHECKING:
     from .continuous import ContinuousSystem, Domain, SmoothMap
@@ -182,6 +184,10 @@ class DiscreteTau(TauInstance):
         missing = [x for x in src if x not in alpha]
         if missing:
             raise ValueError(f"morphism table not total: missing {missing}")
+        known = set(src)
+        extra = [x for x in alpha if x not in known]
+        if extra:
+            raise ValueError(f"morphism table defined on unknown elements {sorted(extra)}")
         targets = set(dst)
         stray = [x for x in src if alpha[x] not in targets]
         if stray:

@@ -346,8 +346,10 @@ KINK_MAP = "kind: map\ncomponent: sqrt(x1^2) - 10\n"
      "morphism table not total: missing ['b']"),
     (FUNNEL_SPEC, FUNNEL_SPEC, "kind: map\nentry: a -> z\nentry: b -> b\n",
      "morphism table maps ['a'] outside the target carrier"),
+    (FUNNEL_SPEC, FUNNEL_SPEC, "kind: map\nentry: a -> b\nentry: b -> b\nentry: q -> a\n",
+     "morphism table defined on unknown elements ['q']"),
 ], ids=["leaves-target", "field-before-target", "field-undefined", "jacobian-before-target",
-        "table-not-total", "table-leaves-carrier"])
+        "table-not-total", "table-leaves-carrier", "table-unknown-elements"])
 def test_check_morphism_error_lines(tmp_path, capsys, src, dst, fmap, line):
     paths = []
     for name, content in (("src", src), ("dst", dst), ("map", fmap)):
@@ -357,6 +359,31 @@ def test_check_morphism_error_lines(tmp_path, capsys, src, dst, fmap, line):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {line}\n"
+
+
+DUP_MAP_SPEC = "kind: discrete\nelements: a b\nmap: a -> b\nmap: a -> a\nmap: b -> b\n"
+
+
+# a second row for one element used to override the first silently
+@pytest.mark.parametrize("files, argv, line", [
+    ({"dup": DUP_MAP_SPEC}, ["solve", "dup", "--c0", "a", "--horizon", "3"],
+     "{dup}: map row for 'a' given 2 times"),
+    ({"dup": DUP_MAP_SPEC.replace("map: b", "map: a -> b\nmap: b")}, ["laws", "dup"],
+     "{dup}: map row for 'a' given 3 times"),
+    ({"dup": FUNNEL_SPEC + "section: a -> a b\nsection: b -> b b\nsection: a -> a a\n"},
+     ["laws", "dup"], "{dup}: section row for 'a' given 2 times"),
+    ({"fun": FUNNEL_SPEC, "map": "kind: map\nentry: a -> b\nentry: b -> b\nentry: a -> a\n"},
+     ["check-morphism", "fun", "fun", "map"], "{map}: entry row for 'a' given 2 times"),
+], ids=["solve-map-row", "laws-map-row", "section-row", "entry-row"])
+def test_repeated_table_rows_are_input_errors(tmp_path, files, argv, line):
+    paths = {}
+    for name, content in files.items():
+        paths[name] = str(tmp_path / f"{name}.txt")
+        Path(paths[name]).write_text(content)
+    res = run_cli(*(paths.get(arg, arg) for arg in argv))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"error: {line.format(**paths)}\n"
 
 
 def _check_line(capsys, src: str, dst: str, fmap: str) -> str:

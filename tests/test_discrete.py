@@ -70,6 +70,22 @@ def test_morphism_requires_totality():
         discrete.check_dt_morphism({"a": "a"}, funnel(), funnel())
 
 
+def test_morphism_table_with_unknown_elements_is_refused():
+    with pytest.raises(ValueError, match=r"^morphism table defined on unknown elements \['zz'\]$"):
+        discrete.check_dt_morphism({"a": "b", "b": "b", "zz": "a"}, funnel(), funnel())
+
+
+def test_laws_tables_are_keyed_by_the_source_carrier():
+    # the identity and composed tables that laws checks have no extra rows,
+    # so the unknown-element test leaves their verdicts alone
+    sys = mod3()
+    ident = core.identity_morphism(sys)
+    cube = core.MorphismCandidate(dict(sys.endomap), sys, sys)
+    for cand in (ident, core.compose_morphisms(core.compose_morphisms(cube, cube), cube)):
+        assert set(cand.mapping) == set(sys.carrier)
+        assert discrete.check_dt_morphism(cand.mapping, sys, sys).passed
+
+
 def test_fixed_points():
     assert discrete.fixed_points(funnel()) == {"b"}
     assert discrete.fixed_points(mod3()) == set()

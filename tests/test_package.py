@@ -6,6 +6,7 @@ import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -100,28 +101,32 @@ except SystemExit as exc:
 print(*sorted(m for m in sys.modules if m == "numpy" or m.startswith("dynsys")))
 """
 
-_CONTINUOUS = ("dynsys.discrete", "dynsys.germ", "numpy")
-_DISCRETE = ("dynsys.expr", "dynsys.continuous", "dynsys.germ", "numpy")
+# the modules the commands load: the package, the CLI and the kernel; the
+# spec reader and the modules of the spec's kind; the check commands add
+# their bodies, the category layer and tau, and on ODE specs the ODE checks
+# and the calculus (neither ``--version`` nor a solve loads any of these)
+_BASE = {"dynsys", "dynsys.cli", "dynsys.core"}
+_SOLVE = _BASE | {"dynsys.specio"}
+_CHECKS = _SOLVE | {"dynsys.checkcmd", "dynsys.category", "dynsys.tau"}
+_ODE = {"dynsys.expr", "dynsys.continuous"}
+_ODE_CHECKS = _ODE | {"dynsys.calculus", "dynsys.ode_checks"}
 
-# argv of ``python -m dynsys``; the modules it may load (None: any), and
-# those it must not
+# argv of ``python -m dynsys``, and exactly the modules it loads
 MODULE_CASES = [
-    (["--version"], {"dynsys", "dynsys.__main__", "dynsys.cli", "dynsys.core"}, ()),
-    (["solve", "endo.txt", "--horizon", "4"], None, _DISCRETE),
-    (["check-morphism", "endo.txt", "endo.txt", "endo_map.txt"], None, _DISCRETE),
-    (["laws", "endo.txt", "--horizon", "4"], None, _DISCRETE),
-    (["solve", "osc.txt", "--span", "1", "--output", "osc.csv"],
-     {"dynsys", "dynsys.__main__", "dynsys.cli", "dynsys.core", "dynsys.specio", "dynsys.expr",
-      "dynsys.continuous"}, _CONTINUOUS),
+    (["--version"], _BASE),
+    (["solve", "endo.txt", "--horizon", "4"], _SOLVE | {"dynsys.discrete"}),
+    (["check-morphism", "endo.txt", "endo.txt", "endo_map.txt"], _CHECKS | {"dynsys.discrete"}),
+    (["laws", "endo.txt", "--horizon", "4"], _CHECKS | {"dynsys.discrete"}),
+    (["solve", "osc.txt", "--span", "1", "--output", "osc.csv"], _SOLVE | _ODE),
     (["check-morphism", "osc.txt", "osc.txt", "ident.txt", "--preserve-solutions", "1", "0",
-      "1"], None, _CONTINUOUS),
-    (["laws", "osc.txt"], None, ("dynsys.germ", "numpy")),
+      "1"], _CHECKS | _ODE_CHECKS),
+    (["laws", "osc.txt"], _CHECKS | _ODE_CHECKS),
 ]
 
 
-@pytest.mark.parametrize("argv, only, never", MODULE_CASES,
-                         ids=[" ".join(argv[:2]) for argv, _, _ in MODULE_CASES])
-def test_each_command_loads_only_its_modules(tmp_path, argv, only, never):
+@pytest.mark.parametrize("argv, modules", MODULE_CASES,
+                         ids=[" ".join(argv[:2]) for argv, _ in MODULE_CASES])
+def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
     (tmp_path / "osc.txt").write_text(
         "kind: continuous\ndimension: 2\nfield: x2\nfield: -x1\nbasepoint: 1 0\n")
     (tmp_path / "ident.txt").write_text("kind: map\ncomponent: x1\ncomponent: x2\n")
@@ -129,13 +134,9 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, only, never):
         "kind: discrete\nelements: a b c\nmap: a -> b\nmap: b -> c\nmap: c -> b\nbasepoint: a\n")
     (tmp_path / "endo_map.txt").write_text(
         "kind: map\nentry: a -> a\nentry: b -> b\nentry: c -> c\n")
-    *_, code, modules = _run(MODULES_SCRIPT.format(argv=argv), tmp_path)
+    *_, code, loaded = _run(MODULES_SCRIPT.format(argv=argv), tmp_path)
     assert code == "0"
-    loaded = set(modules.split())
-    assert "dynsys.cli" in loaded
-    if only is not None:
-        assert loaded <= only, loaded - only
-    assert not loaded & set(never), loaded & set(never)
+    assert set(loaded.split()) == modules
 
 
 SCRIPT = """
@@ -321,13 +322,23 @@ def test_no_expression_function_recurses():
         assert name not in reached, f"{name} calls itself"
 
 
-# the modules whose code a continuous ``solve`` never runs, by the module
-# their names were moved out of, which still reads each of them
+# the modules whose code a continuous ``solve`` (or ``--version``) never
+# runs, by the module their names were moved out of, which still reads each
 MOVED = {
-    "expr": ("calculus", ["_ARITH", "_eval_np", "evaluate_many", "_is_num", "_fold2", "_add",
-                          "_sub", "_neg", "_mul", "_div", "_power", "_diff_node", "_diff",
-                          "differentiate", "jacobian", "_subst", "substitute", "compose",
-                          "identity_map"]),
+    "cli": ("checkcmd", ["_cmd_check_morphism", "_laws_for_discrete", "_laws_for_continuous",
+                         "_cmd_laws"]),
+    "specio": ("checkcmd", ["load_map", "_fmt_value", "_fmt_text", "render_report"]),
+    "core": ("category", ["CheckReport", "PointedSystem", "MorphismCandidate",
+                          "identity_morphism", "compose_morphisms", "check_composition_closure",
+                          "enumerate_pointed_morphisms", "verify_initiality_discrete",
+                          "_INITIALITY_GRID", "verify_initiality_continuous", "_norm",
+                          "_distance", "_matvec", "_linspace", "_solve"]),
+    "expr": ("calculus", ["_rebuild", "_LEVEL_EXPR", "_LEVEL_TERM", "_LEVEL_FACTOR",
+                          "_LEVEL_ATOM", "_level", "_fmt_number", "_fmt_parts", "_fmt_node",
+                          "to_string", "_ARITH", "_eval_np", "evaluate_many", "_is_num",
+                          "_fold2", "_add", "_sub", "_neg", "_mul", "_div", "_power",
+                          "_diff_node", "_diff", "differentiate", "jacobian", "_subst",
+                          "substitute", "compose", "identity_map"]),
     "continuous": ("ode_checks", ["_SAMPLE_CLIP", "_EQUILIBRIUM_GRID", "_PRESERVATION_GRID",
                                   "_PRIMES", "_radical_inverse", "default_samples",
                                   "check_f_relatedness", "check_solution_preservation",
@@ -346,16 +357,25 @@ print(*sorted(set({names!r}) - set(dir({old}))))
 """
 
 
+def _defined(module) -> set[str]:
+    """The names a module's own top-level statements define, its imports aside."""
+    out = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                out.update(t.id for t in ast.walk(target) if isinstance(t, ast.Name))
+    return out
+
+
 @pytest.mark.parametrize("old", sorted(MOVED))
 def test_moved_names_read_as_the_same_objects(tmp_path, old):
     new, names = MOVED[old]
     module = importlib.import_module(f"dynsys.{new}")
-    # the list is every name the new module defines, its imports aside
-    body = ast.parse(Path(module.__file__).read_text()).body
-    defined = {node.name for node in body if isinstance(node, ast.FunctionDef)}
-    defined |= {target.id for node in body if isinstance(node, ast.Assign)
-                for target in node.targets}
-    assert defined == set(names)
+    # the lists of the modules moved into ``new`` are every name it defines
+    assert _defined(module) == {n for home, listed in MOVED.values() if home == new
+                                for n in listed}
     # in a fresh interpreter, the old module loads the new one on the first read
     loaded, same, missing = _run(MOVED_SCRIPT.format(old=old, new=new, names=names), tmp_path)
     assert f"dynsys.{new}" not in loaded.split()
@@ -363,6 +383,16 @@ def test_moved_names_read_as_the_same_objects(tmp_path, old):
     assert missing == ""
     with pytest.raises(AttributeError):
         getattr(importlib.import_module(f"dynsys.{old}"), "no_such_name")
+
+
+@pytest.mark.parametrize("old, name", [(old, name) for old, (_, names) in sorted(MOVED.items())
+                                       for name in names])
+def test_each_moved_name_is_one_object(old, name):
+    new = importlib.import_module(f"dynsys.{MOVED[old][0]}")
+    value = getattr(new, name)
+    assert getattr(importlib.import_module(f"dynsys.{old}"), name) is value
+    if isinstance(value, (type, types.FunctionType)):  # defined there, not imported there
+        assert value.__module__ == new.__name__
 
 
 def test_traced_functions_still_exist():

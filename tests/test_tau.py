@@ -156,6 +156,10 @@ def test_discrete_table_must_be_total_and_stay_in_the_target():
     with pytest.raises(ValueError, match=re.escape(
             "morphism table maps ['a'] outside the target carrier")):
         tau.check_tau_morphism({"a": "z", "b": "b"}, sys, sys)
+    # a row for an element the source does not have is no part of a map
+    with pytest.raises(ValueError, match=re.escape(
+            "morphism table defined on unknown elements ['q', 'zz']")):
+        tau.check_tau_morphism({"a": "b", "b": "b", "zz": "a", "q": "b"}, sys, sys)
 
 
 def test_continuous_map_of_the_wrong_arity_is_refused():

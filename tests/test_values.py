@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 import pytest
 
+from dynsys import category
 from dynsys import continuous as C
 from dynsys import core
 from dynsys import discrete as D
@@ -98,7 +99,7 @@ def _fields(obj) -> tuple:
 
 def test_every_value_class_is_covered():
     covered = {case.cls for case in CASES}
-    modules = (E, core, C, D, tau, specio, G)
+    modules = (E, core, category, C, D, tau, specio, G)
     bases = (core.Record, core.Value, E.Node)
     classes = {
         obj for mod in modules for obj in vars(mod).values()
