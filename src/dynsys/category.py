@@ -1,15 +1,13 @@
 """The category layer: check reports, morphism candidates, composition and
 initiality checking where it is decidable.
 
-Initiality of the truncated successor system is checked by an exhaustive
-search over every function from {0..horizon} into the carrier that counts
-the basepoint-preserving ones intertwining the dynamics; exactly one must
-survive.  The search drops a partial table as soon as it breaks either
-condition, so it visits only the surviving prefixes, while the reported
-``samples`` still counts the whole space of |carrier|^(horizon+1) tables.
-The continuous analog has an uncountable candidate space, so there the
-solution-uniqueness corroboration in :mod:`dynsys.continuous` stands in
-(see :func:`verify_initiality_continuous`).
+Initiality of the truncated successor system needs no search: the one
+basepoint-preserving morphism into a finite pointed system is the orbit of
+its basepoint.  It exists because the endomap is total, and it is unique
+because alpha(0) = basepoint and alpha(n+1) = X(alpha(n)) fix each alpha(n)
+in turn.  The continuous analog has an uncountable candidate space; there
+two integrations at tolerances 100x apart are compared instead (see
+:func:`verify_initiality_continuous`).
 
 Only the checks run this module, so a ``dynsys solve`` and ``--version``
 do not compile it.  Each of its names, private ones included, still reads
@@ -22,6 +20,7 @@ solve) that the numerical checks share, so that none of them needs numpy.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Mapping, Sequence
 
 from .core import EnumerationCapError, SystemMismatchError, Value, _dot, _setfield
@@ -174,65 +173,30 @@ def check_composition_closure(
 
 
 def enumerate_pointed_morphisms(
-    target: PointedSystem, horizon: int, cap: int = 10**7
+    target: PointedSystem, horizon: int
 ) -> tuple[list[tuple[str, ...]], int]:
-    """Exhaustive oracle for discrete initiality.
+    """The pointed morphisms from the truncated successor system into
+    ``target``, as tables over {0..horizon}: the one orbit of the basepoint.
+    The count is that of :func:`verify_initiality_discrete`."""
+    from .discrete import iterate
 
-    Searches every function {0..horizon} -> carrier, in the order of
-    ``itertools.product(carrier, repeat=horizon + 1)``, for those that
-    send 0 to the basepoint and satisfy alpha(n+1) = X(alpha(n)); a
-    partial table that breaks either condition is not extended.  Returns
-    the surviving tables and the size of the space searched.
-    """
+    total = verify_initiality_discrete(horizon, target).samples
+    return [iterate(target.system, target.basepoint, horizon).points], total
+
+
+def verify_initiality_discrete(horizon: int, target: PointedSystem) -> CheckReport:
+    """Passes by the proof in the module docstring, building nothing; the
+    report counts the |carrier|^(horizon+1) functions {0..horizon} ->
+    carrier, and a count above 10**7 raises :class:`EnumerationCapError`."""
+    horizon = operator.index(horizon)
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    sys = target.system
-    carrier = tuple(sys.carrier)
-    # n^e > cap for n >= 2 and e > cap's bit length, so the power is computed
-    # no further than the cap test needs (exactly, when the test passes)
-    total = len(carrier) ** min(horizon + 1, cap.bit_length() + 1)
-    if total > cap:
-        raise EnumerationCapError(
-            f"{len(carrier)}^{horizon + 1} candidate functions exceeds cap {cap}"
-        )
-    endomap = sys.endomap
-    found = []
-    seq: list[str] = []  # the partial table
-    # per position of seq: the carrier elements still to try there, and the
-    # one value the conditions allow there
-    frames = [(iter(carrier), target.basepoint)]
-    while frames:
-        values, allowed = frames[-1]
-        for c in values:
-            if c == allowed:
-                break
-        else:  # position exhausted: backtrack
-            frames.pop()
-            if seq:
-                seq.pop()
-            continue
-        seq.append(c)
-        if len(seq) == horizon + 1:
-            found.append(tuple(seq))
-            seq.pop()
-        else:
-            frames.append((iter(carrier), endomap[c]))
-    return found, total
-
-
-def verify_initiality_discrete(
-    horizon: int, target: PointedSystem, cap: int = 10**7
-) -> CheckReport:
-    """Count basepoint-preserving morphisms from the truncated successor
-    system; universality demands exactly one."""
-    found, total = enumerate_pointed_morphisms(target, horizon, cap=cap)
-    count = len(found)
-    witness = None
-    if count == 0:
-        witness = "no basepoint-preserving morphism found"
-    elif count > 1:
-        witness = f"{count} distinct morphisms found, e.g. {found[0]} and {found[1]}"
-    return CheckReport(count == 1, float(abs(count - 1)), total, witness)
+    n = len(target.system.carrier)
+    # n^25 > 10**7 for n >= 2, so the power stops at the exponent the cap needs
+    total = n ** min(horizon + 1, 25)
+    if total > 10**7:
+        raise EnumerationCapError(f"{n}^{horizon + 1} candidate functions exceeds cap {10**7}")
+    return CheckReport(True, 0.0, total)
 
 
 _INITIALITY_GRID = 101  # times at which continuous initiality compares the two runs
@@ -246,12 +210,14 @@ def verify_initiality_continuous(
     atol: float = 1e-12,
     tol: float = 1e-6,
 ) -> CheckReport:
-    """Numerical corroboration of existence and uniqueness of solutions.
+    """Numerical corroboration of existence of the solution from ``x0``.
 
     Integrates twice, the second time with 100x tighter tolerances, and
-    compares on the common span: agreement within ``tol`` corroborates that
-    the solution from ``x0`` is unique; that the integrations run at all is
-    the existence half.
+    compares on the common span: the check passes when the two runs agree
+    within ``tol``, and that the integrations run at all is the existence
+    half.  Agreement does not show that the solution is unique: for
+    x' = |x|^(1/2) from 0 both runs follow x = 0, while x = t^2/4 solves it
+    too.
     """
     from .continuous import _compare_on_common_span, integrate
 

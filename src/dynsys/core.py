@@ -21,7 +21,8 @@ class SystemMismatchError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """The brute-force search space exceeds the configured cap."""
+    """The count of candidate functions that a discrete initiality report
+    would print, |carrier|^(horizon+1), exceeds 10**7."""
 
 
 # The errors below are raised by other modules but defined here, so that

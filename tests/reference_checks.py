@@ -1,7 +1,11 @@
 """The two concrete morphism loops that ``tau.check_tau_morphism`` replaced,
 kept as they were: the oracles that the tau check, and the wrappers
 ``discrete.check_dt_morphism`` and ``continuous.check_f_relatedness`` built
-on it, must match in verdict, residual bits, sample count and witness text."""
+on it, must match in verdict, residual bits, sample count and witness text.
+Also the brute-force walk over every table that discrete initiality's
+orbit must equal."""
+
+import itertools
 
 from dynsys import expr as E
 from dynsys.continuous import default_samples
@@ -43,3 +47,18 @@ def reference_f_relatedness(f, x_sys, y_sys, samples=None, tol: float = 1e-8) ->
 
     return CheckReport.worst(defects(), tol, witness=lambda residual, x:
                              f"worst defect {residual:.6g} at x={tuple(float(c) for c in x)}")
+
+
+def reference_enumerate(target, horizon: int):
+    """Oracle for :func:`dynsys.core.enumerate_pointed_morphisms`: walk every
+    table {0..horizon} -> carrier in ``itertools.product`` order and keep the
+    basepoint-preserving ones that intertwine successor with the endomap."""
+    carrier = tuple(target.system.carrier)
+    endomap = target.system.endomap
+    found = []
+    for seq in itertools.product(carrier, repeat=horizon + 1):
+        if seq[0] != target.basepoint:
+            continue
+        if all(seq[k + 1] == endomap[seq[k]] for k in range(horizon)):
+            found.append(seq)
+    return found, len(carrier) ** (horizon + 1)

