@@ -16,23 +16,22 @@ import importlib
 
 __version__ = "0.1.0"
 
-# the public names, by the module each is read from (the error classes that
-# cli catches are defined in core and re-exported by expr and continuous)
+# the public names, by the module that defines each
 _EXPORTS = {
-    "expr": ("ArityError", "DomainError", "Expr", "ExprError", "ParseError", "VectorExpr",
-             "differentiate", "evaluate", "evaluate_many", "evaluate_vector", "jacobian",
-             "parse", "parse_vector", "substitute", "to_string"),
-    "core": ("CheckReport", "EnumerationCapError", "MorphismCandidate", "NonMonotoneError",
-             "PointedSystem", "SystemMismatchError", "check_composition_closure",
-             "compose_morphisms", "enumerate_pointed_morphisms", "identity_morphism",
-             "verify_initiality_continuous", "verify_initiality_discrete"),
+    "core": ("EnumerationCapError", "ExprError", "NonMonotoneError", "StepLimitError",
+             "StepSizeUnderflowError", "SystemMismatchError"),
+    "expr": ("ArityError", "DomainError", "Expr", "ParseError", "VectorExpr", "evaluate",
+             "evaluate_vector", "parse", "parse_vector"),
+    "calculus": ("differentiate", "evaluate_many", "jacobian", "substitute", "to_string"),
+    "category": ("CheckReport", "MorphismCandidate", "PointedSystem", "check_composition_closure",
+                 "compose_morphisms", "enumerate_pointed_morphisms", "identity_morphism",
+                 "verify_initiality_continuous", "verify_initiality_discrete"),
     "discrete": ("DiscreteSystem", "Orbit", "UnknownElementError", "check_dt_morphism",
                  "fixed_points", "iterate"),
     "continuous": ("ContinuousSystem", "Domain", "EarlyTerminationError", "SmoothMap",
-                   "StepLimitError", "StepSizeUnderflowError", "Trajectory",
-                   "check_equilibrium_morphism", "check_f_relatedness", "check_periodic_orbit",
-                   "check_solution_preservation", "find_equilibria", "integrate",
-                   "smooth_map", "time_system"),
+                   "Trajectory", "integrate", "smooth_map", "time_system"),
+    "ode_checks": ("check_equilibrium_morphism", "check_f_relatedness", "check_periodic_orbit",
+                   "check_solution_preservation", "find_equilibria"),
     "tau": ("TangentSection", "TauInstance", "TauSystem", "check_section",
             "check_tau_morphism", "from_continuous", "from_discrete"),
     "germ": ("FULL_LINE", "Germ", "OpenSet1D", "PartialMap", "SolutionDomain",
@@ -40,8 +39,7 @@ _EXPORTS = {
              "partial_map", "preimage"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"calculus", "category", "checkcmd", "cli", "ode_checks",
-                                      "specio"}
+_SUBMODULES = frozenset(_EXPORTS) | {"checkcmd", "cli", "specio"}
 
 __all__ = [name for name, module in _HOME.items() if module != "germ"]
 

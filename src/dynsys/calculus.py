@@ -6,9 +6,6 @@ run: a ``dynsys solve`` parses and evaluates its field through
 :mod:`dynsys.expr` and never loads this module.  An expression's text
 (:func:`to_string`, ``str``, a :class:`~dynsys.expr.DomainError`'s culprit)
 and its unpickling (:func:`_rebuild`) come from here too, on first use.
-Every name here is also readable from :mod:`dynsys.expr`, which imports
-this module on first access (PEP 562), so ``expr.differentiate is
-calculus.differentiate``.
 
 Like the rest of the DSL, no function here recurses: each walks the
 distinct nodes of an expression once, in the order of ``Expr._order``.

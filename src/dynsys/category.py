@@ -10,11 +10,9 @@ two integrations at tolerances 100x apart are compared instead (see
 :func:`verify_initiality_continuous`).
 
 Only the checks run this module, so a ``dynsys solve`` and ``--version``
-do not compile it.  Each of its names, private ones included, still reads
-from :mod:`dynsys.core`, which imports this module on first access
-(PEP 562), so ``core.CheckReport is category.CheckReport``.  The last
-section holds the arithmetic on lists of floats (norms, grids, a linear
-solve) that the numerical checks share, so that none of them needs numpy.
+do not compile it.  The last section holds the arithmetic on lists of
+floats (norms, grids, a linear solve) that the numerical checks share, so
+that none of them needs numpy.
 """
 
 from __future__ import annotations
@@ -57,6 +55,8 @@ class CheckReport(Value):
         witness: str | None = None,
         note: str | None = None,
     ) -> "CheckReport":
+        if not tol >= 0.0:
+            raise ValueError(f"tolerance {tol!r} is nan or negative")
         passed = residual <= tol
         return CheckReport(passed, residual, samples, None if passed else witness, note)
 
@@ -78,7 +78,10 @@ class CheckReport(Value):
         check's witness is ``witness(residual, where)`` (none if no gap is
         above 0).  A nan gap raises ``ValueError`` naming its sample, as a
         check that cannot measure a sample can neither pass nor fail it; an
-        inf gap fails."""
+        inf gap fails.  A nan or negative ``tol``, which no residual could
+        meet, raises ``ValueError`` too."""
+        if not tol >= 0.0:
+            raise ValueError(f"tolerance {tol!r} is nan or negative")
         residual, at, samples = 0.0, None, 0
         for gap, where in gaps:
             samples += 1
@@ -219,7 +222,8 @@ def verify_initiality_continuous(
     x' = |x|^(1/2) from 0 both runs follow x = 0, while x = t^2/4 solves it
     too.
     """
-    from .continuous import _compare_on_common_span, integrate
+    from .continuous import integrate
+    from .ode_checks import _compare_on_common_span
 
     coarse = integrate(sys, x0, span, rtol=rtol, atol=atol)
     fine = integrate(sys, x0, span, rtol=rtol / 100.0, atol=atol / 100.0)

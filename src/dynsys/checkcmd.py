@@ -2,15 +2,18 @@
 morphism spec reader and the report writer that only they use.
 
 :func:`dynsys.cli.main` imports this module only for these two commands,
-so ``--version`` and ``dynsys solve`` do not compile it.  Each of its
-names, private ones included, still reads from the module it came from,
-:mod:`dynsys.cli` or :mod:`dynsys.specio`, which imports this module on
-first access and binds the name there (PEP 562).
+so ``--version`` and ``dynsys solve`` do not compile it.
 
-The commands reach the loaders and the report writer as attributes of
-:mod:`dynsys.specio` and the category layer as attributes of
-:mod:`dynsys.core`, looked up at each call, so that a wrapper installed on
-those modules (a test's stub, a tracer's span) reaches these calls.
+Every name is read from the module that defines it, except the functions
+that perfbench's tracer wraps (``TARGETS`` in ``perfbench/tracing.py``):
+the commands call those as attributes of the module the tracer patches,
+looked up at each call (``specio.render_report``,
+``core.compose_morphisms``, ``C.check_f_relatedness``), and that module
+forwards each to its home (PEP 562).  ``Tracer.install`` lists the
+package's modules before it resolves its targets, and resolving them is
+what imports this module and :mod:`dynsys.ode_checks`, so their globals are
+never patched: a call through one of them would leave no span, and no
+error either.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import __version__, core
+from .category import CheckReport, MorphismCandidate, PointedSystem, _distance, identity_morphism
 from .cli import _emit, _refuse
 from .specio import SpecError, _collect, _read_pairs, _single, _table
 
 if TYPE_CHECKING:
-    from .category import CheckReport
     from .specio import LoadedSystem
 
 
@@ -71,19 +74,19 @@ def _laws_for_discrete(loaded: LoadedSystem, args, checks, notes, label: str) ->
     sys_ = loaded.system
     checks.append((f"{label}section-law", tau.check_section(loaded.tau_system)))
     checks.append((f"{label}identity-morphism", discrete.check_dt_morphism(
-        core.identity_morphism(sys_).mapping, sys_, sys_)))
+        identity_morphism(sys_).mapping, sys_, sys_)))
     # the endomap is itself an endomorphism; associate its cube both ways
-    x_cand = core.MorphismCandidate(dict(sys_.endomap), sys_, sys_)
+    x_cand = MorphismCandidate(dict(sys_.endomap), sys_, sys_)
     left = core.compose_morphisms(core.compose_morphisms(x_cand, x_cand), x_cand)
     right = core.compose_morphisms(x_cand, core.compose_morphisms(x_cand, x_cand))
-    checks.append((f"{label}compose-associativity", core.CheckReport.tally(
+    checks.append((f"{label}compose-associativity", CheckReport.tally(
         None if left.mapping[x] == right.mapping[x] else f"association orders disagree at {x!r}"
         for x in sys_.carrier)))
     basepoints = [loaded.basepoint] if loaded.basepoint else list(sys_.carrier)
     for bp in basepoints:
         try:
             rep = core.verify_initiality_discrete(
-                args.horizon, core.PointedSystem(sys_, bp))
+                args.horizon, PointedSystem(sys_, bp))
             checks.append((f"{label}initiality[{bp}]", rep))
         except core.EnumerationCapError as exc:
             notes.append(f"{label}initiality[{bp}] skipped: {exc}")
@@ -94,21 +97,22 @@ def _laws_for_discrete(loaded: LoadedSystem, args, checks, notes, label: str) ->
 def _laws_for_continuous(loaded: LoadedSystem, args, checks, notes, label: str) -> None:
     from . import continuous as C
     from . import tau
+    from .ode_checks import default_samples
     from .specio import SpecError
 
     sys_ = loaded.system
     checks.append((f"{label}section-law", tau.check_section(loaded.tau_system)))
     checks.append((f"{label}identity-morphism", C.check_f_relatedness(
         C.identity_smooth_map(sys_.dimension), sys_, sys_, tol=args.tol)))
-    ident = core.identity_morphism(sys_)
+    ident = identity_morphism(sys_)
     left = core.compose_morphisms(core.compose_morphisms(ident, ident), ident)
     right = core.compose_morphisms(ident, core.compose_morphisms(ident, ident))
-    checks.append((f"{label}compose-associativity", core.CheckReport.worst(
-        ((core._distance(left.mapping(p), right.mapping(p)), p)
-         for p in C.default_samples(sys_.domain, 25)), 1e-12)))
+    checks.append((f"{label}compose-associativity", CheckReport.worst(
+        ((_distance(left.mapping(p), right.mapping(p)), p)
+         for p in default_samples(sys_.domain, 25)), 1e-12)))
     equilibria = C.find_equilibria(sys_, tol=max(args.tol, 1e-10))
     if equilibria:
-        checks.append((f"{label}equilibrium-morphisms", core.CheckReport.worst(
+        checks.append((f"{label}equilibrium-morphisms", CheckReport.worst(
             ((C.check_equilibrium_morphism(sys_, eq, tol=args.tol).residual, eq)
              for eq in equilibria), args.tol)))
     notes.append(f"{label}equilibria: {len(equilibria)} found")
@@ -125,7 +129,7 @@ def _laws_for_continuous(loaded: LoadedSystem, args, checks, notes, label: str) 
                     rtol=args.rtol, atol=args.atol)))
             except C.EarlyTerminationError as exc:
                 checks.append((f"{label}periodic-orbit",
-                               core.CheckReport.exact(str(exc), 0, violations=1)))
+                               CheckReport.exact(str(exc), 0, violations=1)))
     else:
         notes.append(f"{label}solution-morphism skipped: no basepoint in the spec")
         if args.period is not None:

@@ -14,9 +14,7 @@ no expression or ODE code, and a continuous one no discrete code.
 
 The bodies of ``check-morphism`` and ``laws`` live in
 :mod:`dynsys.checkcmd`, which :func:`main` imports only for those two
-commands, so ``--version`` and ``solve`` do not compile them.  Each of
-their names still reads from this module: the first access imports
-:mod:`dynsys.checkcmd` and binds the name here (PEP 562).
+commands, so ``--version`` and ``solve`` do not compile them.
 """
 
 from __future__ import annotations
@@ -206,25 +204,6 @@ def main(argv=None) -> int:
             core.StepSizeUnderflowError, core.StepLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-# --- the check commands: see dynsys.checkcmd ---------------------------------
-
-_CHECKCMD = frozenset({"_cmd_check_morphism", "_laws_for_discrete", "_laws_for_continuous",
-                       "_cmd_laws"})
-
-
-def __getattr__(name):
-    if name not in _CHECKCMD:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import checkcmd
-
-    value = globals()[name] = getattr(checkcmd, name)
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | _CHECKCMD)
 
 
 if __name__ == "__main__":

@@ -16,9 +16,7 @@ and load no numpy; only the array views of a trajectory
 The checks (sample sets, f-relatedness and solution preservation,
 equilibria and periodic orbits, the solution-morphism report) live in
 :mod:`dynsys.ode_checks`, so a ``dynsys solve`` compiles only the
-integrator.  Each of their names, private ones included, still reads from
-this module: the first access imports :mod:`dynsys.ode_checks` and binds
-the name here (PEP 562).
+integrator.
 """
 
 from __future__ import annotations
@@ -30,7 +28,9 @@ from functools import cache, cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import expr as E
-from .core import Record, StepLimitError, StepSizeUnderflowError, Value, _dot, _setfield
+from .core import (
+    Record, StepLimitError, StepSizeUnderflowError, Value, _dot, _forwarding, _setfield,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,6 +64,8 @@ class Domain(Value):
         for p in self.punctures:
             if len(p) != len(self.bounds):
                 raise ValueError(f"puncture {p} has wrong dimension")
+            if not all(map(math.isfinite, p)):
+                raise ValueError(f"puncture {p} has a non-finite coordinate")
 
     @property
     def dimension(self) -> int:
@@ -143,11 +145,15 @@ def smooth_map(sources: Sequence[str], arity: int) -> SmoothMap:
 
 
 def identity_smooth_map(n: int) -> SmoothMap:
-    return SmoothMap(E.identity_map(n))
+    from .calculus import identity_map
+
+    return SmoothMap(identity_map(n))
 
 
 def compose_smooth_maps(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
-    return SmoothMap(E.compose(outer.components, inner.components))
+    from .calculus import compose
+
+    return SmoothMap(compose(outer.components, inner.components))
 
 
 # --- trajectories -----------------------------------------------------------
@@ -582,23 +588,10 @@ def _closest_approach(q, t0, t1, y0, y1, f0, f1, stats):
 
 # --- the checks: see dynsys.ode_checks --------------------------------------
 
-_CHECKS = frozenset({
-    "_SAMPLE_CLIP", "_EQUILIBRIUM_GRID", "_PRESERVATION_GRID",
-    "_PRIMES", "_radical_inverse", "default_samples",
-    "check_f_relatedness", "check_solution_preservation", "_compare_on_common_span",
-    "find_equilibria", "check_equilibrium_morphism", "check_periodic_orbit",
-    "solution_morphism_report",
+# the traced checks, and the sample sets that perfbench's tracer replays
+# jacobians on (see dynsys.checkcmd)
+_FORWARDS = frozenset({
+    "default_samples", "check_f_relatedness", "check_solution_preservation", "find_equilibria",
+    "check_equilibrium_morphism", "check_periodic_orbit", "solution_morphism_report",
 })
-
-
-def __getattr__(name):
-    if name not in _CHECKS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import ode_checks
-
-    value = globals()[name] = getattr(ode_checks, name)
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | _CHECKS)
+__getattr__, __dir__ = _forwarding(globals(), "ode_checks", _FORWARDS)

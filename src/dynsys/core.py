@@ -8,12 +8,13 @@ neither the integrator nor the checks need numpy.
 
 Check reports, morphism candidates, composition and the initiality checks
 live in :mod:`dynsys.category`, which only the checks run, so a ``dynsys
-solve`` and ``--version`` do not compile them.  Each of their names,
-private ones included, still reads from this module: the first access
-imports :mod:`dynsys.category` and binds the name here (PEP 562).
+solve`` and ``--version`` do not compile them.  :func:`_forwarding` lets a
+module read a few names of such a split-off module as its own attributes.
 """
 
 from __future__ import annotations
+
+import importlib
 
 
 class SystemMismatchError(ValueError):
@@ -127,24 +128,29 @@ def _dot(a, b) -> float:
     return total
 
 
+# --- forwarded names ---------------------------------------------------------
+
+
+def _forwarding(namespace: dict, home: str, names: frozenset):
+    """The ``__getattr__`` and ``__dir__`` (PEP 562) of a module that forwards
+    ``names`` to its sibling module ``home``: the first read of a name imports
+    ``home`` and binds the name in ``namespace``, the module's globals."""
+
+    def __getattr__(name):
+        if name not in names:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        module = importlib.import_module("." + home, namespace["__package__"])
+        value = namespace[name] = getattr(module, name)
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | names)
+
+    return __getattr__, __dir__
+
+
 # --- the category layer: see dynsys.category ---------------------------------
 
-_CATEGORY = frozenset({
-    "CheckReport", "PointedSystem", "MorphismCandidate", "identity_morphism",
-    "compose_morphisms", "check_composition_closure", "enumerate_pointed_morphisms",
-    "verify_initiality_discrete", "_INITIALITY_GRID", "verify_initiality_continuous",
-    "_norm", "_distance", "_matvec", "_linspace", "_solve",
-})
-
-
-def __getattr__(name):
-    if name not in _CATEGORY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import category
-
-    value = globals()[name] = getattr(category, name)
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | _CATEGORY)
+_FORWARDS = frozenset({"compose_morphisms", "enumerate_pointed_morphisms",
+                       "verify_initiality_discrete"})  # traced here (see dynsys.checkcmd)
+__getattr__, __dir__ = _forwarding(globals(), "category", _FORWARDS)

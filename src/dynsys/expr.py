@@ -43,9 +43,7 @@ culprit reach on first use), the unpickler of nodes, batched evaluation
 :func:`jacobian`) and substitution (:func:`substitute`, :func:`compose`,
 :func:`identity_map`) live in :mod:`dynsys.calculus`, which only the
 checks and the germ code run, so a ``dynsys solve`` does not compile
-them.  Each of their names, private ones included, still reads from this
-module: the first access imports :mod:`dynsys.calculus` and binds the name
-here (PEP 562).
+them.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from _weakref import _remove_dead_weakref
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .core import ExprError, Value, _setfield
+from .core import ExprError, Value, _forwarding, _setfield
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
@@ -659,23 +657,6 @@ VectorExpr.__call__ = evaluate_vector
 
 # --- printing, batched evaluation, calculus: see dynsys.calculus -------------
 
-_CALCULUS = frozenset({
-    "_LEVEL_EXPR", "_LEVEL_TERM", "_LEVEL_FACTOR", "_LEVEL_ATOM", "_level", "_fmt_number",
-    "_fmt_parts", "_fmt_node", "to_string", "_rebuild",
-    "_ARITH", "_eval_np", "evaluate_many",
-    "_is_num", "_fold2", "_add", "_sub", "_neg", "_mul", "_div", "_power", "_diff_node", "_diff",
-    "differentiate", "jacobian", "_subst", "substitute", "compose", "identity_map",
-})
-
-
-def __getattr__(name):
-    if name not in _CALCULUS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import calculus
-
-    value = globals()[name] = getattr(calculus, name)
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | _CALCULUS)
+_FORWARDS = frozenset({"evaluate_many", "differentiate", "jacobian",
+                       "substitute"})  # traced here (see dynsys.checkcmd)
+__getattr__, __dir__ = _forwarding(globals(), "calculus", _FORWARDS)

@@ -33,15 +33,23 @@ _MONOTONE = np.linspace(0.02, 0.98, 65)  # where a piece is probed, as fractions
 class OpenSet1D(Value):
     """Finite union of disjoint open intervals, kept normalized.
 
-    Normalization sorts and merges strictly overlapping intervals; touching
-    open intervals like (0,1) and (1,2) stay separate because the shared
-    endpoint belongs to neither.
+    Normalization drops empty intervals, sorts, and merges strictly
+    overlapping ones; touching open intervals like (0,1) and (1,2) stay
+    separate because the shared endpoint belongs to neither.  An interval
+    with a nan end raises ``ValueError``.
     """
 
     __match_args__ = ("intervals",)
 
     def __init__(self, intervals: tuple[tuple[float, float], ...]):
-        raw = sorted((float(a), float(b)) for a, b in intervals if float(a) < float(b))
+        raw = []
+        for a, b in intervals:
+            lo, hi = float(a), float(b)
+            if lo < hi:
+                raw.append((lo, hi))
+            elif lo != lo or hi != hi:
+                raise ValueError(f"interval ({lo}, {hi}) has a nan end")
+        raw.sort()
         merged: list[tuple[float, float]] = []
         for lo, hi in raw:
             if merged and lo < merged[-1][1]:

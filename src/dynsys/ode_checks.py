@@ -3,10 +3,7 @@ solution preservation, equilibria, periodic orbits, and the relatedness of
 a recorded solution to its field.
 
 Only ``check-morphism``, ``laws``, the tau checks and the category kernel
-run these, so a ``dynsys solve`` does not load this module.  Every name
-here, private ones included, still reads from :mod:`dynsys.continuous`,
-which imports this module on first access (PEP 562), so
-``continuous.find_equilibria is ode_checks.find_equilibria``.
+run these, so a ``dynsys solve`` does not load this module.
 """
 
 from __future__ import annotations

@@ -41,9 +41,6 @@ at load.
 The morphism spec reader :func:`load_map` and the report writer
 :func:`render_report`, which only ``check-morphism`` and ``laws`` run, live
 in :mod:`dynsys.checkcmd`, so a ``dynsys solve`` does not compile them.
-Each of their names, private ones included, still reads from this module:
-the first access imports :mod:`dynsys.checkcmd` and binds the name here
-(PEP 562).
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .core import Record
+from .core import Record, _forwarding
 
 if TYPE_CHECKING:
     from .tau import TauSystem
@@ -258,17 +255,5 @@ def _load_continuous(pairs, path, kind: str) -> LoadedSystem:
 
 # --- the morphism spec and the report: see dynsys.checkcmd --------------------
 
-_CHECKCMD = frozenset({"load_map", "_fmt_value", "_fmt_text", "render_report"})
-
-
-def __getattr__(name):
-    if name not in _CHECKCMD:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import checkcmd
-
-    value = globals()[name] = getattr(checkcmd, name)
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | _CHECKCMD)
+_FORWARDS = frozenset({"load_map", "render_report"})  # traced here (see dynsys.checkcmd)
+__getattr__, __dir__ = _forwarding(globals(), "checkcmd", _FORWARDS)

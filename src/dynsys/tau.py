@@ -138,7 +138,7 @@ class ContinuousTau(TauInstance):
             raise DomainError(f"f({tuple(x)}) = {tuple(fx)} leaves the target domain")
 
     def default_points(self, carrier: Domain, count: int):
-        from .continuous import default_samples
+        from .ode_checks import default_samples
 
         return default_samples(carrier, count)
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from dynsys import calculus
 from dynsys import expr as E
 
 _FUNCS = ("sin", "cos", "exp", "tanh", "sqrt", "log")
@@ -57,7 +58,7 @@ def central_difference(e: E.Expr, var: int, point, t: float = 0.0, h: float = 1e
 
 def _finite(v: float, node: E.Node) -> float:
     if not math.isfinite(v):
-        raise E.DomainError("non-finite result", E._fmt_node(node))
+        raise E.DomainError("non-finite result", calculus._fmt_node(node))
     return v
 
 
@@ -72,14 +73,14 @@ def _call_value(func: str, a: float, node: E.Node) -> float:
         try:
             return math.exp(a)
         except OverflowError:
-            raise E.DomainError("overflow", E._fmt_node(node)) from None
+            raise E.DomainError("overflow", calculus._fmt_node(node)) from None
     if func == "log":
         if a <= 0.0:
-            raise E.DomainError("log of a non-positive number", E._fmt_node(node))
+            raise E.DomainError("log of a non-positive number", calculus._fmt_node(node))
         return math.log(a)
     if func == "sqrt":
         if a < 0.0:
-            raise E.DomainError("sqrt of a negative number", E._fmt_node(node))
+            raise E.DomainError("sqrt of a negative number", calculus._fmt_node(node))
         return math.sqrt(a)
     raise ValueError(f"unknown function {func!r}")
 
@@ -120,7 +121,7 @@ def reference_eval(node: E.Node, point, t: float) -> float:
         case E.Div(left=l, right=r):
             den = reference_eval(r, point, t)
             if den == 0.0:
-                raise E.DomainError("division by zero", E._fmt_node(node))
+                raise E.DomainError("division by zero", calculus._fmt_node(node))
             return _finite(reference_eval(l, point, t) / den, node)
         case E.Pow(base=b, exponent=x):
             return _pow_value(reference_eval(b, point, t), reference_eval(x, point, t), node)
@@ -165,29 +166,29 @@ def reference_to_string(node: E.Node) -> str:
 
     def fmt(child: E.Node, required: int) -> str:
         text = reference_to_string(child)
-        return f"({text})" if E._level(child) < required else text
+        return f"({text})" if calculus._level(child) < required else text
 
     match node:
         case E.Num(value=v):
-            return E._fmt_number(v)
+            return calculus._fmt_number(v)
         case E.Var(index=i):
             return f"x{i}"
         case E.TimeVar():
             return "t"
         case E.Neg(arg=a):
-            return "-" + fmt(a, E._LEVEL_ATOM)
+            return "-" + fmt(a, calculus._LEVEL_ATOM)
         case E.Add(left=l, right=r):
-            return f"{fmt(l, E._LEVEL_EXPR)} + {fmt(r, E._LEVEL_TERM)}"
+            return f"{fmt(l, calculus._LEVEL_EXPR)} + {fmt(r, calculus._LEVEL_TERM)}"
         case E.Sub(left=l, right=r):
-            return f"{fmt(l, E._LEVEL_EXPR)} - {fmt(r, E._LEVEL_TERM)}"
+            return f"{fmt(l, calculus._LEVEL_EXPR)} - {fmt(r, calculus._LEVEL_TERM)}"
         case E.Mul(left=l, right=r):
-            return f"{fmt(l, E._LEVEL_TERM)} * {fmt(r, E._LEVEL_FACTOR)}"
+            return f"{fmt(l, calculus._LEVEL_TERM)} * {fmt(r, calculus._LEVEL_FACTOR)}"
         case E.Div(left=l, right=r):
-            return f"{fmt(l, E._LEVEL_TERM)} / {fmt(r, E._LEVEL_FACTOR)}"
+            return f"{fmt(l, calculus._LEVEL_TERM)} / {fmt(r, calculus._LEVEL_FACTOR)}"
         case E.Pow(base=b, exponent=x):
-            return f"{fmt(b, E._LEVEL_ATOM)}^{fmt(x, E._LEVEL_ATOM)}"
+            return f"{fmt(b, calculus._LEVEL_ATOM)}^{fmt(x, calculus._LEVEL_ATOM)}"
         case E.Call(func=f, arg=a):
-            return f"{f}({fmt(a, E._LEVEL_EXPR)})"
+            return f"{f}({fmt(a, calculus._LEVEL_EXPR)})"
     raise TypeError(f"unknown node {node!r}")
 
 

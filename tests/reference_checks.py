@@ -8,8 +8,8 @@ orbit must equal."""
 import itertools
 
 from dynsys import expr as E
-from dynsys.continuous import default_samples
-from dynsys.core import CheckReport, _distance, _matvec
+from dynsys.category import CheckReport, _distance, _matvec
+from dynsys.ode_checks import default_samples
 
 
 def reference_dt_morphism(alpha, src, dst) -> CheckReport:
@@ -50,7 +50,7 @@ def reference_f_relatedness(f, x_sys, y_sys, samples=None, tol: float = 1e-8) ->
 
 
 def reference_enumerate(target, horizon: int):
-    """Oracle for :func:`dynsys.core.enumerate_pointed_morphisms`: walk every
+    """Oracle for :func:`dynsys.category.enumerate_pointed_morphisms`: walk every
     table {0..horizon} -> carrier in ``itertools.product`` order and keep the
     basepoint-preserving ones that intertwine successor with the endomap."""
     carrier = tuple(target.system.carrier)

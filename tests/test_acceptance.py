@@ -12,7 +12,7 @@ import numpy as np
 
 from batteries import continuous_battery, discrete_battery, line, oscillator
 from dynsys import continuous as C
-from dynsys import core, discrete, germ, tau
+from dynsys import category, discrete, germ, tau
 from dynsys import expr as E
 from exprgen import central_difference, random_expr
 from germgen import membership_equivalence_violations, random_monotone_piece_map
@@ -56,11 +56,11 @@ def test_criterion_1_discrete_universal_property():
         for images in itertools.product(carrier, repeat=size):
             sys = discrete.DiscreteSystem(carrier, dict(zip(carrier, images)))
             for c0 in carrier:
-                target = core.PointedSystem(sys, c0)
+                target = category.PointedSystem(sys, c0)
                 found, _ = reference_enumerate(target, horizon=6)
                 orbit = discrete.iterate(sys, c0, 6)
                 ok = ok and found == [orbit.points]
-                ok = ok and core.verify_initiality_discrete(6, target).passed
+                ok = ok and category.verify_initiality_discrete(6, target).passed
                 instances += 1
     elapsed = time.perf_counter() - start
     _verdict(1, ok and elapsed < 10, elapsed,

@@ -193,6 +193,17 @@ def test_solve_input_errors(specs):
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize("argv", [["solve", "--x0", "1 1", "--span", "1"], ["laws"]],
+                         ids=["solve", "laws"])
+def test_non_finite_puncture_is_input_error(tmp_path, argv):
+    # the spec used to run with exit 0, as if the domain had no puncture
+    spec = tmp_path / "nan.txt"
+    spec.write_text("kind: continuous\ndimension: 2\npuncture: nan 0\nfield: 1\nfield: 0\n")
+    res = run_cli(argv[0], str(spec), *argv[1:])
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == f"error: {spec}: puncture (nan, 0.0) has a non-finite coordinate\n"
+
+
 def test_check_morphism_translation_passes(specs):
     res = run_cli("check-morphism", specs["time"], specs["time"], specs["translate"])
     assert res.returncode == 0, res.stderr

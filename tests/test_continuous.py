@@ -95,6 +95,14 @@ def test_exit_time_beyond_bisection_resolution():
     assert traj.t_hi == pytest.approx(5e7, rel=1e-9)
 
 
+@pytest.mark.parametrize("puncture", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_puncture_rejected(puncture):
+    # a nan puncture used to be kept and never hit, as if there were none
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        C.Domain(((-1.0, 1.0), (-1.0, 1.0)), (puncture,))
+
+
 def test_puncture_crossing_detected():
     # moving left from 1 on the punctured line stops at the puncture
     traj = C.integrate(line("1", punctures=(0.0,)), [1.0], -3.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dynsys import continuous as C
-from dynsys import core, discrete
+from dynsys import category, core, discrete
 from dynsys import expr as E
 from reference_checks import reference_enumerate
 
@@ -16,30 +16,52 @@ def line_system(rate: str) -> C.ContinuousSystem:
 
 
 def test_check_report_invariant():
-    rep = core.CheckReport.numerical(0.5, 1.0, 10)
+    rep = category.CheckReport.numerical(0.5, 1.0, 10)
     assert rep.passed and rep.verdict == "pass"
-    rep = core.CheckReport.numerical(2.0, 1.0, 10, witness="w")
+    rep = category.CheckReport.numerical(2.0, 1.0, 10, witness="w")
     assert not rep.passed and rep.witness == "w"
-    rep = core.CheckReport.exact(None, 5)
+    rep = category.CheckReport.exact(None, 5)
     assert rep.passed and rep.residual == 0.0
-    rep = core.CheckReport.exact("bad at a", 5, violations=2)
+    rep = category.CheckReport.exact("bad at a", 5, violations=2)
     assert not rep.passed and rep.residual == 2.0
     with pytest.raises(ValueError):
-        core.CheckReport.exact("oops", 1, violations=0)
+        category.CheckReport.exact("oops", 1, violations=0)
 
 
 def test_worst_reports_the_first_of_equal_gaps():
     def witness(residual, where):
         return f"{residual} at {where}"
 
-    rep = core.CheckReport.worst([(1.0, "a"), (3.0, "b"), (3.0, "c"), (2.0, "d")], 0.5,
-                                 witness=witness, note="n")
-    assert rep == core.CheckReport(False, 3.0, 4, "3.0 at b", "n")
-    rep = core.CheckReport.worst([(0.25, "a"), (0.5, "b")], 0.5, witness=witness)
-    assert rep == core.CheckReport(True, 0.5, 2)
-    # a tolerance below 0 fails even a zero residual, which blames no sample
-    rep = core.CheckReport.worst([(0.0, "a")], -1.0, witness=witness)
-    assert rep == core.CheckReport(False, 0.0, 1)
+    rep = category.CheckReport.worst([(1.0, "a"), (3.0, "b"), (3.0, "c"), (2.0, "d")], 0.5,
+                                     witness=witness, note="n")
+    assert rep == category.CheckReport(False, 3.0, 4, "3.0 at b", "n")
+    rep = category.CheckReport.worst([(0.25, "a"), (0.5, "b")], 0.5, witness=witness)
+    assert rep == category.CheckReport(True, 0.5, 2)
+    # a tolerance below 0, which not even a zero residual meets, is refused
+    with pytest.raises(ValueError, match="tolerance -1.0 is nan or negative"):
+        category.CheckReport.worst([(0.0, "a")], -1.0, witness=witness)
+
+
+BAD_TOLERANCES = pytest.mark.parametrize(
+    "tol", [math.nan, -1.0, -math.inf], ids=["nan", "negative", "-inf"])
+
+
+@BAD_TOLERANCES
+def test_numerical_refuses_a_nan_or_negative_tolerance(tol):
+    with pytest.raises(ValueError, match=f"tolerance {tol!r} is nan or negative"):
+        category.CheckReport.numerical(0.0, tol, 1)
+    assert category.CheckReport.numerical(0.0, 0.0, 1).passed
+    assert category.CheckReport.numerical(0.0, math.inf, 1).passed
+
+
+@BAD_TOLERANCES
+def test_worst_refuses_a_nan_or_negative_tolerance(tol):
+    # the identity map used to fail such a tolerance at residual 0, with no witness
+    with pytest.raises(ValueError, match=f"tolerance {tol!r} is nan or negative"):
+        category.CheckReport.worst([(0.0, "a")], tol)
+    sys = line_system("1")
+    with pytest.raises(ValueError, match=f"tolerance {tol!r} is nan or negative"):
+        C.check_f_relatedness(C.identity_smooth_map(1), sys, sys, tol=tol)
 
 
 @pytest.mark.parametrize("gaps", [
@@ -51,25 +73,25 @@ def test_worst_raises_on_a_nan_gap(gaps):
     # a check that cannot measure a sample can neither pass nor fail it
     where = next(where for gap, where in gaps if math.isnan(gap))
     with pytest.raises(ValueError, match=f"nan gap at sample {where},"):
-        core.CheckReport.worst(gaps, 1e-8)
+        category.CheckReport.worst(gaps, 1e-8)
 
 
 def test_worst_and_tally_of_no_samples():
-    assert core.CheckReport.worst([], 1e-8) == core.CheckReport(True, 0.0, 0)
-    assert core.CheckReport.tally([]) == core.CheckReport(True, 0.0, 0)
+    assert category.CheckReport.worst([], 1e-8) == category.CheckReport(True, 0.0, 0)
+    assert category.CheckReport.tally([]) == category.CheckReport(True, 0.0, 0)
 
 
 def test_worst_fails_an_infinite_gap():
     # an overflow that nothing cancels: the true defect is near the top of the float range
-    rep = core.CheckReport.worst([(1.0, "a"), (math.inf, "b")], 1e-8,
-                                 witness=lambda residual, where: f"{residual} at {where}")
-    assert rep == core.CheckReport(False, math.inf, 2, "inf at b")
+    rep = category.CheckReport.worst([(1.0, "a"), (math.inf, "b")], 1e-8,
+                                     witness=lambda residual, where: f"{residual} at {where}")
+    assert rep == category.CheckReport(False, math.inf, 2, "inf at b")
 
 
 def test_tally_counts_violations_with_the_first_witness():
-    rep = core.CheckReport.tally([None, "bad at b", None, "bad at d"], note="n")
-    assert rep == core.CheckReport(False, 2.0, 4, "bad at b", "n")
-    assert core.CheckReport.tally([None, None]) == core.CheckReport(True, 0.0, 2)
+    rep = category.CheckReport.tally([None, "bad at b", None, "bad at d"], note="n")
+    assert rep == category.CheckReport(False, 2.0, 4, "bad at b", "n")
+    assert category.CheckReport.tally([None, None]) == category.CheckReport(True, 0.0, 2)
 
 
 # a map that is not a morphism, whose defect overflows to inf - inf = nan
@@ -88,25 +110,25 @@ def test_overflowing_defect_raises_in_every_check():
         tau.check_tau_morphism(CANCEL_MAP, tau.from_continuous(CANCEL_SRC),
                                tau.from_continuous(CANCEL_DST))
     with pytest.raises(ValueError, match="nan gap at sample"):
-        core.check_composition_closure(C.identity_smooth_map(2), CANCEL_MAP,
-                                       CANCEL_SRC, CANCEL_SRC, CANCEL_DST)
+        category.check_composition_closure(C.identity_smooth_map(2), CANCEL_MAP,
+                                           CANCEL_SRC, CANCEL_SRC, CANCEL_DST)
 
 
 def test_pointed_system_validates_basepoint():
     sys = discrete.DiscreteSystem(("a",), {"a": "a"})
-    core.PointedSystem(sys, "a")
+    category.PointedSystem(sys, "a")
     with pytest.raises(ValueError):
-        core.PointedSystem(sys, "z")
+        category.PointedSystem(sys, "z")
     with pytest.raises(ValueError):
-        core.PointedSystem(line_system("1"), (float("nan"),))
+        category.PointedSystem(line_system("1"), (float("nan"),))
 
 
 def test_compose_identity_laws():
     sys = line_system("1")
-    f = core.MorphismCandidate(C.smooth_map(["x1^2 + 1"], 1), sys, sys)
+    f = category.MorphismCandidate(C.smooth_map(["x1^2 + 1"], 1), sys, sys)
     for composite in (
-        core.compose_morphisms(core.identity_morphism(sys), f),
-        core.compose_morphisms(f, core.identity_morphism(sys)),
+        category.compose_morphisms(category.identity_morphism(sys), f),
+        category.compose_morphisms(f, category.identity_morphism(sys)),
     ):
         for x in np.linspace(-3, 3, 100):
             lhs = composite.mapping([x])
@@ -116,18 +138,18 @@ def test_compose_identity_laws():
 
 def test_compose_affine():
     sys = line_system("1")
-    f = core.MorphismCandidate(C.smooth_map(["x1 + 1"], 1), sys, sys)
-    g = core.MorphismCandidate(C.smooth_map(["2*x1"], 1), sys, sys)
-    gf = core.compose_morphisms(f, g)
+    f = category.MorphismCandidate(C.smooth_map(["x1 + 1"], 1), sys, sys)
+    g = category.MorphismCandidate(C.smooth_map(["2*x1"], 1), sys, sys)
+    gf = category.compose_morphisms(f, g)
     for x in (-2.0, 0.0, 0.75):
         assert gf.mapping([x])[0] == pytest.approx(2 * x + 2, abs=1e-14)
 
 
 def test_compose_system_mismatch():
-    f = core.MorphismCandidate(C.identity_smooth_map(1), line_system("1"), line_system("1"))
-    g = core.MorphismCandidate(C.identity_smooth_map(1), line_system("2"), line_system("2"))
+    f = category.MorphismCandidate(C.identity_smooth_map(1), line_system("1"), line_system("1"))
+    g = category.MorphismCandidate(C.identity_smooth_map(1), line_system("2"), line_system("2"))
     with pytest.raises(core.SystemMismatchError):
-        core.compose_morphisms(f, g)
+        category.compose_morphisms(f, g)
 
 
 def test_compose_associativity_on_random_linear_maps():
@@ -135,27 +157,27 @@ def test_compose_associativity_on_random_linear_maps():
     sys = line_system("1")
     for _ in range(10):
         a, b, c, d, e, k = rng.uniform(-2, 2, size=6).round(4)
-        f = core.MorphismCandidate(C.smooth_map([f"{a}*x1 + {b}"], 1), sys, sys)
-        g = core.MorphismCandidate(C.smooth_map([f"{c}*x1 + {d}"], 1), sys, sys)
-        h = core.MorphismCandidate(C.smooth_map([f"{e}*x1 + {k}"], 1), sys, sys)
-        left = core.compose_morphisms(core.compose_morphisms(f, g), h)
-        right = core.compose_morphisms(f, core.compose_morphisms(g, h))
+        f = category.MorphismCandidate(C.smooth_map([f"{a}*x1 + {b}"], 1), sys, sys)
+        g = category.MorphismCandidate(C.smooth_map([f"{c}*x1 + {d}"], 1), sys, sys)
+        h = category.MorphismCandidate(C.smooth_map([f"{e}*x1 + {k}"], 1), sys, sys)
+        left = category.compose_morphisms(category.compose_morphisms(f, g), h)
+        right = category.compose_morphisms(f, category.compose_morphisms(g, h))
         for x in rng.uniform(-5, 5, size=100):
             assert abs(left.mapping([x])[0] - right.mapping([x])[0]) < 1e-12
 
 
 def test_compose_discrete_tables():
     sys = discrete.DiscreteSystem(("a", "b"), {"a": "b", "b": "b"})
-    f = core.MorphismCandidate({"a": "b", "b": "a"}, sys, sys)
-    g = core.MorphismCandidate({"a": "a", "b": "a"}, sys, sys)
-    gf = core.compose_morphisms(f, g)
+    f = category.MorphismCandidate({"a": "b", "b": "a"}, sys, sys)
+    g = category.MorphismCandidate({"a": "a", "b": "a"}, sys, sys)
+    gf = category.compose_morphisms(f, g)
     assert gf.mapping == {"a": "a", "b": "a"}
 
 
 def test_composition_closure_identities():
     sys = line_system("1")
     ident = C.identity_smooth_map(1)
-    rep = core.check_composition_closure(ident, ident, sys, sys, sys, tol=1e-12)
+    rep = category.check_composition_closure(ident, ident, sys, sys, sys, tol=1e-12)
     assert rep.passed and rep.residual == 0.0
 
 
@@ -166,7 +188,7 @@ def test_composition_closure_hand_chain_rule():
     g = C.smooth_map(["x1 + 3"], 1)
     assert C.check_f_relatedness(f, x_sys, y_sys, tol=1e-12).passed
     assert C.check_f_relatedness(g, y_sys, z_sys, tol=1e-12).passed
-    rep = core.check_composition_closure(f, g, x_sys, y_sys, z_sys, tol=1e-12)
+    rep = category.check_composition_closure(f, g, x_sys, y_sys, z_sys, tol=1e-12)
     assert rep.passed
 
 
@@ -174,12 +196,12 @@ def test_composition_closure_refuses_samples_outside_the_carrier():
     half = C.ContinuousSystem(C.Domain(((0.0, math.inf),)), E.parse_vector(["x1"], 1))
     ident = C.identity_smooth_map(1)
     with pytest.raises(ValueError, match=r"morphism sample \(-1.0,\) outside the carrier"):
-        core.check_composition_closure(ident, ident, half, half, half, samples=[(-1.0,)])
+        category.check_composition_closure(ident, ident, half, half, half, samples=[(-1.0,)])
     funnel = discrete.DiscreteSystem(("a", "b"), {"a": "b", "b": "b"})
     table = {"a": "a", "b": "b"}
     with pytest.raises(ValueError, match="morphism sample 'z' not in the carrier"):
-        core.check_composition_closure(table, table, funnel, funnel, funnel, samples=["z"])
-    rep = core.check_composition_closure(table, table, funnel, funnel, funnel, samples=["b"])
+        category.check_composition_closure(table, table, funnel, funnel, funnel, samples=["z"])
+    rep = category.check_composition_closure(table, table, funnel, funnel, funnel, samples=["b"])
     assert rep.passed and rep.samples == 1
 
 
@@ -201,28 +223,28 @@ def test_composition_closure_discrete_exhaustive():
             beta = dict(zip(mid.carrier, gb))
             if not discrete.check_dt_morphism(beta, mid, dst).passed:
                 continue
-            rep = core.check_composition_closure(alpha, beta, src, mid, dst)
+            rep = category.check_composition_closure(alpha, beta, src, mid, dst)
             assert rep.passed
 
 
 def test_initiality_funnel_exact_count():
     sys = discrete.DiscreteSystem(("a", "b"), {"a": "b", "b": "b"})
-    rep = core.verify_initiality_discrete(4, core.PointedSystem(sys, "a"))
+    rep = category.verify_initiality_discrete(4, category.PointedSystem(sys, "a"))
     assert rep.passed and rep.samples == 2**5
-    found, _ = core.enumerate_pointed_morphisms(core.PointedSystem(sys, "a"), 4)
+    found, _ = category.enumerate_pointed_morphisms(category.PointedSystem(sys, "a"), 4)
     assert found == [("a", "b", "b", "b", "b")]
 
 
 def test_initiality_one_point():
     sys = discrete.DiscreteSystem(("a",), {"a": "a"})
-    rep = core.verify_initiality_discrete(3, core.PointedSystem(sys, "a"))
+    rep = category.verify_initiality_discrete(3, category.PointedSystem(sys, "a"))
     assert rep.passed and rep.samples == 1
 
 
 def test_initiality_cap():
     sys = discrete.DiscreteSystem(tuple("abcdefghij"), {c: c for c in "abcdefghij"})
     with pytest.raises(core.EnumerationCapError):
-        core.verify_initiality_discrete(9, core.PointedSystem(sys, "a"))
+        category.verify_initiality_discrete(9, category.PointedSystem(sys, "a"))
 
 
 @pytest.mark.parametrize("n, horizon, samples", [
@@ -232,23 +254,23 @@ def test_initiality_report_at_the_cap_edge(n, horizon, samples):
     # the count is the report's samples up to 10**7 and refused beyond it
     carrier = tuple("abcdefghij"[:n])
     sys = discrete.DiscreteSystem(carrier, dict(zip(carrier, carrier[1:] + carrier[:1])))
-    target = core.PointedSystem(sys, "a")
+    target = category.PointedSystem(sys, "a")
     if samples is None:
         with pytest.raises(core.EnumerationCapError,
                            match=rf"^{n}\^{horizon + 1} candidate functions exceeds cap 10000000$"):
-            core.verify_initiality_discrete(horizon, target)
+            category.verify_initiality_discrete(horizon, target)
     else:
-        rep = core.verify_initiality_discrete(horizon, target)
-        assert rep == core.CheckReport(True, 0.0, samples)
+        rep = category.verify_initiality_discrete(horizon, target)
+        assert rep == category.CheckReport(True, 0.0, samples)
         assert type(rep.samples) is int
 
 
 def test_initiality_float_horizon_is_refused():
     sys = discrete.DiscreteSystem(("a", "b"), {"a": "b", "b": "b"})
     with pytest.raises(TypeError):
-        core.verify_initiality_discrete(2.0, core.PointedSystem(sys, "a"))
+        category.verify_initiality_discrete(2.0, category.PointedSystem(sys, "a"))
     with pytest.raises(TypeError):
-        core.enumerate_pointed_morphisms(core.PointedSystem(sys, "a"), 2.0)
+        category.enumerate_pointed_morphisms(category.PointedSystem(sys, "a"), 2.0)
 
 
 @st.composite
@@ -263,21 +285,21 @@ def _tables(draw) -> discrete.DiscreteSystem:
 @hypothesis.settings(max_examples=300, deadline=None)
 def test_enumeration_matches_product_loop(sys, horizon):
     for bp in sys.carrier:
-        target = core.PointedSystem(sys, bp)
-        assert core.enumerate_pointed_morphisms(target, horizon) == \
+        target = category.PointedSystem(sys, bp)
+        assert category.enumerate_pointed_morphisms(target, horizon) == \
             reference_enumerate(target, horizon)
 
 
 def test_enumeration_long_horizon_one_point():
     sys = discrete.DiscreteSystem(("a",), {"a": "a"})
-    found, total = core.enumerate_pointed_morphisms(core.PointedSystem(sys, "a"), 5000)
+    found, total = category.enumerate_pointed_morphisms(category.PointedSystem(sys, "a"), 5000)
     assert found == [("a",) * 5001] and total == 1
 
 
 def test_enumeration_negative_horizon():
     sys = discrete.DiscreteSystem(("a", "b"), {"a": "b", "b": "b"})
     with pytest.raises(ValueError, match="horizon must be non-negative"):
-        core.verify_initiality_discrete(-1, core.PointedSystem(sys, "a"))
+        category.verify_initiality_discrete(-1, category.PointedSystem(sys, "a"))
 
 
 @hypothesis.given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(0, 60))
@@ -287,10 +309,10 @@ def test_enumeration_negative_horizon():
 @hypothesis.example(-1.0 + 1e-3 * 31.0, 30.0 - 1e-3 * 31.0, 21)
 @hypothesis.settings(max_examples=300, deadline=None)
 def test_linspace_matches_numpy_bits(lo, hi, num):
-    got = [v.hex() for v in core._linspace(lo, hi, num)]
+    got = [v.hex() for v in category._linspace(lo, hi, num)]
     assert got == [float(v).hex() for v in np.linspace(lo, hi, num)]
 
 
 def test_initiality_continuous_corroboration():
-    rep = core.verify_initiality_continuous(line_system("x1"), [1.0], 1.0)
+    rep = category.verify_initiality_continuous(line_system("x1"), [1.0], 1.0)
     assert rep.passed

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from dynsys import core, discrete
+from dynsys import category, discrete
 from reference_checks import reference_enumerate
 
 
@@ -47,7 +47,7 @@ def test_iterate_unknown_element():
 
 def test_morphism_identity_passes():
     sys = funnel()
-    rep = discrete.check_dt_morphism(core.identity_morphism(sys).mapping, sys, sys)
+    rep = discrete.check_dt_morphism(category.identity_morphism(sys).mapping, sys, sys)
     assert rep.passed and rep.residual == 0.0
 
 
@@ -80,9 +80,9 @@ def test_laws_tables_are_keyed_by_the_source_carrier():
     # the identity and composed tables that laws checks have no extra rows,
     # so the unknown-element test leaves their verdicts alone
     sys = mod3()
-    ident = core.identity_morphism(sys)
-    cube = core.MorphismCandidate(dict(sys.endomap), sys, sys)
-    for cand in (ident, core.compose_morphisms(core.compose_morphisms(cube, cube), cube)):
+    ident = category.identity_morphism(sys)
+    cube = category.MorphismCandidate(dict(sys.endomap), sys, sys)
+    for cand in (ident, category.compose_morphisms(category.compose_morphisms(cube, cube), cube)):
         assert set(cand.mapping) == set(sys.carrier)
         assert discrete.check_dt_morphism(cand.mapping, sys, sys).passed
 
@@ -123,7 +123,7 @@ def test_uniqueness_matches_enumeration_small():
         for images in itertools.product(carrier, repeat=size):
             sys = discrete.DiscreteSystem(carrier, dict(zip(carrier, images)))
             for c0 in carrier:
-                found, _ = reference_enumerate(core.PointedSystem(sys, c0), horizon=4)
+                found, _ = reference_enumerate(category.PointedSystem(sys, c0), horizon=4)
                 assert found == [discrete.iterate(sys, c0, 4).points]
 
 
@@ -136,7 +136,7 @@ def test_uniqueness_sampled_size_four():
         images = tuple(carrier[i] for i in rng.integers(0, 4, size=4))
         sys = discrete.DiscreteSystem(carrier, dict(zip(carrier, images)))
         c0 = carrier[int(rng.integers(0, 4))]
-        rep = core.verify_initiality_discrete(6, core.PointedSystem(sys, c0))
+        rep = category.verify_initiality_discrete(6, category.PointedSystem(sys, c0))
         assert rep.passed
-        found, _ = reference_enumerate(core.PointedSystem(sys, c0), 6)
+        found, _ = reference_enumerate(category.PointedSystem(sys, c0), 6)
         assert found == [discrete.iterate(sys, c0, 6).points]

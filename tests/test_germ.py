@@ -33,6 +33,14 @@ def test_empty_intervals_dropped():
     assert G.open_set((2.0, 2.0), (3.0, 1.0)).is_empty
 
 
+@pytest.mark.parametrize("interval", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)],
+                         ids=["lo", "hi", "both"])
+def test_nan_interval_end_rejected(interval):
+    # such an interval used to be dropped as empty, giving a map an empty domain
+    with pytest.raises(ValueError, match="has a nan end"):
+        G.open_set((2.0, 3.0), interval)
+
+
 _interval_lists = st.lists(
     st.tuples(
         st.floats(min_value=-50, max_value=50, allow_nan=False),
@@ -445,6 +453,14 @@ def test_germ_reflexive():
     g = G.Germ(pm, 0.25)
     rep = G.germ_equal(g, g)
     assert rep.passed and rep.residual == 0.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0], ids=["nan", "negative"])
+def test_germ_equal_refuses_a_nan_or_negative_tolerance(tol):
+    # identical germs used to fail such a tolerance at residual 0, with no witness
+    g = G.Germ(G.partial_map("x1^2", G.open_set((-1.0, 1.0))), 0.25)
+    with pytest.raises(ValueError, match="is nan or negative"):
+        G.germ_equal(g, g, tol=tol)
 
 
 def test_partial_identities_differ_without_common_basepoint():

@@ -2,6 +2,7 @@
 expression module's code may not do."""
 
 import ast
+import functools
 import importlib
 import os
 import subprocess
@@ -13,26 +14,25 @@ import pytest
 
 import dynsys
 
-# every public name of the package, by a module it can be imported from; the
+# every public name of the package, by the module that defines it; the
 # package resolves each on first access, so ``import dynsys`` loads none of them
 EXPORTS = {
-    "expr": ["ArityError", "DomainError", "Expr", "ExprError", "ParseError", "VectorExpr",
-             "differentiate", "evaluate", "evaluate_many", "evaluate_vector", "jacobian",
-             "parse", "parse_vector", "substitute", "to_string"],
-    "core": ["CheckReport", "EnumerationCapError", "MorphismCandidate", "PointedSystem",
-             "SystemMismatchError", "check_composition_closure", "compose_morphisms",
-             "enumerate_pointed_morphisms", "identity_morphism", "verify_initiality_continuous",
-             "verify_initiality_discrete"],
+    "core": ["EnumerationCapError", "ExprError", "NonMonotoneError", "StepLimitError",
+             "StepSizeUnderflowError", "SystemMismatchError"],
+    "expr": ["ArityError", "DomainError", "Expr", "ParseError", "VectorExpr", "evaluate",
+             "evaluate_vector", "parse", "parse_vector"],
+    "calculus": ["differentiate", "evaluate_many", "jacobian", "substitute", "to_string"],
+    "category": ["CheckReport", "MorphismCandidate", "PointedSystem", "check_composition_closure",
+                 "compose_morphisms", "enumerate_pointed_morphisms", "identity_morphism",
+                 "verify_initiality_continuous", "verify_initiality_discrete"],
     "discrete": ["DiscreteSystem", "Orbit", "UnknownElementError", "check_dt_morphism",
                  "fixed_points", "iterate"],
     "continuous": ["ContinuousSystem", "Domain", "EarlyTerminationError", "SmoothMap",
-                   "StepLimitError", "StepSizeUnderflowError", "Trajectory",
-                   "check_equilibrium_morphism", "check_f_relatedness", "check_periodic_orbit",
-                   "check_solution_preservation", "find_equilibria", "integrate", "smooth_map",
-                   "time_system"],
-    "germ": ["FULL_LINE", "Germ", "NonMonotoneError", "OpenSet1D", "PartialMap",
-             "SolutionDomain", "compose_partial", "germ_equal", "maximal_solution_domain",
-             "open_set", "partial_map", "preimage"],
+                   "Trajectory", "integrate", "smooth_map", "time_system"],
+    "ode_checks": ["check_equilibrium_morphism", "check_f_relatedness", "check_periodic_orbit",
+                   "check_solution_preservation", "find_equilibria"],
+    "germ": ["FULL_LINE", "Germ", "OpenSet1D", "PartialMap", "SolutionDomain", "compose_partial",
+             "germ_equal", "maximal_solution_domain", "open_set", "partial_map", "preimage"],
     "tau": ["TangentSection", "TauInstance", "TauSystem", "check_section", "check_tau_morphism",
             "from_continuous", "from_discrete"],
 }
@@ -62,12 +62,8 @@ def test_unknown_attribute_raises():
         dynsys.no_such_name  # noqa: B018
 
 
-# the names ``from dynsys import *`` binds: all but germ's, whose module loads
-# numpy (NonMonotoneError, listed with germ above, is defined in core)
-STAR_NAMES = sorted(
-    [n for module, names in EXPORTS.items() if module != "germ" for n in names]
-    + ["NonMonotoneError"]
-)
+# the names ``from dynsys import *`` binds: all but germ's, whose module loads numpy
+STAR_NAMES = sorted(n for module, names in EXPORTS.items() if module != "germ" for n in names)
 
 STAR_SCRIPT = """
 import sys
@@ -322,8 +318,8 @@ def test_no_expression_function_recurses():
         assert name not in reached, f"{name} calls itself"
 
 
-# the modules whose code a continuous ``solve`` (or ``--version``) never
-# runs, by the module their names were moved out of, which still reads each
+# the names that the modules a continuous ``solve`` (or ``--version``) never
+# runs took from the modules it does run, by the module each came from
 MOVED = {
     "cli": ("checkcmd", ["_cmd_check_morphism", "_laws_for_discrete", "_laws_for_continuous",
                          "_cmd_laws"]),
@@ -347,14 +343,32 @@ MOVED = {
                                   "solution_morphism_report"]),
 }
 
-MOVED_SCRIPT = """
-import sys
-from dynsys import {old}
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-print(*sorted(m for m in sys.modules if m.startswith("dynsys")))
-print(all(getattr({old}, name) is getattr(sys.modules["dynsys.{new}"], name) for name in {names!r}))
-print(*sorted(set({names!r}) - set(dir({old}))))
-"""
+
+def _targets() -> list[tuple[str, str, str]]:
+    """perfbench's ``TARGETS``, read from the source, not imported."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "TARGETS")
+
+
+@functools.cache
+def _perfbench_reads() -> frozenset[tuple[str, str]]:
+    """(module, name) for each attribute of a ``dynsys`` module that perfbench
+    reads: its tracer's targets and the names it reads from an imported module."""
+    reads = {(modname, attr.split(".")[0]) for _, modname, attr in _targets()}
+    for path in PERFBENCH.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        aliases = {alias.asname or alias.name: f"dynsys.{alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "dynsys"
+                   for alias in node.names}
+        reads |= {(aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases}
+    return frozenset(reads)
 
 
 def _defined(module) -> set[str]:
@@ -369,15 +383,49 @@ def _defined(module) -> set[str]:
     return out
 
 
+def _forwards(old: str) -> set[str]:
+    """The moved names that ``dynsys.<old>`` still reads: those perfbench reads there."""
+    return {name for modname, name in _perfbench_reads() if modname == f"dynsys.{old}"} \
+        & set(MOVED[old][1])
+
+
+def test_forwards_are_what_perfbench_reads():
+    # a module forwards (PEP 562) exactly the names that perfbench reads from
+    # it and that it does not define: a forward that nothing reads, or a read
+    # that finds no forward, fails here
+    reads = _perfbench_reads()
+    assert ("dynsys.continuous", "default_samples") in reads  # read outside TARGETS
+    for path in sorted(Path(dynsys.__file__).parent.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        module = importlib.import_module(f"dynsys.{path.stem}")
+        wanted = {name for modname, name in reads
+                  if modname == module.__name__ and name not in _defined(module)}
+        assert set(getattr(module, "_FORWARDS", ())) == wanted, module.__name__
+        assert ("__getattr__" in vars(module)) == bool(wanted), module.__name__
+
+
+MOVED_SCRIPT = """
+import sys
+from dynsys import {old}
+
+print(*sorted(m for m in sys.modules if m.startswith("dynsys")))
+print(all(getattr({old}, name) is getattr(sys.modules["dynsys.{new}"], name) for name in {names!r}))
+print(*sorted(set({names!r}) - set(dir({old}))))
+"""
+
+
 @pytest.mark.parametrize("old", sorted(MOVED))
 def test_moved_names_read_as_the_same_objects(tmp_path, old):
-    new, names = MOVED[old]
+    new = MOVED[old][0]
     module = importlib.import_module(f"dynsys.{new}")
     # the lists of the modules moved into ``new`` are every name it defines
     assert _defined(module) == {n for home, listed in MOVED.values() if home == new
                                 for n in listed}
-    # in a fresh interpreter, the old module loads the new one on the first read
-    loaded, same, missing = _run(MOVED_SCRIPT.format(old=old, new=new, names=names), tmp_path)
+    # in a fresh interpreter, the old module loads the new one on the first
+    # read of a forwarded name, and not before
+    script = MOVED_SCRIPT.format(old=old, new=new, names=sorted(_forwards(old)))
+    loaded, same, missing = _run(script, tmp_path)
     assert f"dynsys.{new}" not in loaded.split()
     assert same == "True"
     assert missing == ""
@@ -388,21 +436,23 @@ def test_moved_names_read_as_the_same_objects(tmp_path, old):
 @pytest.mark.parametrize("old, name", [(old, name) for old, (_, names) in sorted(MOVED.items())
                                        for name in names])
 def test_each_moved_name_is_one_object(old, name):
+    # one home per name: the old module reads it only if it forwards it
     new = importlib.import_module(f"dynsys.{MOVED[old][0]}")
     value = getattr(new, name)
-    assert getattr(importlib.import_module(f"dynsys.{old}"), name) is value
     if isinstance(value, (type, types.FunctionType)):  # defined there, not imported there
         assert value.__module__ == new.__name__
+    old_module = importlib.import_module(f"dynsys.{old}")
+    if name in _forwards(old):
+        assert getattr(old_module, name) is value
+    else:
+        assert not hasattr(old_module, name)
+        assert name not in dir(old_module)
 
 
 def test_traced_functions_still_exist():
     # perfbench's tracer wraps these functions by name, so renaming one breaks
-    # a traced benchmark run; the list is read from the source, not imported
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    tree = ast.parse(path.read_text())
-    targets = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign) and len(node.targets) == 1
-                   and getattr(node.targets[0], "id", None) == "TARGETS")
+    # a traced benchmark run
+    targets = _targets()
     assert targets
     for label, modname, attr in targets:
         obj = importlib.import_module(modname)

@@ -68,10 +68,10 @@ def test_identity_morphism_zero_residual():
 
 
 def test_morphism_candidate_accepted():
-    from dynsys import core
+    from dynsys import category
 
     osc = oscillator()
-    cand = core.identity_morphism(osc)
+    cand = category.identity_morphism(osc)
     sys = tau.from_continuous(osc)
     assert tau.check_tau_morphism(cand, sys, sys).passed
 
