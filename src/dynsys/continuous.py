@@ -1,13 +1,19 @@
 """Continuous-time systems: ODEs on open boxes of R^n, possibly minus
 finitely many points.
 
-The integrator is an explicit embedded Runge-Kutta 5(4) pair (Dormand-
-Prince coefficients): the 5th-order solution is propagated and the
-difference to the embedded 4th-order one drives the step size.  Dense
-output between accepted steps is cubic Hermite.  Integration stops early
-when the state escapes past a norm threshold (blow-up) or leaves the
-declared open domain: the dense output crosses the box boundary, or hits a
-puncture (see PUNCTURE_TOL); the exit time is located by bisection.
+The integrator is DOP853, the explicit Runge-Kutta method of order 8 of
+Dormand and Prince (Hairer, Norsett and Wanner, *Solving ODEs I*, II.5):
+12 stages plus the first-same-as-last stage, with the combined 5th- and
+3rd-order error estimate driving the step size.  Dense output between
+accepted steps is the method's order-7 interpolant, which needs 3 more
+field calls per step; :mod:`dynsys.dense` builds it only for the steps
+that something samples (``Trajectory.sample``, the checks, event
+location), rebuilding the step's stages from its start and its size (on a
+punctured domain, where every step is tested, the step keeps them).
+Integration stops early when the state escapes past a norm threshold
+(blow-up) or leaves the declared open domain: the dense output crosses the
+box boundary, or hits a puncture (see PUNCTURE_TOL); the exit time is
+located by bisection.
 The integrator and the checks built on it work on plain lists of floats
 and load no numpy; only the array views of a trajectory
 (``Trajectory.times``/``states``/``derivs``/``sample``) and
@@ -15,8 +21,9 @@ and load no numpy; only the array views of a trajectory
 
 The checks (sample sets, f-relatedness and solution preservation,
 equilibria and periodic orbits, the solution-morphism report) live in
-:mod:`dynsys.ode_checks`, so a ``dynsys solve`` compiles only the
-integrator.
+:mod:`dynsys.ode_checks`, and the dense output and event location in
+:mod:`dynsys.dense`, so a ``dynsys solve`` whose solution stays inside
+the domain compiles only the integrator.
 """
 
 from __future__ import annotations
@@ -166,11 +173,11 @@ class IntegrationStats(Record):
 
     def __init__(self, nfev: int = 0, accepted: int = 0, rejected: int = 0,
                  domain_retries: int = 0, event_bisections: int = 0):
-        self.nfev = nfev  # right-hand-side evaluations started
+        self.nfev = nfev  # right-hand-side evaluations the steps started (not dense output's)
         self.accepted = accepted  # steps that passed the error test
         self.rejected = rejected  # steps refused by the error test
         self.domain_retries = domain_retries  # steps shrunk: a stage left the field's domain
-        self.event_bisections = event_bisections  # halvings locating domain exits in steps
+        self.event_bisections = event_bisections  # halvings locating exits and escapes in steps
 
 
 class Trajectory:
@@ -180,16 +187,23 @@ class Trajectory:
     ``termination`` explains why integration stopped at the far end (t_hi
     when integrating forward, t_lo backward).  The knots are kept as given
     (the integrator passes plain lists); ``times``, ``states`` and
-    ``derivs`` are numpy arrays built on first access.
+    ``derivs`` are numpy arrays built on first access.  ``steps`` holds the
+    size h of the step behind each interval between knots (negative when
+    integrating backward: the step starts at the interval's right knot), and
+    ``field`` the compiled field: dense output rebuilds a step's stages from
+    them.
     """
 
     def __init__(self, times, states, derivs, t_lo: float, t_hi: float,
-                 termination: str, stats: IntegrationStats | None = None):
+                 termination: str, stats: IntegrationStats | None = None,
+                 steps=None, field=None):
         self._times, self._states, self._derivs = times, states, derivs
         self.t_lo = t_lo
         self.t_hi = t_hi
         self.termination = termination
         self.stats = IntegrationStats() if stats is None else stats
+        self._steps, self._field = steps, field
+        self._segments: dict = {}  # interval index -> its dense output, built on first sample
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -204,7 +218,9 @@ class Trajectory:
         return _array(self._derivs)
 
     def sample(self, t: float) -> np.ndarray:
-        """Dense output: cubic Hermite on the accepted step containing t."""
+        """Dense output: the order-7 interpolant of the step containing t,
+        and the knot itself at a knot.  Raises :class:`dynsys.expr.DomainError`
+        when one of the interpolant's extra stages leaves the field's domain."""
         import numpy as np
 
         return np.array(self._sample(t))
@@ -215,11 +231,19 @@ class Trajectory:
         if not ts[0] <= t <= ts[-1]:
             raise ValueError(f"t={t} outside recorded span [{ts[0]}, {ts[-1]}]")
         i = bisect.bisect_right(ts, t) - 1
-        i = min(max(i, 0), len(ts) - 2)
-        return _hermite(
-            t, ts[i], ts[i + 1], self._states[i], self._states[i + 1],
-            self._derivs[i], self._derivs[i + 1],
-        )
+        if ts[i] == t:
+            return list(self._states[i])
+        segment = self._segments.get(i)
+        if segment is None:
+            from .dense import Segment
+
+            if self._steps is None:
+                raise ValueError("trajectory has no steps to interpolate")
+            h = self._steps[i]
+            j = i if h > 0 else i + 1  # the knot the step started from
+            segment = self._segments[i] = Segment(
+                self._field, ts[j], h, self._states[j], self._derivs[j])
+        return segment.at(t)
 
     def to_csv(self, path=None) -> None:
         """Write ``t,x1,...,xn`` rows at full precision to ``path``, or to
@@ -243,49 +267,82 @@ def _array(knots) -> np.ndarray:
     return np.array(knots, dtype=float)
 
 
-def _hermite(t, t0, t1, y0, y1, f0, f1) -> list[float]:
-    h = t1 - t0
-    s = (t - t0) / h
-    h00 = 2 * s**3 - 3 * s**2 + 1
-    h10 = h * (s**3 - 2 * s**2 + s)
-    h01 = -2 * s**3 + 3 * s**2
-    h11 = h * (s**3 - s**2)
-    return [h00 * a + h10 * da + h01 * b + h11 * db for a, b, da, db in zip(y0, y1, f0, f1)]
-
-
-def _hermite_deriv(t, t0, t1, y0, y1, f0, f1) -> list[float]:
-    h = t1 - t0
-    s = (t - t0) / h
-    d00 = (6 * s**2 - 6 * s) / h
-    d10 = 3 * s**2 - 4 * s + 1
-    d01 = (-6 * s**2 + 6 * s) / h
-    d11 = 3 * s**2 - 2 * s
-    return [d00 * a + d10 * da + d01 * b + d11 * db for a, b, da, db in zip(y0, y1, f0, f1)]
-
-
-# --- Dormand-Prince 5(4) ----------------------------------------------------
+# --- DOP853 -------------------------------------------------------------------
 #
 # The step works on floats, one straight-line function per state dimension
-# (_dp_step), emitted on the first integration in that dimension and calling
+# (_dop_step), emitted on the first integration in that dimension and calling
 # the compiled field once per stage.  Every stage combination is a sum taken
 # left to right over the nonzero coefficients, so a step gives the same bits
 # on every IEEE-754 machine, and negating coordinates that the field maps
-# equivariantly negates the computed trajectory exactly.
+# equivariantly negates the computed trajectory exactly.  The coefficients
+# are those of scipy's ``integrate/_ivp/dop853_coefficients.py``, written as
+# the same float literals; each row maps a stage number (k1 is the field at
+# the step's start, k13 the field at its end) to its coefficient.
 
-_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)  # nodes of stages 2..5; stages 6 and 7 sit at t + h
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+# nodes of stages 2..12
+_DOP_C = (
+    0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
 )
-# weights of k1, k3, k4, k5, k6 (k2 has weight zero in both solutions)
-_DP_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-# the embedded 4th-order weights of k1, k3, ..., k7
-_DP_B4 = (5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-# error weights: 5th minus 4th order, of k1, k3, ..., k7
-_DP_E = tuple(b - b4 for b, b4 in zip(_DP_B + (0.0,), _DP_B4))
+# the inputs of stages 2..12
+_DOP_A = (
+    {1: 5.26001519587677318785587544488e-2},
+    {1: 1.97250569845378994544595329183e-2, 2: 5.91751709536136983633785987549e-2},
+    {1: 2.95875854768068491816892993775e-2, 3: 8.87627564304205475450678981324e-2},
+    {1: 2.41365134159266685502369798665e-1, 3: -8.84549479328286085344864962717e-1,
+     4: 9.24834003261792003115737966543e-1},
+    {1: 3.7037037037037037037037037037e-2, 4: 1.70828608729473871279604482173e-1,
+     5: 1.25467687566822425016691814123e-1},
+    {1: 3.7109375e-2, 4: 1.70252211019544039314978060272e-1,
+     5: 6.02165389804559606850219397283e-2, 6: -1.7578125e-2},
+    {1: 3.70920001185047927108779319836e-2, 4: 1.70383925712239993810214054705e-1,
+     5: 1.07262030446373284651809199168e-1, 6: -1.53194377486244017527936158236e-2,
+     7: 8.27378916381402288758473766002e-3},
+    {1: 6.24110958716075717114429577812e-1, 4: -3.36089262944694129406857109825,
+     5: -8.68219346841726006818189891453e-1, 6: 2.75920996994467083049415600797e1,
+     7: 2.01540675504778934086186788979e1, 8: -4.34898841810699588477366255144e1},
+    {1: 4.77662536438264365890433908527e-1, 4: -2.48811461997166764192642586468,
+     5: -5.90290826836842996371446475743e-1, 6: 2.12300514481811942347288949897e1,
+     7: 1.52792336328824235832596922938e1, 8: -3.32882109689848629194453265587e1,
+     9: -2.03312017085086261358222928593e-2},
+    {1: -9.3714243008598732571704021658e-1, 4: 5.18637242884406370830023853209,
+     5: 1.09143734899672957818500254654, 6: -8.14978701074692612513997267357,
+     7: -1.85200656599969598641566180701e1, 8: 2.27394870993505042818970056734e1,
+     9: 2.49360555267965238987089396762, 10: -3.0467644718982195003823669022},
+    {1: 2.27331014751653820792359768449, 4: -1.05344954667372501984066689879e1,
+     5: -2.00087205822486249909675718444, 6: -1.79589318631187989172765950534e1,
+     7: 2.79488845294199600508499808837e1, 8: -2.85899827713502369474065508674,
+     9: -8.87285693353062954433549289258, 10: 1.23605671757943030647266201528e1,
+     11: 6.43392746015763530355970484046e-1},
+)
+# the weights of the 8th-order solution
+_DOP_B = {
+    1: 5.42937341165687622380535766363e-2, 6: 4.45031289275240888144113950566,
+    7: 1.89151789931450038304281599044, 8: -5.8012039600105847814672114227,
+    9: 3.1116436695781989440891606237e-1, 10: -1.52160949662516078556178806805e-1,
+    11: 2.01365400804030348374776537501e-1, 12: 4.47106157277725905176885569043e-2,
+}
+# the 5th-order error weights, and the 3rd-order ones (the weights minus those
+# of an embedded 3rd-order solution)
+_DOP_E5 = {
+    1: 0.1312004499419488073250102996e-1, 6: -0.1225156446376204440720569753e+1,
+    7: -0.4957589496572501915214079952, 8: 0.1664377182454986536961530415e+1,
+    9: -0.3503288487499736816886487290, 10: 0.3341791187130174790297318841,
+    11: 0.8192320648511571246570742613e-1, 12: -0.2235530786388629525884427845e-1,
+}
+_DOP_E3 = {**_DOP_B, 1: _DOP_B[1] - 0.244094488188976377952755905512,
+           9: _DOP_B[9] - 0.733846688281611857341361741547,
+           12: _DOP_B[12] - 0.220588235294117647058823529412e-1}
+
+#: a step's |h*lambda|, estimated from stages 12 and 13, is held below this
+#: bound, where DOP853's stability function is positive on the negative real
+#: axis (up to 4.3468) and bounded by 1 on the left half-disc: the error test
+#: reads (|h*lambda| / bound)^8 as an error norm.  Beyond it a decaying
+#: coordinate below atol flips sign from step to step, and crosses a bound or
+#: a 1-D puncture at 0 that the solution only creeps up on.
+_DOP_STABLE = 4.3
 
 #: in 2-D and up, a step's dense segment that comes within this euclidean
 #: distance of a puncture hits it, and the solution leaves the domain at the
@@ -295,7 +352,6 @@ _DP_E = tuple(b - b4 for b, b4 in zip(_DP_B + (0.0,), _DP_B4))
 #: In 1-D a path hits a puncture only by reaching it (crossing it or landing
 #: on it), so a solution that merely creeps up on one is never stopped.
 PUNCTURE_TOL = 1e-6
-_APPROACH_GRID = 16  # samples per step that bracket the closest approaches
 #: after this many trial steps that left the field's domain while no accepted
 #: step moved the state, the run is stalled at the edge of the field's domain
 #: (each accepted step is too short to change a coordinate, each longer one
@@ -307,33 +363,63 @@ def _rms(values) -> float:
     return math.sqrt(_dot(values, values) / len(values))
 
 
-@cache
-def _dp_step(n: int):
-    """The trial step for n coordinates: ``step(field, y, k1, t, h, rtol, atol,
-    bounds)`` returns ``(y_new, k7, error norm, |y_new|, y_new in the box)``,
-    or the number of field calls started when a stage leaves the field's domain."""
-    def each(code, sep=", "):  # ``code`` once per coordinate, "#" standing for its index
-        return sep.join(code.replace("#", str(i)) for i in range(n))
+def _each(n: int, code: str, sep: str = ", ") -> str:
+    """``code`` once per coordinate, "#" standing for its index."""
+    return sep.join(code.replace("#", str(i)) for i in range(n))
 
-    def comb(coefs, ks):  # the sum of coef * k, left to right
-        return " + ".join(f"{c!r} * k{k}_#" for c, k in zip(coefs, ks))
 
-    lines = [f"{each('y_#')}, = y", f"{each('k1_#')}, = k1", "try:"]
-    for s, (a, at) in enumerate(zip(_DP_A, [f"t + {c!r} * h" for c in _DP_C] + ["t + h"]), 1):
-        stage = each(f"y_# + h * ({comb(a, range(1, s + 1))})")
-        lines += [f"    s = {s}", f"    {each(f'k{s + 1}_#')}, = field([{stage}], {at})"]
-    lines += [f"    y_new = [{each(f'y_# + h * ({comb(_DP_B, (1, 3, 4, 5, 6))})')}]",
-              "    s = 6", "    k7 = field(y_new, t + h)", "except DomainError:", "    return s",
-              f"{each('n_#')}, = y_new", f"{each('k7_#')}, = k7", f"{each('(lo_#, hi_#)')}, = bounds",
-              # scaled by max(|y|, |y_new|), and squared and summed as in _rms
-              each(f"a = abs(y_#); b = abs(n_#); q_# = h * ({comb(_DP_E, (1, 3, 4, 5, 6, 7))})"
-                   " / (atol + rtol * (b if b > a else a))", "\n    "),
-              f"return y_new, k7, sqrt(({each('q_# * q_#', ' + ')}) / {n}), "
-              f"sqrt({each('n_# * n_#', ' + ')}), {each('lo_# < n_# < hi_#', ' and ')}"]
-    src = "def step(field, y, k1, t, h, rtol, atol, bounds):\n" + "".join(f"    {x}\n" for x in lines)
+def _comb(row: dict) -> str:
+    """The sum of coef * k over a coefficient row, left to right."""
+    return " + ".join(f"{c!r} * k{k}_#" for k, c in row.items())
+
+
+def _build(name: str, n: int, head: str, lines: list[str]):
+    """Compile ``def <head>:`` over ``lines`` (after unpacking y and k1)."""
+    lines = [f"{_each(n, 'y_#')}, = y", f"{_each(n, 'k1_#')}, = k1", *lines]
+    src = f"def {head}:\n" + "".join(f"    {x}\n" for x in lines)
     namespace = {"DomainError": E.DomainError, "sqrt": math.sqrt}
-    exec(compile(src, "<dynsys.continuous>", "exec"), namespace)
-    return namespace["step"]
+    exec(compile(src, name, "exec"), namespace)
+    return namespace[head[:head.index("(")]]
+
+
+@cache
+def _dop_step(n: int):
+    """The trial step for n coordinates: ``step(field, y, k1, t, h, rtol, atol,
+    bounds, keep)`` returns ``(y_new, k13, error norm, |y_new|, y_new in the
+    box, stages)``, or the number of field calls started when a stage leaves
+    the field's domain.  ``stages`` is None, or with ``keep`` true stages
+    6..12, which the dense output needs: it takes them from here on punctured
+    domains, and elsewhere reruns the step with the very code it ran."""
+    lines = ["try:"]
+    for s, (row, c) in enumerate(zip(_DOP_A, _DOP_C), 2):
+        inputs = _each(n, f"y_# + h * ({_comb(row)})")
+        if s == 12:  # kept for the stability estimate
+            lines.append(f"    {_each(n, 'z_#')}, = {inputs},")
+            inputs = _each(n, "z_#")
+        lines += [f"    s = {s - 1}",
+                  f"    {_each(n, f'k{s}_#')}, = field([{inputs}], t + {c!r} * h)"]
+    kept = ", ".join(_each(n, f"k{s}_#") for s in range(6, 13))
+    lines += [f"    y_new = [{_each(n, f'y_# + h * ({_comb(_DOP_B)})')}]",
+              "    s = 12", "    k13 = field(y_new, t + h)", "except DomainError:", "    return s",
+              f"{_each(n, 'n_#')}, = y_new", f"{_each(n, 'm_#')}, = k13",
+              f"{_each(n, '(lo_#, hi_#)')}, = bounds",
+              # scaled by max(|y|, |y_new|), as scipy's DOP853 does
+              *_each(n, f"a = abs(y_#); b = abs(n_#); sc = atol + rtol * (b if b > a else a); "
+                        f"p_# = ({_comb(_DOP_E5)}) / sc; q_# = ({_comb(_DOP_E3)}) / sc",
+                     "\n").split("\n"),
+              f"e5 = {_each(n, 'p_# * p_#', ' + ')}",
+              f"e3 = {_each(n, 'q_# * q_#', ' + ')}",
+              # the 5th-order estimate, damped where the 3rd-order one is small
+              f"err = abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {n}) if e5 else 0.0",
+              # |h*lambda|^2 from stages 12 and 13, both at t + h (Hairer's estimate)
+              f"dk = {_each(n, '(m_# - k12_#) * (m_# - k12_#)', ' + ')}",
+              f"dz = {_each(n, '(n_# - z_#) * (n_# - z_#)', ' + ')}",
+              f"st = (h * h * dk / ({_DOP_STABLE ** 2!r} * dz)) ** 4 if dz else 0.0",
+              "if st > err:", "    err = st",
+              f"return y_new, k13, err, sqrt({_each(n, 'n_# * n_#', ' + ')}), "
+              f"{_each(n, 'lo_# < n_# < hi_#', ' and ')}, ({kept}) if keep else None"]
+    return _build("<dynsys.continuous>", n,
+                  "step(field, y, k1, t, h, rtol, atol, bounds, keep=False)", lines)
 
 
 def _initial_step(field, t0, y0, f0, direction, rtol, atol, limit):
@@ -351,7 +437,7 @@ def _initial_step(field, t0, y0, f0, direction, rtol, atol, limit):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** 0.125
     h = min(100 * h0, h1, limit)  # 0 or nan if a scaled norm overflowed: then start
     return h if h > 0.0 else min(1e-6, limit)  # small, and let the error test shrink it
 
@@ -392,10 +478,12 @@ def integrate(
     positive, as a coordinate may be 0; a step whose error norm or new
     state is not finite is rejected; ``max_step`` must be positive (inf:
     no bound).  Stops early with termination
-    "blow-up" once |x| exceeds ``escape_threshold`` (positive; inf never
-    stops) and with "left-domain" when the state exits the open box (the
-    crossing is bisected to EXIT_BISECT_TOL) or hits a puncture (at the
-    closest approach; see PUNCTURE_TOL); the exit becomes the final knot.
+    "blow-up" where |x| passes ``escape_threshold`` (positive; inf never
+    stops; the crossing is bisected to float resolution) and with
+    "left-domain" when the state exits the open box (the crossing is
+    bisected to EXIT_BISECT_TOL) or hits a puncture (at the closest
+    approach; see PUNCTURE_TOL), each located on the step's dense output;
+    the event becomes the final knot.
     Raises :class:`StepLimitError` after ``max_steps`` steps, and
     :class:`StepSizeUnderflowError` when the step size underflows or the
     state stalls at the edge of the field's domain (STALL_RETRIES).
@@ -421,12 +509,13 @@ def integrate(
     direction = 1.0 if T > 0 else -1.0
 
     field = sys.field._compiled  # the whole field in one compiled call
-    step = _dp_step(n)
+    step = _dop_step(n)
     bounds, punctures = sys.domain.bounds, sys.domain.punctures
+    keep = bool(punctures)  # every step's dense output is built to test the punctures
 
     t = 0.0
     k1 = field(y, t)
-    ts, ys, fs = [t], [y], [k1]
+    ts, ys, fs, hs = [t], [y], [k1], []
     termination = TERM_SPAN
     stats = IntegrationStats()
 
@@ -442,7 +531,26 @@ def integrate(
             cause = "trial steps overflowed" if overflowed else "stiffness failure"
             raise StepSizeUnderflowError(f"step size underflow at t={t} ({cause})")
 
-        out = step(field, y, k1, t, h, rtol, atol, bounds)
+        out = step(field, y, k1, t, h, rtol, atol, bounds, keep)
+        event = None
+        if out.__class__ is not int:
+            nfev += 12
+            y_new, k13, err_norm, norm, inside, stages = out
+            if not (inside or all(map(math.isfinite, y_new))):
+                err_norm = math.nan  # a state past the float range fails the error test
+            if not err_norm <= 1.0:  # a nan norm (overflowing stages) fails too, and shrinks by 0.2
+                rejected += 1
+                overflowed = not err_norm < math.inf
+                h *= min(max(0.2, 0.9 * err_norm ** -0.125), 1.0)
+                continue
+            if not inside or norm > escape_threshold or punctures:  # locate the exit
+                from .dense import _first_exit
+
+                try:
+                    event = _first_exit(sys.domain, escape_threshold, field, t, h, y, k1,
+                                        y_new, k13, stats, stages)
+                except E.DomainError:  # an extra stage of its dense output left the field's
+                    out = 0  # domain: retry the step shorter, as if one of its own had
         if out.__class__ is int:  # a stage left the field's domain
             nfev += out
             retries += 1
@@ -454,136 +562,33 @@ def integrate(
                     f"the state unchanged or leaves the field's domain")
             h *= 0.3
             continue
-        nfev += 6
-        y_new, k7, err_norm, norm, inside = out
-        if not (inside or all(map(math.isfinite, y_new))):
-            err_norm = math.nan  # a state past the float range fails the error test
-        if not err_norm <= 1.0:  # a nan norm (overflowing stages) fails too, and shrinks by 0.2
-            rejected += 1
-            overflowed = not err_norm < math.inf
-            h *= min(max(0.2, 0.9 * err_norm ** -0.2), 1.0)
-            continue
 
         accepted += 1
         if y_new != y:
             stalled = 0
-        t_new = t + h
-        crossing = None if inside and not punctures else \
-            _first_exit(sys.domain, not inside, t, t_new, y, y_new, k1, k7, stats)
-        if crossing is not None:
-            t_x, y_x = crossing
+        hs.append(h)
+        if event is not None:
+            t_x, y_x, f_x, termination = event
             ts.append(t_x)
             ys.append(y_x)
-            fs.append(_hermite_deriv(t_x, t, t_new, y, y_new, k1, k7))
-            termination = TERM_LEFT_DOMAIN
+            fs.append(f_x)
             break
 
-        ts.append(t_new)
+        t += h
+        ts.append(t)
         ys.append(y_new)
-        fs.append(k7)
-        if norm > escape_threshold:
-            termination = TERM_BLOWUP
-            break
-        t, y, k1 = t_new, y_new, k7
-        h *= 10.0 if err_norm == 0.0 else min(max(0.9 * err_norm ** -0.2, 0.2), 10.0)
+        fs.append(k13)
+        y, k1 = y_new, k13
+        h *= 10.0 if err_norm == 0.0 else min(max(0.9 * err_norm ** -0.125, 0.2), 10.0)
 
     if direction < 0:  # backward runs are stored time-ascending
         ts.reverse()
         ys.reverse()
         fs.reverse()
+        hs.reverse()
     stats.nfev, stats.accepted, stats.rejected, stats.domain_retries = nfev, accepted, rejected, retries
-    return Trajectory(ts, ys, fs, t_lo=ts[0], t_hi=ts[-1], termination=termination, stats=stats)
-
-
-def _hull_near(q, y0, y1, f0, f1, h) -> bool:
-    """False when the step's segment cannot come within PUNCTURE_TOL of q.
-
-    A cubic Hermite segment lies in the convex hull of its Bezier control
-    points y0, y0 + h*f0/3, y1 - h*f1/3, y1, so in their bounding box.
-    """
-    third = h / 3.0
-    for c, a, b, da, db in zip(q, y0, y1, f0, f1):
-        p1, p2 = a + third * da, b - third * db
-        if c < min(a, p1, p2, b) - PUNCTURE_TOL or c > max(a, p1, p2, b) + PUNCTURE_TOL:
-            return False
-    return True
-
-
-def _first_exit(domain, leaves_box, t0, t1, y0, y1, f0, f1, stats):
-    """Earliest domain-exit event inside an accepted step, if any: the box
-    boundary crossing (when y1 is outside the box), or the closest approach
-    that hits a puncture (see PUNCTURE_TOL).  Counts each bisection halving
-    in ``stats``."""
-    near = [q for q in domain.punctures if _hull_near(q, y0, y1, f0, f1, t1 - t0)]
-    if not (leaves_box or near):
-        return None
-
-    def dense(tau):
-        return _hermite(tau, t0, t1, y0, y1, f0, f1)
-
-    def outside(tau):
-        stats.event_bisections += 1
-        return not all(lo < v < hi for v, (lo, hi) in zip(dense(tau), domain.bounds))
-
-    events: list[float] = []
-    if leaves_box:
-        events.append(_bisect(outside, t0, t1, EXIT_BISECT_TOL))
-    for q in near:
-        hit = _closest_approach(q, t0, t1, y0, y1, f0, f1, stats)
-        if hit is not None:
-            events.append(hit)
-    if not events:
-        return None
-    t_x = min(events) if t1 > t0 else max(events)
-    return t_x, dense(t_x)
-
-
-def _closest_approach(q, t0, t1, y0, y1, f0, f1, stats):
-    """The first time in (t0, t1] at which the dense segment is at a local
-    minimum of its distance to ``q`` that hits ``q``, or None: in 1-D the
-    segment has reached ``q`` there, in 2-D and up it is within PUNCTURE_TOL.
-
-    Grid samples bracket the minima (the distance stops falling in the
-    direction of integration), and each bracket is bisected to float
-    resolution.
-    """
-    h = t1 - t0
-
-    def offset(tau) -> list[float]:
-        return [a - c for a, c in zip(_hermite(tau, t0, t1, y0, y1, f0, f1), q)]
-
-    if len(q) == 1:
-        side = y0[0] > q[0]
-
-        def hits(tau) -> bool:  # on the puncture, or past it
-            d = offset(tau)[0]
-            return d == 0.0 or (d > 0.0) != side
-    else:
-        def hits(tau) -> bool:
-            d = offset(tau)
-            return _dot(d, d) <= PUNCTURE_TOL**2
-
-    def receding(tau) -> bool:  # d/dtau |y - q|^2 / 2, taken along the integration
-        return h * _dot(offset(tau), _hermite_deriv(tau, t0, t1, y0, y1, f0, f1)) >= 0.0
-
-    def counted(tau) -> bool:
-        stats.event_bisections += 1
-        return receding(tau)
-
-    prev, approaching = t0, not receding(t0)
-    for j in range(1, _APPROACH_GRID + 1):
-        tau = t1 if j == _APPROACH_GRID else t0 + (j / _APPROACH_GRID) * h
-        if not receding(tau):
-            approaching = True
-        elif approaching:
-            t_c = _bisect(counted, prev, tau)
-            if hits(t_c):
-                return t_c
-            approaching = False
-        prev = tau
-    if approaching and hits(t1):
-        return t1
-    return None
+    return Trajectory(ts, ys, fs, t_lo=ts[0], t_hi=ts[-1], termination=termination, stats=stats,
+                      steps=hs, field=field)
 
 
 # --- the checks: see dynsys.ode_checks --------------------------------------

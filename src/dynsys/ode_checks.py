@@ -248,22 +248,24 @@ def check_periodic_orbit(
 def solution_morphism_report(
     traj: Trajectory, sys: ContinuousSystem, tol: float
 ) -> CheckReport:
-    """Discretized relatedness of a recorded trajectory: compare 4th-order
+    """Discretized relatedness of a recorded trajectory: compare 6th-order
     finite differences of the knots against the field along the curve.
 
-    Only interior knots whose 5-point stencil has uniform spacing are used
-    (integrate with max_step to get a uniform grid).
+    Only interior knots whose 7-point stencil has uniform spacing are used
+    (integrate with max_step to get a uniform grid).  The stencil's
+    truncation error, h^6 |y^(7)| / 140, is not part of the bound.
     """
     ts, ys = traj._times, traj._states
     hs = [b - a for a, b in zip(ts, ts[1:])]
 
     def defects():
-        for i in range(2, len(ts) - 2):
-            h = hs[i - 2]
-            if max(abs(d - h) for d in hs[i - 2:i + 2]) > 1e-9 * h:
+        for i in range(3, len(ts) - 3):
+            h, window = hs[i - 3], hs[i - 3:i + 3]
+            # the largest |d - h| over the window, as subtraction is monotone
+            if max(max(window) - h, h - min(window)) > 1e-9 * h:
                 continue
-            deriv = [(a - 8 * b + 8 * c - d) / (12 * h)
-                     for a, b, c, d in zip(ys[i - 2], ys[i - 1], ys[i + 1], ys[i + 2])]
+            deriv = [(45 * (d - c) - 9 * (e - b) + (f - a)) / (60 * h)
+                     for a, b, c, d, e, f in zip(*ys[i - 3:i], *ys[i + 1:i + 4])]
             yield _distance(deriv, E.evaluate_vector(sys.field, ys[i], ts[i])), ts[i]
 
     report = CheckReport.worst(defects(), tol)

@@ -1,19 +1,18 @@
-"""The integration loop that ``continuous.integrate`` replaced, written out on
-lists, with one comprehension per Dormand-Prince stage and ``_first_exit``
-tried after every accepted step; its step control has the same overflow
-mends (a step whose error norm or new state is not finite is rejected and
-shrinks by 0.2, and a step size underflow that follows one says so).  It is the oracle that the generated step
-(``continuous._dp_step``) must match bit for bit; it shares the helpers
-that the step leaves alone (initial step, domain exits, dense output)."""
+"""The integration loop of ``continuous.integrate`` written out on lists,
+with one comprehension per DOP853 stage and ``dense._first_exit`` (domain
+exits and escapes) tried after every accepted step; its step control has the same overflow mends (a
+step whose error norm or new state is not finite is rejected and shrinks by
+0.2, and a step size underflow that follows one says so) and the same
+stability bound on |h*lambda|.  It is the oracle
+that the generated step (``continuous._dop_step``) must match bit for bit;
+it shares the helpers that the step leaves alone (initial step, domain
+exits, dense output)."""
 
 import math
 
 from dynsys import continuous as C
+from dynsys import dense as D
 from dynsys import expr as E
-
-
-def _in_box(values, bounds) -> bool:
-    return all(lo < v < hi for v, (lo, hi) in zip(values, bounds))
 
 
 def reference_integrate(sys, x0, span, rtol=1e-9, atol=1e-12, escape_threshold=C.DEFAULT_ESCAPE,
@@ -24,14 +23,13 @@ def reference_integrate(sys, x0, span, rtol=1e-9, atol=1e-12, escape_threshold=C
     T = float(span)
     direction = 1.0 if T > 0 else -1.0
     field = sys.field._compiled
-    c2, c3, c4, c5 = C._DP_C
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = C._DP_A
-    b1, b3, b4, b5, b6 = C._DP_B
-    e1, e3, e4, e5, e6, e7 = C._DP_E
+    c = dict(enumerate(C._DOP_C, 2))  # stage -> node
+    a = dict(enumerate(C._DOP_A, 2))  # stage -> {earlier stage: coefficient}
+    b, e5, e3 = C._DOP_B, C._DOP_E5, C._DOP_E3
 
     t = 0.0
     k1 = field(y, t)
-    ts, ys, fs = [t], [y], [k1]
+    ts, ys, fs, hs = [t], [y], [k1], []
     termination = C.TERM_SPAN
     stats = C.IntegrationStats()
 
@@ -47,25 +45,90 @@ def reference_integrate(sys, x0, span, rtol=1e-9, atol=1e-12, escape_threshold=C
             cause = "trial steps overflowed" if overflowed else "stiffness failure"
             raise C.StepSizeUnderflowError(f"step size underflow at t={t} ({cause})")
 
+        event, retry = None, False
         try:
             nfev += 1
-            k2 = field([v + h * (a21 * p) for v, p in zip(y, k1)], t + c2 * h)
+            k2 = field([v + h * (a[2][1] * p1) for v, p1 in zip(y, k1)], t + c[2] * h)
             nfev += 1
-            k3 = field([v + h * (a31 * p + a32 * q) for v, p, q in zip(y, k1, k2)], t + c3 * h)
+            k3 = field([v + h * (a[3][1] * p1 + a[3][2] * p2)
+                        for v, p1, p2 in zip(y, k1, k2)], t + c[3] * h)
             nfev += 1
-            k4 = field([v + h * (a41 * p + a42 * q + a43 * r)
-                        for v, p, q, r in zip(y, k1, k2, k3)], t + c4 * h)
+            k4 = field([v + h * (a[4][1] * p1 + a[4][3] * p3)
+                        for v, p1, p3 in zip(y, k1, k3)], t + c[4] * h)
             nfev += 1
-            k5 = field([v + h * (a51 * p + a52 * q + a53 * r + a54 * s)
-                        for v, p, q, r, s in zip(y, k1, k2, k3, k4)], t + c5 * h)
+            k5 = field([v + h * (a[5][1] * p1 + a[5][3] * p3 + a[5][4] * p4)
+                        for v, p1, p3, p4 in zip(y, k1, k3, k4)], t + c[5] * h)
             nfev += 1
-            k6 = field([v + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
-                        for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)], t + h)
-            y_new = [v + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
-                     for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
+            k6 = field([v + h * (a[6][1] * p1 + a[6][4] * p4 + a[6][5] * p5)
+                        for v, p1, p4, p5 in zip(y, k1, k4, k5)], t + c[6] * h)
             nfev += 1
-            k7 = field(y_new, t + h)
+            k7 = field([v + h * (a[7][1] * p1 + a[7][4] * p4 + a[7][5] * p5 + a[7][6] * p6)
+                        for v, p1, p4, p5, p6 in zip(y, k1, k4, k5, k6)], t + c[7] * h)
+            nfev += 1
+            k8 = field([v + h * (a[8][1] * p1 + a[8][4] * p4 + a[8][5] * p5 + a[8][6] * p6
+                                 + a[8][7] * p7)
+                        for v, p1, p4, p5, p6, p7 in zip(y, k1, k4, k5, k6, k7)], t + c[8] * h)
+            nfev += 1
+            k9 = field([v + h * (a[9][1] * p1 + a[9][4] * p4 + a[9][5] * p5 + a[9][6] * p6
+                                 + a[9][7] * p7 + a[9][8] * p8)
+                        for v, p1, p4, p5, p6, p7, p8 in zip(y, k1, k4, k5, k6, k7, k8)],
+                       t + c[9] * h)
+            nfev += 1
+            k10 = field([v + h * (a[10][1] * p1 + a[10][4] * p4 + a[10][5] * p5 + a[10][6] * p6
+                                  + a[10][7] * p7 + a[10][8] * p8 + a[10][9] * p9)
+                         for v, p1, p4, p5, p6, p7, p8, p9
+                         in zip(y, k1, k4, k5, k6, k7, k8, k9)], t + c[10] * h)
+            nfev += 1
+            k11 = field([v + h * (a[11][1] * p1 + a[11][4] * p4 + a[11][5] * p5 + a[11][6] * p6
+                                  + a[11][7] * p7 + a[11][8] * p8 + a[11][9] * p9
+                                  + a[11][10] * p10)
+                         for v, p1, p4, p5, p6, p7, p8, p9, p10
+                         in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)], t + c[11] * h)
+            nfev += 1
+            z12 = [v + h * (a[12][1] * p1 + a[12][4] * p4 + a[12][5] * p5 + a[12][6] * p6
+                            + a[12][7] * p7 + a[12][8] * p8 + a[12][9] * p9
+                            + a[12][10] * p10 + a[12][11] * p11)
+                   for v, p1, p4, p5, p6, p7, p8, p9, p10, p11
+                   in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)]
+            k12 = field(z12, t + c[12] * h)
+            y_new = [v + h * (b[1] * p1 + b[6] * p6 + b[7] * p7 + b[8] * p8 + b[9] * p9
+                              + b[10] * p10 + b[11] * p11 + b[12] * p12)
+                     for v, p1, p6, p7, p8, p9, p10, p11, p12
+                     in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
+            nfev += 1
+            k13 = field(y_new, t + h)
         except E.DomainError:
+            retry = True
+        if not retry:
+            scale = [atol + rtol * max(abs(v), abs(x)) for v, x in zip(y, y_new)]
+            stages = list(zip(k1, k6, k7, k8, k9, k10, k11, k12))
+            err5 = [(e5[1] * p1 + e5[6] * p6 + e5[7] * p7 + e5[8] * p8 + e5[9] * p9
+                     + e5[10] * p10 + e5[11] * p11 + e5[12] * p12) / s
+                    for (p1, p6, p7, p8, p9, p10, p11, p12), s in zip(stages, scale)]
+            err3 = [(e3[1] * p1 + e3[6] * p6 + e3[7] * p7 + e3[8] * p8 + e3[9] * p9
+                     + e3[10] * p10 + e3[11] * p11 + e3[12] * p12) / s
+                    for (p1, p6, p7, p8, p9, p10, p11, p12), s in zip(stages, scale)]
+            n5, n3 = C._dot(err5, err5), C._dot(err3, err3)
+            err_norm = abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * len(y)) if n5 else 0.0
+            dk = [p - q for p, q in zip(k13, k12)]
+            dz = [p - q for p, q in zip(y_new, z12)]
+            dk, dz = C._dot(dk, dk), C._dot(dz, dz)
+            stiff = (h * h * dk / (C._DOP_STABLE ** 2 * dz)) ** 4 if dz else 0.0
+            if stiff > err_norm:
+                err_norm = stiff
+            if not all(math.isfinite(v) for v in y_new):
+                err_norm = math.nan
+            if not err_norm <= 1.0:
+                rejected += 1
+                overflowed = not err_norm < math.inf
+                h *= 0.2 if math.isnan(err_norm) else min(max(0.9 * err_norm ** -0.125, 0.2), 1.0)
+                continue
+            try:
+                event = D._first_exit(sys.domain, escape_threshold, field, t, h, y, k1,
+                                      y_new, k13, stats)
+            except E.DomainError:
+                retry = True
+        if retry:
             retries += 1
             stalled += 1
             overflowed = False
@@ -76,46 +139,30 @@ def reference_integrate(sys, x0, span, rtol=1e-9, atol=1e-12, escape_threshold=C
             h *= 0.3
             continue
 
-        err_norm = C._rms([
-            h * (e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z)
-            / (atol + rtol * max(abs(v), abs(x)))
-            for v, x, p, r, s, u, w, z in zip(y, y_new, k1, k3, k4, k5, k6, k7)
-        ])
-        if not all(math.isfinite(v) for v in y_new):
-            err_norm = math.nan
-        if not err_norm <= 1.0:
-            rejected += 1
-            overflowed = not err_norm < math.inf
-            h *= 0.2 if math.isnan(err_norm) else min(max(0.9 * err_norm ** -0.2, 0.2), 1.0)
-            continue
-
         accepted += 1
         if y_new != y:
             stalled = 0
-        t_new = t + h
-        crossing = C._first_exit(sys.domain, not _in_box(y_new, sys.domain.bounds),
-                                 t, t_new, y, y_new, k1, k7, stats)
-        if crossing is not None:
-            t_x, y_x = crossing
+        hs.append(h)
+        if event is not None:
+            t_x, y_x, f_x, termination = event
             ts.append(t_x)
             ys.append(y_x)
-            fs.append(C._hermite_deriv(t_x, t, t_new, y, y_new, k1, k7))
-            termination = C.TERM_LEFT_DOMAIN
+            fs.append(f_x)
             break
 
-        ts.append(t_new)
+        t += h
+        ts.append(t)
         ys.append(y_new)
-        fs.append(k7)
-        if math.sqrt(C._dot(y_new, y_new)) > escape_threshold:
-            termination = C.TERM_BLOWUP
-            break
-        t, y, k1 = t_new, y_new, k7
-        factor = 10.0 if err_norm == 0.0 else min(max(0.9 * err_norm ** -0.2, 0.2), 10.0)
+        fs.append(k13)
+        y, k1 = y_new, k13
+        factor = 10.0 if err_norm == 0.0 else min(max(0.9 * err_norm ** -0.125, 0.2), 10.0)
         h *= factor
 
     if direction < 0:
         ts.reverse()
         ys.reverse()
         fs.reverse()
+        hs.reverse()
     stats.nfev, stats.accepted, stats.rejected, stats.domain_retries = nfev, accepted, rejected, retries
-    return C.Trajectory(ts, ys, fs, t_lo=ts[0], t_hi=ts[-1], termination=termination, stats=stats)
+    return C.Trajectory(ts, ys, fs, t_lo=ts[0], t_hi=ts[-1], termination=termination, stats=stats,
+                        steps=hs, field=field)

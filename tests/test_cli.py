@@ -119,7 +119,7 @@ def test_solve_deep_field_stall_is_input_error(tmp_path):
     res = subprocess.run([sys.executable, "-m", "dynsys", "solve", str(spec), "--span", "-2"],
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 1
-    assert res.stderr.startswith("error: step stalled at t=-0.94280891")
+    assert res.stderr.startswith("error: step stalled at t=-0.94280886")
 
 
 def test_solve_puncture_2d_left_domain(tmp_path, capsys):
@@ -612,9 +612,10 @@ def test_escape_threshold_must_be_positive(specs, capsys, value):
 
 
 def test_escape_threshold_inf_is_accepted(specs, capsys):
-    # with no escape stop, x' = x^2 runs into its pole at t = 1
+    # with no escape stop, x' = x^2 runs into its pole at t = 1 (the computed
+    # solution's pole lies 1e-10 past it, at the default tolerances)
     assert cli.main(["solve", specs["quad"], "--span", "2", "--escape-threshold", "inf"]) == 1
-    assert capsys.readouterr().err.startswith("error: step size underflow at t=0.99999")
+    assert capsys.readouterr().err.startswith("error: step size underflow at t=1.00000")
 
 
 def _finite_csv(text: str) -> bool:
@@ -647,8 +648,23 @@ def test_stiff_underflow_is_not_called_an_overflow(specs, tmp_path):
     spec.write_text("kind: continuous\ndimension: 1\nfield: 1/x1\nbasepoint: 1\n")
     res = run_cli("solve", str(spec), "--span", "-2")
     assert res.returncode == 1
-    assert res.stderr.startswith("error: step size underflow at t=-0.5")
+    assert res.stderr.startswith("error: step size underflow at t=-0.49999")
     assert res.stderr.endswith(" (stiffness failure)\n")
+
+
+def test_dense_output_outside_the_field_domain_is_an_error(specs, tmp_path, capsys):
+    # solution preservation samples t = 5e-4, in the second step, whose extra
+    # dense-output stage at t = a is where sqrt's argument is negative
+    spec = tmp_path / "window.txt"
+    spec.write_text("kind: continuous\ndimension: 1\n"
+                    "field: 1 + 0*sqrt((t - 0.0001859276011815556)^2 - 1e-14)\nbasepoint: 0\n")
+    one = tmp_path / "one.txt"
+    one.write_text("kind: map\ncomponent: x1\n")
+    argv = ["check-morphism", str(spec), str(spec), str(one), "--preserve-solutions", "0", "0.1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the dense output of the step from t=9.99")
+    assert "sqrt of a negative number" in err
 
 
 def test_option_lookalikes_stay_options(specs, capsys):

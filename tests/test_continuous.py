@@ -55,6 +55,93 @@ def test_dense_output_accuracy():
         assert abs(traj.sample(t)[0] - math.exp(t)) < 1e-6
 
 
+def test_dense_output_at_step_midpoints_matches_scipy():
+    # the order-7 interpolant sits within a few step tolerances of the true
+    # solution halfway between knots (11.8 here; cubic Hermite on these
+    # steps is off by 3.7e5)
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    rtol, atol = 1e-9, 1e-12
+    traj = C.integrate(C.ContinuousSystem(C.full_space(3), E.parse_vector(LORENZ, 3)),
+                       [1.0, 1.0, 1.0], 2.0, rtol=rtol, atol=atol)
+    mids = [(a + b) / 2 for a, b in zip(traj._times, traj._times[1:])]
+    ref = solve_ivp(lambda t, x: [10 * (x[1] - x[0]), x[0] * (28 - x[2]) - x[1],
+                                  x[0] * x[1] - 8 / 3 * x[2]],
+                    (0.0, 2.0), [1.0, 1.0, 1.0], method="DOP853", rtol=1e-13, atol=1e-13,
+                    t_eval=mids).y.T
+    for t, want in zip(mids, ref):
+        got = traj._sample(t)
+        assert all(abs(a - b) <= 20 * (atol + rtol * abs(b)) for a, b in zip(got, want)), t
+
+
+def test_dense_output_passes_through_the_knots():
+    traj = C.integrate(C.ContinuousSystem(C.full_space(3), E.parse_vector(LORENZ, 3)),
+                       [1.0, 1.0, 1.0], -1.0)
+    for t, y in zip(traj._times, traj._states):
+        assert traj._sample(t) == y
+    # either side of a knot, the two steps meeting there agree to the step tolerance
+    for i in range(1, len(traj._times) - 1):
+        t = traj._times[i]
+        left = traj._sample(math.nextafter(t, -math.inf))
+        right = traj._sample(math.nextafter(t, math.inf))
+        assert max(abs(a - b) for a, b in zip(left, right)) < 1e-9 * 100
+
+
+def test_dense_control_points_are_the_bezier_form():
+    # the puncture filter reads the bounding box of the control points, which
+    # holds the segment because they give it back in the Bernstein basis
+    from dynsys import dense as D
+
+    traj = C.integrate(C.ContinuousSystem(C.full_space(3), E.parse_vector(LORENZ, 3)),
+                       [1.0, 1.0, 1.0], 2.0)
+    i = len(traj._times) // 2
+    segment = D.Segment(traj._field, traj._times[i], traj._steps[i], traj._states[i],
+                        traj._derivs[i])
+    points = segment.control_points()
+    for x in [j / 8 for j in range(9)]:
+        bezier = [sum(math.comb(7, k) * x**k * (1 - x)**(7 - k) * p[k] for k in range(8))
+                  for p in points]
+        assert bezier == pytest.approx(segment.at(segment.t0 + x * segment.h), rel=1e-13)
+
+
+def test_dense_step_coefficients_are_scipy_dop853():
+    coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    from dynsys import dense as D
+
+    def row(d, size):  # a stage -> coefficient map as scipy's dense row
+        return [d.get(k, 0.0) for k in range(1, size + 1)]
+
+    assert list(C._DOP_C) == list(coefficients.C[1:12])
+    for s, a in enumerate(C._DOP_A, 1):
+        assert row(a, 12) == list(coefficients.A[s, :12])
+    assert row(C._DOP_B, 12) == list(coefficients.B)
+    assert row(C._DOP_E5, 13) == list(coefficients.E5)
+    assert row(C._DOP_E3, 13) == list(coefficients.E3)
+    assert list(D._DOP_C_EXTRA) == list(coefficients.C[13:])
+    for s, a in enumerate(D._DOP_A_EXTRA, 13):
+        assert row(a, 16) == list(coefficients.A[s])
+    for d, want in zip(D._DOP_D, coefficients.D):
+        assert row(d, 16) == list(want)
+
+
+def test_dense_output_outside_the_field_domain_is_a_domain_error():
+    # sqrt's argument is negative only within 1e-7 of t = a, which holds the
+    # extra stage at t + 0.1h of the second step and none of the step's own
+    a = 0.0001859276011815556
+    sys = C.ContinuousSystem(C.full_space(1),
+                             E.parse_vector([f"1 + 0*sqrt((t - {a!r})^2 - 1e-14)"], 1))
+    traj = C.integrate(sys, [0.0], 1.0)
+    assert traj.termination == "reached-span" and traj.stats.domain_retries == 0
+    assert traj._times[1] < a < traj._times[2]
+    with pytest.raises(E.DomainError, match="dense output of the step from t=9.99"):
+        traj.sample(a)
+    assert traj.sample(0.5)[0] == pytest.approx(0.5)
+    # an exit located in such a step retries the step shorter
+    boxed = C.ContinuousSystem(C.Domain([(-1.0, 5e-4)]), sys.field)
+    traj = C.integrate(boxed, [0.0], 1.0)
+    assert traj.termination == "left-domain" and traj.stats.domain_retries > 0
+    assert traj.t_hi == pytest.approx(5e-4, abs=1e-9)
+
+
 def test_x0_outside_domain_rejected():
     with pytest.raises(ValueError):
         C.integrate(line("1", lo=0.0, hi=1.0), [2.0], 1.0)
@@ -66,6 +153,15 @@ def test_blow_up_quadratic():
     assert traj.termination == "blow-up"
     assert 0.99 <= traj.t_hi <= 1.01
     assert np.linalg.norm(traj.states[-1]) > C.DEFAULT_ESCAPE
+
+
+def test_blow_up_is_located_on_the_dense_output():
+    # the escape is bisected on the step's interpolant, not read at its end:
+    # |x| = 1e6 at t = 1 - 1e-6, less the computed solution's 9.6e-11 lag
+    traj = C.integrate(line("x1^2"), [1.0], 2.0, escape_threshold=1e6)
+    assert traj.termination == "blow-up"
+    assert 1.0 - traj.t_hi == pytest.approx(1e-6, abs=2e-10)
+    assert 1e6 < traj.states[-1][0] < 1e6 * (1 + 1e-9)
 
 
 def test_blow_up_threshold_monotone():
@@ -117,6 +213,15 @@ def test_puncture_1d_creeping_solution_runs_on():
         assert traj.termination == "reached-span"
         assert traj.t_hi == 30.0
         assert traj.states[-1][0] == pytest.approx(x0 * math.exp(-30.0), rel=1e-6)
+
+
+def test_decay_below_atol_keeps_its_sign():
+    # |h*lambda| stays where DOP853's stability function is positive, so x' =
+    # -x on (0, inf) decays toward the bound without crossing it
+    for x0 in (1.0, 1e-7):
+        traj = C.integrate(line("-x1", lo=0.0), [x0], 30.0)
+        assert traj.termination == "reached-span"
+        assert all(y[0] > 0.0 for y in traj._states)
 
 
 def test_puncture_2d_path_through():
@@ -210,13 +315,34 @@ def test_lorenz_mirror_is_exact():
 
 
 def test_solution_is_a_morphism():
-    # discretized relatedness via 4th-order differences on a uniform grid
+    # discretized relatedness via 6th-order differences on a uniform grid
     rtol, atol = 1e-9, 1e-12
     traj = C.integrate(oscillator(), [1.0, 0.0], 1.0, rtol=rtol, atol=atol, max_step=1e-3)
     max_norm = float(np.max(np.linalg.norm(traj.states, axis=1)))
     sys_tol = 10 * (atol + rtol * max_norm)
     rep = C.solution_morphism_report(traj, oscillator(), sys_tol)
     assert rep.passed, rep
+
+
+def test_solution_morphism_fails_for_a_perturbed_field():
+    # the laws run's knots (max_step 2e-3) of the Lorenz field with sigma and
+    # rho perturbed by 1e-5 relative fail against the field itself, while the
+    # oscillator's own knots pass, both at the laws bound
+    rtol, atol = 1e-9, 1e-12
+
+    def report(fields, x0, sys):
+        n = len(x0)
+        knots = C.integrate(C.ContinuousSystem(C.full_space(n), E.parse_vector(fields, n)),
+                            x0, 1.0, rtol=rtol, atol=atol, max_step=2e-3)
+        bound = 10 * (atol + rtol * max(abs(v) for row in knots._states for v in row))
+        return C.solution_morphism_report(knots, sys, bound), bound
+
+    lorenz = C.ContinuousSystem(C.full_space(3), E.parse_vector(LORENZ, 3))
+    perturbed = ["10.0001*(x2 - x1)", "x1*(28.00028 - x3) - x2", "x1*x2 - 8/3*x3"]
+    rep, bound = report(perturbed, [1.0, 1.0, 1.0], lorenz)
+    assert not rep.passed and rep.residual > 100 * bound
+    rep, bound = report(["x2", "-x1"], [1.0, 0.0], oscillator())
+    assert rep.passed and rep.residual < bound / 100
 
 
 def test_step_underflow_is_stiffness_failure():
@@ -251,7 +377,7 @@ def test_step_limit_is_typed():
 def _assert_stats_consistent(traj):
     s = traj.stats
     assert s.accepted == len(traj.times) - 1
-    assert s.nfev <= 6 * (s.accepted + s.rejected + s.domain_retries) + 2
+    assert s.nfev <= 12 * (s.accepted + s.rejected + s.domain_retries) + 2
 
 
 def test_stats_oscillator_reached_span():
@@ -259,10 +385,20 @@ def test_stats_oscillator_reached_span():
     assert traj.termination == "reached-span"
     _assert_stats_consistent(traj)
     s = traj.stats
-    assert s.rejected > 0 and s.domain_retries == 0
-    # with no domain retry every step attempt evaluates the field six times
-    assert s.nfev == 6 * (s.accepted + s.rejected) + 2
+    # DOP853 refuses no step on the oscillator; the Lorenz run below does
+    assert s.rejected == 0 and s.domain_retries == 0
+    # with no domain retry every step attempt evaluates the field twelve times
+    assert s.nfev == 12 * (s.accepted + s.rejected) + 2
     assert s.event_bisections == 0
+
+
+def test_stats_count_rejected_steps():
+    traj = C.integrate(C.ContinuousSystem(C.full_space(3), E.parse_vector(LORENZ, 3)),
+                       [1.0, 1.0, 1.0], 20.0)
+    _assert_stats_consistent(traj)
+    s = traj.stats
+    assert s.rejected > 0 and s.domain_retries == 0
+    assert s.nfev == 12 * (s.accepted + s.rejected) + 2
 
 
 def test_stats_box_exit():
@@ -278,8 +414,11 @@ def test_stats_count_domain_retries():
     assert traj.termination == "reached-span"
     assert traj.stats.domain_retries > 0
     _assert_stats_consistent(traj)
-    # each retry counts the field calls it started, up to the failing stage
-    assert traj.stats.nfev == 789
+    # each retry counts the field calls it started, up to the failing stage:
+    # 2 + 12 * (57 accepted + 12 rejected) + 400, the 51 retries failing at
+    # stage 5 once, 6 21 times, 9 4 times, 11 18 times, 12 5 times and 13 twice
+    # (4 + 105 + 32 + 180 + 55 + 24 calls)
+    assert traj.stats.nfev == 1230
 
 
 # --- the generated step against the loop it replaced --------------------------

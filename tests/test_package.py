@@ -100,7 +100,9 @@ print(*sorted(m for m in sys.modules if m == "numpy" or m.startswith("dynsys")))
 # the modules the commands load: the package, the CLI and the kernel; the
 # spec reader and the modules of the spec's kind; the check commands add
 # their bodies, the category layer and tau, and on ODE specs the ODE checks
-# and the calculus (neither ``--version`` nor a solve loads any of these)
+# and the calculus (neither ``--version`` nor a solve loads any of these);
+# dense output is loaded by what samples a trajectory between its knots or
+# locates an exit in a step
 _BASE = {"dynsys", "dynsys.cli", "dynsys.core"}
 _SOLVE = _BASE | {"dynsys.specio"}
 _CHECKS = _SOLVE | {"dynsys.checkcmd", "dynsys.category", "dynsys.tau"}
@@ -114,8 +116,9 @@ MODULE_CASES = [
     (["check-morphism", "endo.txt", "endo.txt", "endo_map.txt"], _CHECKS | {"dynsys.discrete"}),
     (["laws", "endo.txt", "--horizon", "4"], _CHECKS | {"dynsys.discrete"}),
     (["solve", "osc.txt", "--span", "1", "--output", "osc.csv"], _SOLVE | _ODE),
+    (["solve", "box.txt", "--span", "1", "--output", "box.csv"], _SOLVE | _ODE | {"dynsys.dense"}),
     (["check-morphism", "osc.txt", "osc.txt", "ident.txt", "--preserve-solutions", "1", "0",
-      "1"], _CHECKS | _ODE_CHECKS),
+      "1"], _CHECKS | _ODE_CHECKS | {"dynsys.dense"}),
     (["laws", "osc.txt"], _CHECKS | _ODE_CHECKS),
 ]
 
@@ -125,13 +128,15 @@ MODULE_CASES = [
 def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
     (tmp_path / "osc.txt").write_text(
         "kind: continuous\ndimension: 2\nfield: x2\nfield: -x1\nbasepoint: 1 0\n")
+    (tmp_path / "box.txt").write_text(
+        "kind: continuous\ndimension: 1\ndomain: -1 1.5\nfield: 1\nbasepoint: 1\n")
     (tmp_path / "ident.txt").write_text("kind: map\ncomponent: x1\ncomponent: x2\n")
     (tmp_path / "endo.txt").write_text(
         "kind: discrete\nelements: a b c\nmap: a -> b\nmap: b -> c\nmap: c -> b\nbasepoint: a\n")
     (tmp_path / "endo_map.txt").write_text(
         "kind: map\nentry: a -> a\nentry: b -> b\nentry: c -> c\n")
     *_, code, loaded = _run(MODULES_SCRIPT.format(argv=argv), tmp_path)
-    assert code == "0"
+    assert code == ("2" if "box.txt" in argv else "0")
     assert set(loaded.split()) == modules
 
 

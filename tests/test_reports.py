@@ -59,8 +59,8 @@ CASES = [
      'check: name=identity-morphism verdict=pass residual=0.0 samples=200 witness=- note=-\n'
      'check: name=compose-associativity verdict=pass residual=0.0 samples=25 witness=- note=-\n'
      'check: name=equilibrium-morphisms verdict=pass residual=0.0 samples=1 witness=- note=-\n'
-     'check: name=solution-morphism verdict=pass residual=5.783800057243066e-13 samples=496 witness=- note=-\n'
-     'check: name=periodic-orbit verdict=pass residual=7.589969273666215e-10 samples=129 witness=- note=-\n'
+     'check: name=solution-morphism verdict=pass residual=4.10333683790734e-14 samples=494 witness=- note=-\n'
+     'check: name=periodic-orbit verdict=pass residual=4.720329753052611e-10 samples=19 witness=- note=-\n'
      'note: equilibria: 1 found\n'
      'result: pass\n'),
     ('laws-oscillator-wrong-period', ['laws', 'osc.txt', '--period', '3'], 3,
@@ -71,8 +71,8 @@ CASES = [
      'check: name=identity-morphism verdict=pass residual=0.0 samples=200 witness=- note=-\n'
      'check: name=compose-associativity verdict=pass residual=0.0 samples=25 witness=- note=-\n'
      'check: name=equilibrium-morphisms verdict=pass residual=0.0 samples=1 witness=- note=-\n'
-     'check: name=solution-morphism verdict=pass residual=5.783800057243066e-13 samples=496 witness=- note=-\n'
-     'check: name=periodic-orbit verdict=fail residual=1.994989972838863 samples=63 witness="endpoint (-0.9899924962365054, -0.14112000797197136)" note=-\n'
+     'check: name=solution-morphism verdict=pass residual=4.10333683790734e-14 samples=494 witness=- note=-\n'
+     'check: name=periodic-orbit verdict=fail residual=1.9949899731594418 samples=11 witness="endpoint (-0.9899924965369095, -0.14112000826781745)" note=-\n'
      'note: equilibria: 1 found\n'
      'result: fail\n'),
     ('laws-quad', ['laws', 'quad.txt'], 0,
@@ -83,7 +83,7 @@ CASES = [
      'check: name=identity-morphism verdict=pass residual=0.0 samples=200 witness=- note=-\n'
      'check: name=compose-associativity verdict=pass residual=0.0 samples=25 witness=- note=-\n'
      'check: name=equilibrium-morphisms verdict=pass residual=0.0 samples=1 witness=- note=-\n'
-     'check: name=solution-morphism verdict=pass residual=0.0020884472785951402 samples=471 witness=- note=-\n'
+     'check: name=solution-morphism verdict=pass residual=0.2505210664257902 samples=489 witness=- note=-\n'
      'note: equilibria: 1 found\n'
      'result: pass\n'),
     ('laws-quad-period-blows-up', ['laws', 'quad.txt', '--period', '2'], 3,
@@ -94,7 +94,7 @@ CASES = [
      'check: name=identity-morphism verdict=pass residual=0.0 samples=200 witness=- note=-\n'
      'check: name=compose-associativity verdict=pass residual=0.0 samples=25 witness=- note=-\n'
      'check: name=equilibrium-morphisms verdict=pass residual=0.0 samples=1 witness=- note=-\n'
-     'check: name=solution-morphism verdict=pass residual=0.0020884472785951402 samples=471 witness=- note=-\n'
+     'check: name=solution-morphism verdict=pass residual=0.2505210664257902 samples=489 witness=- note=-\n'
      'check: name=periodic-orbit verdict=fail residual=1.0 samples=0 witness="trajectory ended at t=1 (blow-up) before T=2.0" note=-\n'
      'note: equilibria: 1 found\n'
      'result: fail\n'),
@@ -105,7 +105,7 @@ CASES = [
      'check: name=section-law verdict=pass residual=0.0 samples=25 witness=- note=-\n'
      'check: name=identity-morphism verdict=pass residual=0.0 samples=200 witness=- note=-\n'
      'check: name=compose-associativity verdict=pass residual=0.0 samples=25 witness=- note=-\n'
-     'check: name=solution-morphism verdict=pass residual=5.551115123125783e-14 samples=497 witness=- note=-\n'
+     'check: name=solution-morphism verdict=pass residual=2.7755575615628914e-14 samples=495 witness=- note=-\n'
      'note: equilibria: 0 found\n'
      'result: pass\n'),
     ('laws-moved-footing', ['laws', 'base.txt'], 3,
@@ -131,7 +131,7 @@ CASES = [
      'check: name=osc.txt:identity-morphism verdict=pass residual=0.0 samples=200 witness=- note=-\n'
      'check: name=osc.txt:compose-associativity verdict=pass residual=0.0 samples=25 witness=- note=-\n'
      'check: name=osc.txt:equilibrium-morphisms verdict=pass residual=0.0 samples=1 witness=- note=-\n'
-     'check: name=osc.txt:solution-morphism verdict=pass residual=5.783800057243066e-13 samples=496 witness=- note=-\n'
+     'check: name=osc.txt:solution-morphism verdict=pass residual=4.10333683790734e-14 samples=494 witness=- note=-\n'
      'note: mod3.txt:fixed-points: (none)\n'
      'note: osc.txt:equilibria: 1 found\n'
      'result: pass\n'),
@@ -147,14 +147,14 @@ CASES = [
      'command: check-morphism time.txt double.txt ident.txt\n'
      'config: atol=1e-12 preserve_tol=1e-05 rtol=1e-09 tol=1e-08\n'
      'check: name=f-relatedness verdict=fail residual=1.0 samples=200 witness="worst defect 1 at x=(0.0,)" note=-\n'
-     'check: name=solution-preservation verdict=fail residual=0.9999999999999998 samples=201 witness="max deviation 1 at t=1.0" note=-\n'
+     'check: name=solution-preservation verdict=fail residual=1.0000000000000004 samples=201 witness="max deviation 1 at t=1.0" note=-\n'
      'result: fail\n'),
     ('check-blow-up-compared-early', ['check-morphism', 'quad.txt', 'quad.txt', 'ident.txt', '--preserve-solutions', '1', '2'], 0,
      'tool: dynsys 0.1.0\n'
      'command: check-morphism quad.txt quad.txt ident.txt\n'
      'config: atol=1e-12 preserve_tol=1e-05 rtol=1e-09 tol=1e-08\n'
      'check: name=f-relatedness verdict=pass residual=0.0 samples=200 witness=- note=-\n'
-     'check: name=solution-preservation verdict=pass residual=0.0 samples=201 witness=- note="compared on [0, 0.99999999009184493] (early termination)"\n'
+     'check: name=solution-preservation verdict=pass residual=0.0 samples=201 witness=- note="compared on [0, 0.99999999009595442] (early termination)"\n'
      'result: pass\n'),
     ('check-discrete-identity', ['check-morphism', 'mod3.txt', 'mod3.txt', 'mod3id.txt'], 0,
      'tool: dynsys 0.1.0\n'
