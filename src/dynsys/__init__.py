@@ -25,7 +25,7 @@ _EXPORTS = {
     "calculus": ("differentiate", "evaluate_many", "jacobian", "substitute", "to_string"),
     "category": ("CheckReport", "MorphismCandidate", "PointedSystem", "check_composition_closure",
                  "compose_morphisms", "enumerate_pointed_morphisms", "identity_morphism",
-                 "verify_initiality_continuous", "verify_initiality_discrete"),
+                 "verify_initiality_discrete"),
     "discrete": ("DiscreteSystem", "Orbit", "UnknownElementError", "check_dt_morphism",
                  "fixed_points", "iterate"),
     "continuous": ("ContinuousSystem", "Domain", "EarlyTerminationError", "SmoothMap",

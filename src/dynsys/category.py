@@ -5,9 +5,7 @@ Initiality of the truncated successor system needs no search: the one
 basepoint-preserving morphism into a finite pointed system is the orbit of
 its basepoint.  It exists because the endomap is total, and it is unique
 because alpha(0) = basepoint and alpha(n+1) = X(alpha(n)) fix each alpha(n)
-in turn.  The continuous analog has an uncountable candidate space; there
-two integrations at tolerances 100x apart are compared instead (see
-:func:`verify_initiality_continuous`).
+in turn.
 
 Only the checks run this module, so a ``dynsys solve`` and ``--version``
 do not compile it.  The last section holds the arithmetic on lists of
@@ -200,37 +198,6 @@ def verify_initiality_discrete(horizon: int, target: PointedSystem) -> CheckRepo
     if total > 10**7:
         raise EnumerationCapError(f"{n}^{horizon + 1} candidate functions exceeds cap {10**7}")
     return CheckReport(True, 0.0, total)
-
-
-_INITIALITY_GRID = 101  # times at which continuous initiality compares the two runs
-
-
-def verify_initiality_continuous(
-    sys,
-    x0,
-    span: float,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-    tol: float = 1e-6,
-) -> CheckReport:
-    """Numerical corroboration of existence of the solution from ``x0``.
-
-    Integrates twice, the second time with 100x tighter tolerances, and
-    compares on the common span: the check passes when the two runs agree
-    within ``tol``, and that the integrations run at all is the existence
-    half.  Agreement does not show that the solution is unique: for
-    x' = |x|^(1/2) from 0 both runs follow x = 0, while x = t^2/4 solves it
-    too.
-    """
-    from .continuous import integrate
-    from .ode_checks import _compare_on_common_span
-
-    coarse = integrate(sys, x0, span, rtol=rtol, atol=atol)
-    fine = integrate(sys, x0, span, rtol=rtol / 100.0, atol=atol / 100.0)
-    return _compare_on_common_span(
-        coarse, fine, span, lambda t: _distance(coarse._sample(t), fine._sample(t)), tol,
-        _INITIALITY_GRID, witness=lambda residual, t: f"max deviation {residual:.3e}",
-    )
 
 
 # --- arithmetic on lists of floats, shared by the numerical checks ----------

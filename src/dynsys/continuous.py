@@ -8,8 +8,7 @@ Dormand and Prince (Hairer, Norsett and Wanner, *Solving ODEs I*, II.5):
 accepted steps is the method's order-7 interpolant, which needs 3 more
 field calls per step; :mod:`dynsys.dense` builds it only for the steps
 that something samples (``Trajectory.sample``, the checks, event
-location), rebuilding the step's stages from its start and its size (on a
-punctured domain, where every step is tested, the step keeps them).
+location), from the stages 6..12 that the trajectory keeps of each step.
 Integration stops early when the state escapes past a norm threshold
 (blow-up) or leaves the declared open domain: the dense output crosses the
 box boundary, or hits a puncture (see PUNCTURE_TOL); the exit time is
@@ -31,6 +30,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys as _sys  # ``sys`` names a system in this module
+from array import array
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -187,11 +187,13 @@ class Trajectory:
     ``termination`` explains why integration stopped at the far end (t_hi
     when integrating forward, t_lo backward).  The knots are kept as given
     (the integrator passes plain lists); ``times``, ``states`` and
-    ``derivs`` are numpy arrays built on first access.  ``steps`` holds the
-    size h of the step behind each interval between knots (negative when
-    integrating backward: the step starts at the interval's right knot), and
-    ``field`` the compiled field: dense output rebuilds a step's stages from
-    them.
+    ``derivs`` are numpy arrays built on first access.  ``steps`` holds,
+    for each interval between knots, the record ``(h, y1, f1, stages)`` of
+    the step behind it: its size (negative when integrating backward: the
+    step starts at the interval's right knot), the state and the field at
+    its full end (past the last knot, when an event ended the run inside
+    it) and its stages 6..12; with ``field``, the compiled field, they give
+    the step's dense output.
     """
 
     def __init__(self, times, states, derivs, t_lo: float, t_hi: float,
@@ -239,10 +241,10 @@ class Trajectory:
 
             if self._steps is None:
                 raise ValueError("trajectory has no steps to interpolate")
-            h = self._steps[i]
-            j = i if h > 0 else i + 1  # the knot the step started from
+            step = self._steps[i]
+            j = i if step[0] > 0 else i + 1  # the knot the step started from
             segment = self._segments[i] = Segment(
-                self._field, ts[j], h, self._states[j], self._derivs[j])
+                self._field, ts[j], self._states[j], self._derivs[j], step)
         return segment.at(t)
 
     def to_csv(self, path=None) -> None:
@@ -385,11 +387,10 @@ def _build(name: str, n: int, head: str, lines: list[str]):
 @cache
 def _dop_step(n: int):
     """The trial step for n coordinates: ``step(field, y, k1, t, h, rtol, atol,
-    bounds, keep)`` returns ``(y_new, k13, error norm, |y_new|, y_new in the
-    box, stages)``, or the number of field calls started when a stage leaves
-    the field's domain.  ``stages`` is None, or with ``keep`` true stages
-    6..12, which the dense output needs: it takes them from here on punctured
-    domains, and elsewhere reruns the step with the very code it ran."""
+    bounds)`` returns ``(y_new, k13, error norm, |y_new|, y_new in the box,
+    stages)``, or the number of field calls started when a stage leaves the
+    field's domain.  ``stages`` are stages 6..12, stage by stage, which the
+    step's dense output needs besides its ends."""
     lines = ["try:"]
     for s, (row, c) in enumerate(zip(_DOP_A, _DOP_C), 2):
         inputs = _each(n, f"y_# + h * ({_comb(row)})")
@@ -417,9 +418,9 @@ def _dop_step(n: int):
               f"st = (h * h * dk / ({_DOP_STABLE ** 2!r} * dz)) ** 4 if dz else 0.0",
               "if st > err:", "    err = st",
               f"return y_new, k13, err, sqrt({_each(n, 'n_# * n_#', ' + ')}), "
-              f"{_each(n, 'lo_# < n_# < hi_#', ' and ')}, ({kept}) if keep else None"]
+              f"{_each(n, 'lo_# < n_# < hi_#', ' and ')}, ({kept})"]
     return _build("<dynsys.continuous>", n,
-                  "step(field, y, k1, t, h, rtol, atol, bounds, keep=False)", lines)
+                  "step(field, y, k1, t, h, rtol, atol, bounds)", lines)
 
 
 def _initial_step(field, t0, y0, f0, direction, rtol, atol, limit):
@@ -511,51 +512,56 @@ def integrate(
     field = sys.field._compiled  # the whole field in one compiled call
     step = _dop_step(n)
     bounds, punctures = sys.domain.bounds, sys.domain.punctures
-    keep = bool(punctures)  # every step's dense output is built to test the punctures
 
     t = 0.0
     k1 = field(y, t)
-    ts, ys, fs, hs = [t], [y], [k1], []
+    ts, ys, fs, steps = [t], [y], [k1], []
     termination = TERM_SPAN
     stats = IntegrationStats()
 
     h = direction * _initial_step(field, t, y, k1, direction, rtol, atol, min(abs(T), max_step))
     nfev, accepted, rejected, retries = 2, 0, 0, 0
     stalled = 0  # domain retries since an accepted step last moved the state
-    overflowed = False  # the last step shrank because its values were not finite
+    cause = "stiffness failure"  # what a step size underflow reports, after the last shrink
     while direction * (T - t) > 1e-14 * max(1.0, abs(T)):
         if accepted + rejected + retries >= max_steps:
             raise StepLimitError(f"exceeded {max_steps} steps at t={t}")
         h = direction * min(abs(h), max_step, abs(T - t))
         if abs(h) < 1e-14 * max(1.0, abs(t)):
-            cause = "trial steps overflowed" if overflowed else "stiffness failure"
             raise StepSizeUnderflowError(f"step size underflow at t={t} ({cause})")
 
-        out = step(field, y, k1, t, h, rtol, atol, bounds, keep)
+        out = step(field, y, k1, t, h, rtol, atol, bounds)
         event = None
         if out.__class__ is not int:
             nfev += 12
             y_new, k13, err_norm, norm, inside, stages = out
-            if not (inside or all(map(math.isfinite, y_new))):
-                err_norm = math.nan  # a state past the float range fails the error test
-            if not err_norm <= 1.0:  # a nan norm (overflowing stages) fails too, and shrinks by 0.2
+            finite = inside or all(map(math.isfinite, y_new))
+            # a state past the float range fails the error test, and so does a
+            # nan norm; both shrink the step by 0.2
+            if not (finite and err_norm <= 1.0):
                 rejected += 1
-                overflowed = not err_norm < math.inf
-                h *= min(max(0.2, 0.9 * err_norm ** -0.125), 1.0)
+                if not finite:
+                    cause = "trial steps overflowed"
+                elif err_norm < math.inf:
+                    cause = "stiffness failure"
+                else:  # finite values, but scaled by atol + rtol*|y| past the float range
+                    cause = "error norm overflowed: tolerances too small"
+                h *= min(max(0.2, 0.9 * err_norm ** -0.125), 1.0) if finite else 0.2
                 continue
+            record = (h, y_new, k13, array("d", stages))
             if not inside or norm > escape_threshold or punctures:  # locate the exit
                 from .dense import _first_exit
 
                 try:
-                    event = _first_exit(sys.domain, escape_threshold, field, t, h, y, k1,
-                                        y_new, k13, stats, stages)
+                    event = _first_exit(sys.domain, escape_threshold, field, t, y, k1, record,
+                                        stats)
                 except E.DomainError:  # an extra stage of its dense output left the field's
                     out = 0  # domain: retry the step shorter, as if one of its own had
         if out.__class__ is int:  # a stage left the field's domain
             nfev += out
             retries += 1
             stalled += 1
-            overflowed = False
+            cause = "stiffness failure"
             if stalled > STALL_RETRIES:
                 raise StepSizeUnderflowError(
                     f"step stalled at t={t}: every step from {tuple(y)} either leaves "
@@ -566,7 +572,7 @@ def integrate(
         accepted += 1
         if y_new != y:
             stalled = 0
-        hs.append(h)
+        steps.append(record)
         if event is not None:
             t_x, y_x, f_x, termination = event
             ts.append(t_x)
@@ -585,10 +591,10 @@ def integrate(
         ts.reverse()
         ys.reverse()
         fs.reverse()
-        hs.reverse()
+        steps.reverse()
     stats.nfev, stats.accepted, stats.rejected, stats.domain_retries = nfev, accepted, rejected, retries
     return Trajectory(ts, ys, fs, t_lo=ts[0], t_hi=ts[-1], termination=termination, stats=stats,
-                      steps=hs, field=field)
+                      steps=steps, field=field)
 
 
 # --- the checks: see dynsys.ode_checks --------------------------------------

@@ -6,10 +6,11 @@ system, morphism, report and expression node of the package is one.
 :func:`_dot` sums a product of two lists of floats, left to right, so that
 neither the integrator nor the checks need numpy.
 
-Check reports, morphism candidates, composition and the initiality checks
-live in :mod:`dynsys.category`, which only the checks run, so a ``dynsys
-solve`` and ``--version`` do not compile them.  :func:`_forwarding` lets a
-module read a few names of such a split-off module as its own attributes.
+Check reports, morphism candidates, composition and the discrete
+initiality check live in :mod:`dynsys.category`, which only the checks
+run, so a ``dynsys solve`` and ``--version`` do not compile them.
+:func:`_forwarding` lets a module read a few names of such a split-off
+module as its own attributes.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ class ExprError(Exception):
 
 class StepSizeUnderflowError(RuntimeError):
     """Step control drove the step below resolution: a stiffness failure,
-    or trial steps whose values overflowed (raised by
-    :func:`dynsys.continuous.integrate`)."""
+    trial steps whose values overflowed, or an error norm that overflowed
+    at too small tolerances (raised by :func:`dynsys.continuous.integrate`)."""
 
 
 class StepLimitError(RuntimeError):

@@ -3,14 +3,12 @@
 A step's dense output is the method's order-7 interpolant (Hairer, Norsett
 and Wanner, *Solving ODEs I*, II.6): 3 more stages, at t + 0.1h, t + 0.2h
 and t + 7h/9, on top of the step's 12 and the field at its end.  A
-:class:`Segment` reruns the step from its start and its size to get its
-stages back, so the knots it passes through are the integrator's to the
-bit; it is built only for the steps that something
-samples (``Trajectory.sample``, the checks) or that may leave the domain
-(event location in :func:`dynsys.continuous.integrate`), so a solve that
-stays inside its domain never loads this module.  On a punctured domain
-every step may hit a puncture, so there the integrator hands each step's
-stages over instead of having them rebuilt.
+:class:`Segment` takes the stages 6..12 that the step computed from the
+step's record, which the integrator keeps, so the knots it passes through
+are the integrator's to the bit; it is built only for the steps that
+something samples (``Trajectory.sample``, the checks) or that may leave the
+domain (event location in :func:`dynsys.continuous.integrate`), so a solve
+that stays inside its domain never loads this module.
 """
 
 from __future__ import annotations
@@ -21,8 +19,7 @@ from math import comb
 
 from . import expr as E
 from .continuous import (
-    EXIT_BISECT_TOL, PUNCTURE_TOL, TERM_BLOWUP, TERM_LEFT_DOMAIN, _bisect, _build, _comb,
-    _dop_step, _each,
+    EXIT_BISECT_TOL, PUNCTURE_TOL, TERM_BLOWUP, TERM_LEFT_DOMAIN, _bisect, _build, _comb, _each,
 )
 from .core import _dot
 
@@ -83,7 +80,7 @@ _BEZIER = tuple(tuple(comb(7 - a - b, k - a) / comb(7, k) if k >= a else 0.0 for
 @cache
 def _dense_step(n: int):
     """``coefficients(field, y, k1, t, h, y_new, k13, stages)``: from a step's
-    stages 6..12 (as its ``keep`` run returns them), the 3 extra stages and
+    stages 6..12 (as the step returns them), the 3 extra stages and
     the interpolant's 7 coefficient vectors F0..F6 (scipy's
     ``Dop853DenseOutput``)."""
     kept = ", ".join(_each(n, f"k{s}_#") for s in range(6, 13))
@@ -99,10 +96,9 @@ def _dense_step(n: int):
 
 
 class Segment:
-    """The dense output of one step of size ``h`` from (t0, y0), where the
-    field is ``k1``: y0 + x*(F0 + (1-x)*(F1 + x*(F2 + ...))) at x = (t - t0)/h.
-    ``step`` is the step's ``(y1, f1, stages 6..12)``; when it is None, the
-    step is rerun to rebuild them.
+    """The dense output of one step from (t0, y0), where the field is ``k1``:
+    y0 + x*(F0 + (1-x)*(F1 + x*(F2 + ...))) at x = (t - t0)/h.  ``step`` is
+    the step's record ``(h, y1, f1, stages 6..12)``.
 
     Raises :class:`dynsys.expr.DomainError` when an extra stage leaves the
     field's domain.
@@ -110,16 +106,11 @@ class Segment:
 
     __slots__ = ("t0", "h", "y0", "coefs")
 
-    def __init__(self, field, t0: float, h: float, y0, k1, step=None):
+    def __init__(self, field, t0: float, y0, k1, step):
+        h, y1, f1, stages = step
         self.t0, self.h, self.y0 = t0, h, y0
-        n = len(y0)
-        if step is None:  # it ran once, so none of its stages leaves the field's domain
-            y1, f1, *_, stages = _dop_step(n)(field, y0, k1, t0, h, 0.0, 1.0,
-                                              ((0.0, 0.0),) * n, True)
-        else:
-            y1, f1, stages = step
         try:
-            self.coefs = _dense_step(n)(field, y0, k1, t0, h, y1, f1, stages)
+            self.coefs = _dense_step(len(y0))(field, y0, k1, t0, h, y1, f1, stages)
         except E.DomainError as exc:
             raise E.DomainError(f"the dense output of the step from t={t0} left the field's "
                                 f"domain: {exc.message}", exc._culprit) from None
@@ -169,21 +160,21 @@ def _hull_near(q, segment: Segment) -> bool:
     return True
 
 
-def _first_exit(domain, escape_threshold, field, t0, h, y0, k1, y1, f1, stats, stages=None):
-    """The earliest event inside the accepted step of size ``h`` from (t0, y0),
-    where the field is ``k1``, to (y1, f1), as ``(t, y, y', termination)``, or
-    None: the box boundary crossing (when y1 is outside the box), the closest
-    approach that hits a puncture (see PUNCTURE_TOL), or the escape past
-    ``escape_threshold`` (when |y1| is past it), where a domain exit wins a
-    tie.  ``stages`` are the step's stages 6..12, or None to rebuild them.
-    Counts each bisection halving in ``stats``; raises
-    :class:`dynsys.expr.DomainError` when the step's dense output cannot be
-    built."""
+def _first_exit(domain, escape_threshold, field, t0, y0, k1, step, stats):
+    """The earliest event inside the accepted step from (t0, y0), where the
+    field is ``k1``, whose record is ``step`` = (h, y1, f1, stages 6..12), as
+    ``(t, y, y', termination)``, or None: the box boundary crossing (when y1
+    is outside the box), the closest approach that hits a puncture (see
+    PUNCTURE_TOL), or the escape past ``escape_threshold`` (when |y1| is past
+    it), where a domain exit wins a tie.  Counts each bisection halving in
+    ``stats``; raises :class:`dynsys.expr.DomainError` when the step's dense
+    output cannot be built."""
+    h, y1, f1, _ = step
     leaves_box = not all(lo < v < hi for v, (lo, hi) in zip(y1, domain.bounds))
     escapes = math.sqrt(_dot(y1, y1)) > escape_threshold
     if not (leaves_box or escapes or domain.punctures):
         return None
-    segment = Segment(field, t0, h, y0, k1, None if stages is None else (y1, f1, stages))
+    segment = Segment(field, t0, y0, k1, step)
     near = [q for q in domain.punctures if _hull_near(q, segment)]
     t1 = t0 + h
 

@@ -1,9 +1,10 @@
 """The integration loop of ``continuous.integrate`` written out on lists,
 with one comprehension per DOP853 stage and ``dense._first_exit`` (domain
-exits and escapes) tried after every accepted step; its step control has the same overflow mends (a
-step whose error norm or new state is not finite is rejected and shrinks by
-0.2, and a step size underflow that follows one says so) and the same
-stability bound on |h*lambda|.  It is the oracle
+exits and escapes) tried after every accepted step on the step's own
+stages; its step control has the same overflow mends (a step whose error
+norm or new state is not finite is rejected and shrinks by 0.2, and a step
+size underflow that follows one says which of the two overflowed) and the
+same stability bound on |h*lambda|.  It is the oracle
 that the generated step (``continuous._dop_step``) must match bit for bit;
 it shares the helpers that the step leaves alone (initial step, domain
 exits, dense output)."""
@@ -29,20 +30,19 @@ def reference_integrate(sys, x0, span, rtol=1e-9, atol=1e-12, escape_threshold=C
 
     t = 0.0
     k1 = field(y, t)
-    ts, ys, fs, hs = [t], [y], [k1], []
+    ts, ys, fs, steps = [t], [y], [k1], []
     termination = C.TERM_SPAN
     stats = C.IntegrationStats()
 
     h = direction * C._initial_step(field, t, y, k1, direction, rtol, atol, min(abs(T), max_step))
     nfev, accepted, rejected, retries = 2, 0, 0, 0
     stalled = 0
-    overflowed = False
+    cause = "stiffness failure"
     while direction * (T - t) > 1e-14 * max(1.0, abs(T)):
         if accepted + rejected + retries >= max_steps:
             raise C.StepLimitError(f"exceeded {max_steps} steps at t={t}")
         h = direction * min(abs(h), max_step, abs(T - t))
         if abs(h) < 1e-14 * max(1.0, abs(t)):
-            cause = "trial steps overflowed" if overflowed else "stiffness failure"
             raise C.StepSizeUnderflowError(f"step size underflow at t={t} ({cause})")
 
         event, retry = None, False
@@ -116,22 +116,25 @@ def reference_integrate(sys, x0, span, rtol=1e-9, atol=1e-12, escape_threshold=C
             stiff = (h * h * dk / (C._DOP_STABLE ** 2 * dz)) ** 4 if dz else 0.0
             if stiff > err_norm:
                 err_norm = stiff
-            if not all(math.isfinite(v) for v in y_new):
+            finite = all(math.isfinite(v) for v in y_new)
+            if not finite:
                 err_norm = math.nan
             if not err_norm <= 1.0:
                 rejected += 1
-                overflowed = not err_norm < math.inf
+                cause = ("trial steps overflowed" if not finite else "stiffness failure"
+                         if err_norm < math.inf else "error norm overflowed: tolerances too small")
                 h *= 0.2 if math.isnan(err_norm) else min(max(0.9 * err_norm ** -0.125, 0.2), 1.0)
                 continue
+            record = (h, y_new, k13, [*k6, *k7, *k8, *k9, *k10, *k11, *k12])
             try:
-                event = D._first_exit(sys.domain, escape_threshold, field, t, h, y, k1,
-                                      y_new, k13, stats)
+                event = D._first_exit(sys.domain, escape_threshold, field, t, y, k1, record,
+                                      stats)
             except E.DomainError:
                 retry = True
         if retry:
             retries += 1
             stalled += 1
-            overflowed = False
+            cause = "stiffness failure"
             if stalled > C.STALL_RETRIES:
                 raise C.StepSizeUnderflowError(
                     f"step stalled at t={t}: every step from {tuple(y)} either leaves "
@@ -142,7 +145,7 @@ def reference_integrate(sys, x0, span, rtol=1e-9, atol=1e-12, escape_threshold=C
         accepted += 1
         if y_new != y:
             stalled = 0
-        hs.append(h)
+        steps.append(record)
         if event is not None:
             t_x, y_x, f_x, termination = event
             ts.append(t_x)
@@ -162,7 +165,7 @@ def reference_integrate(sys, x0, span, rtol=1e-9, atol=1e-12, escape_threshold=C
         ts.reverse()
         ys.reverse()
         fs.reverse()
-        hs.reverse()
+        steps.reverse()
     stats.nfev, stats.accepted, stats.rejected, stats.domain_retries = nfev, accepted, rejected, retries
     return C.Trajectory(ts, ys, fs, t_lo=ts[0], t_hi=ts[-1], termination=termination, stats=stats,
-                        steps=hs, field=field)
+                        steps=steps, field=field)

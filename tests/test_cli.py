@@ -652,6 +652,16 @@ def test_stiff_underflow_is_not_called_an_overflow(specs, tmp_path):
     assert res.stderr.endswith(" (stiffness failure)\n")
 
 
+def test_tolerance_underflow_is_not_called_an_overflow(specs):
+    # x1' = x1 from 1: the trial states are finite, and only the error scaled
+    # by the subnormal atol overflows, which the tolerances cause
+    res = run_cli("solve", specs["growth"], "--span", "1", "--rtol", "0", "--atol", "1e-310")
+    assert res.returncode == 1
+    assert res.stderr == ("error: step size underflow at t=0.0 "
+                          "(error norm overflowed: tolerances too small)\n")
+    assert res.stdout == ""
+
+
 def test_dense_output_outside_the_field_domain_is_an_error(specs, tmp_path, capsys):
     # solution preservation samples t = 5e-4, in the second step, whose extra
     # dense-output stage at t = a is where sqrt's argument is negative

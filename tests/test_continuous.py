@@ -86,6 +86,22 @@ def test_dense_output_passes_through_the_knots():
         assert max(abs(a - b) for a, b in zip(left, right)) < 1e-9 * 100
 
 
+@pytest.mark.parametrize("sys, span, kwargs, exact", [
+    (line("x1", lo=0.0, hi=10.0), 5.0, {}, math.exp),
+    (line("-x1", lo=0.0, hi=10.0), -5.0, {}, lambda t: math.exp(-t)),
+    (line("x1^2"), 2.0, {"escape_threshold": 1e3}, lambda t: 1.0 / (1.0 - t)),
+], ids=["box-exit", "box-exit-backward", "escape"])
+def test_dense_output_in_an_event_ended_step(sys, span, kwargs, exact):
+    # the event point is the last knot, inside the step that found it: the
+    # interpolant there is the full step's, built from its own end, not from
+    # the event point (that reads 3.7e-4 and 8.9e-4 off the closed form)
+    traj = C.integrate(sys, [1.0], span, **kwargs)
+    assert traj.termination != "reached-span"
+    a, b = (traj._times[-2], traj._times[-1]) if span > 0 else (traj._times[1], traj._times[0])
+    for t in [a + j / 16 * (b - a) for j in range(1, 16)]:
+        assert traj._sample(t)[0] == pytest.approx(exact(t), rel=1e-6), t
+
+
 def test_dense_control_points_are_the_bezier_form():
     # the puncture filter reads the bounding box of the control points, which
     # holds the segment because they give it back in the Bernstein basis
@@ -94,8 +110,8 @@ def test_dense_control_points_are_the_bezier_form():
     traj = C.integrate(C.ContinuousSystem(C.full_space(3), E.parse_vector(LORENZ, 3)),
                        [1.0, 1.0, 1.0], 2.0)
     i = len(traj._times) // 2
-    segment = D.Segment(traj._field, traj._times[i], traj._steps[i], traj._states[i],
-                        traj._derivs[i])
+    segment = D.Segment(traj._field, traj._times[i], traj._states[i], traj._derivs[i],
+                        traj._steps[i])
     points = segment.control_points()
     for x in [j / 8 for j in range(9)]:
         bezier = [sum(math.comb(7, k) * x**k * (1 - x)**(7 - k) * p[k] for k in range(8))
@@ -520,6 +536,15 @@ def test_step_with_non_finite_error_is_rejected(x0):
         C.integrate(oscillator(), x0, 1.0, escape_threshold=math.inf)
 
 
+def test_overflowing_error_norm_names_the_tolerances():
+    # at rtol 0 and a subnormal atol every trial state is finite (1.001...),
+    # but the error scaled by atol overflows and its norm is inf/inf = nan
+    with pytest.raises(C.StepSizeUnderflowError,
+                       match=r"at t=0.0 \(error norm overflowed: tolerances too small\)"):
+        C.integrate(line("x1"), [1.0], 1.0, rtol=0.0, atol=1e-310)
+    _assert_matches_reference(line("x1"), [1.0], 1.0, rtol=0.0, atol=1e-310)
+
+
 @pytest.mark.parametrize("threshold", [math.nan, 0.0, -0.0, -1e3, -math.inf])
 def test_escape_threshold_must_be_positive(threshold):
     with pytest.raises(ValueError, match="escape threshold must be positive"):
@@ -644,6 +669,28 @@ def test_preservation_exponential():
         C.smooth_map(["exp(x1)"], 1), C.time_system(), target, [0.0], 1.0, tol=1e-6
     )
     assert rep.passed
+
+
+def test_preservation_samples_cost_three_field_calls_per_sampled_step(monkeypatch):
+    # the sampled steps' stages are the runs' own, so dense output adds only
+    # its 3 extra stages per step; a rerun of each would add 12 more
+    field = E.parse_vector(LORENZ, 3)
+    compiled, calls = field._compiled, []
+
+    def counted(y, t):
+        calls.append(t)
+        return compiled(y, t)
+
+    field.__dict__["_compiled"] = counted
+    lorenz = C.ContinuousSystem(C.full_space(3), field)
+    runs, integrate = [], C.integrate
+    monkeypatch.setattr(C, "integrate", lambda *args, **kw: runs.append(integrate(*args, **kw))
+                        or runs[-1])
+    rep = C.check_solution_preservation(C.smooth_map(["-x1", "-x2", "x3"], 3), lorenz, lorenz,
+                                        (0.83, 1.11, 1.01), 10.0)
+    assert rep.passed and rep.residual == 0.0 and rep.samples == 201
+    assert len(runs) == 2
+    assert len(calls) == sum(r.stats.nfev + 3 * len(r._segments) for r in runs) == 8962
 
 
 def test_preservation_reports_shortened_span():

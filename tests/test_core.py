@@ -311,8 +311,3 @@ def test_enumeration_negative_horizon():
 def test_linspace_matches_numpy_bits(lo, hi, num):
     got = [v.hex() for v in category._linspace(lo, hi, num)]
     assert got == [float(v).hex() for v in np.linspace(lo, hi, num)]
-
-
-def test_initiality_continuous_corroboration():
-    rep = category.verify_initiality_continuous(line_system("x1"), [1.0], 1.0)
-    assert rep.passed

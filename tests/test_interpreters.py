@@ -61,8 +61,9 @@ def _other_interpreters() -> list[str]:
     for directory in os.environ.get("PATH", "").split(os.pathsep):
         for path in sorted(Path(directory or ".").glob("python3.1[0-9]")):
             try:
-                res = subprocess.run([str(path), "-I", "-c", "import sys; print(sys.executable)"],
-                                     capture_output=True, text=True, timeout=30)
+                res = subprocess.run(
+                    [str(path), "-I", "-B", "-c", "import sys; print(sys.executable)"],
+                    capture_output=True, text=True, timeout=30)
             except (OSError, subprocess.TimeoutExpired):
                 continue
             real = os.path.realpath(res.stdout.strip())
@@ -73,7 +74,9 @@ def _other_interpreters() -> list[str]:
 
 def _outputs(python: str, cwd) -> list:
     src = str(Path(dynsys.__file__).parents[1])
-    res = subprocess.run([python, "-I", "-c", RUN_ALL.format(src=src, argvs=ARGVS)],
+    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps the children from
+    # caching bytecode in the source tree, which later runs would load
+    res = subprocess.run([python, "-I", "-B", "-c", RUN_ALL.format(src=src, argvs=ARGVS)],
                          capture_output=True, text=True, cwd=cwd, timeout=300)
     assert res.returncode == 0, f"{python}: {res.stderr}"
     return json.loads(res.stdout)

@@ -24,7 +24,7 @@ EXPORTS = {
     "calculus": ["differentiate", "evaluate_many", "jacobian", "substitute", "to_string"],
     "category": ["CheckReport", "MorphismCandidate", "PointedSystem", "check_composition_closure",
                  "compose_morphisms", "enumerate_pointed_morphisms", "identity_morphism",
-                 "verify_initiality_continuous", "verify_initiality_discrete"],
+                 "verify_initiality_discrete"],
     "discrete": ["DiscreteSystem", "Orbit", "UnknownElementError", "check_dt_morphism",
                  "fixed_points", "iterate"],
     "continuous": ["ContinuousSystem", "Domain", "EarlyTerminationError", "SmoothMap",
@@ -77,7 +77,7 @@ print("numpy" in sys.modules)
 
 
 def test_star_import_and_dir(tmp_path):
-    assert len(STAR_NAMES) == 55
+    assert len(STAR_NAMES) == 54
     loaded, listed, bound, numpy = _run(STAR_SCRIPT, tmp_path)
     assert loaded == "dynsys"  # nothing but the package itself until a name is read
     assert set(listed.split()) >= {n for names in EXPORTS.values() for n in names} | set(EXPORTS)
@@ -332,8 +332,7 @@ MOVED = {
     "core": ("category", ["CheckReport", "PointedSystem", "MorphismCandidate",
                           "identity_morphism", "compose_morphisms", "check_composition_closure",
                           "enumerate_pointed_morphisms", "verify_initiality_discrete",
-                          "_INITIALITY_GRID", "verify_initiality_continuous", "_norm",
-                          "_distance", "_matvec", "_linspace", "_solve"]),
+                          "_norm", "_distance", "_matvec", "_linspace", "_solve"]),
     "expr": ("calculus", ["_rebuild", "_LEVEL_EXPR", "_LEVEL_TERM", "_LEVEL_FACTOR",
                           "_LEVEL_ATOM", "_level", "_fmt_number", "_fmt_parts", "_fmt_node",
                           "to_string", "_ARITH", "_eval_np", "evaluate_many", "_is_num",
