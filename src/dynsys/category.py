@@ -27,8 +27,9 @@ class CheckReport(Value):
 
     For numerical checks the verdict is residual <= tolerance; for exact
     checks it is the absence of a witness.  ``residual`` is a sup-norm
-    where one applies, otherwise a violation count.  A check over many
-    samples builds its report with :meth:`worst` or :meth:`tally`.
+    where one applies, otherwise a violation count.  Every comparison a
+    check makes goes through :meth:`worst` or :meth:`tally`; the plain
+    constructor is for a verdict that no comparison backs.
     """
 
     __match_args__ = ("passed", "residual", "samples", "witness", "note")
@@ -44,30 +45,6 @@ class CheckReport(Value):
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
-
-    @staticmethod
-    def numerical(
-        residual: float,
-        tol: float,
-        samples: int,
-        witness: str | None = None,
-        note: str | None = None,
-    ) -> "CheckReport":
-        if not tol >= 0.0:
-            raise ValueError(f"tolerance {tol!r} is nan or negative")
-        passed = residual <= tol
-        return CheckReport(passed, residual, samples, None if passed else witness, note)
-
-    @staticmethod
-    def exact(
-        witness: str | None,
-        samples: int,
-        violations: int = 0,
-        note: str | None = None,
-    ) -> "CheckReport":
-        if (witness is None) != (violations == 0):
-            raise ValueError("witness and violation count disagree")
-        return CheckReport(witness is None, float(violations), samples, witness, note)
 
     @staticmethod
     def worst(gaps, tol: float, witness=None, note: str | None = None) -> "CheckReport":
@@ -97,7 +74,8 @@ class CheckReport(Value):
         violation: the residual counts the violations, the first is the witness."""
         misses = list(misses)
         found = [miss for miss in misses if miss is not None]
-        return CheckReport.exact(found[0] if found else None, len(misses), len(found), note)
+        return CheckReport(not found, float(len(found)), len(misses),
+                           found[0] if found else None, note)
 
 
 class PointedSystem(Value):

@@ -129,7 +129,7 @@ def _laws_for_continuous(loaded: LoadedSystem, args, checks, notes, label: str) 
                     rtol=args.rtol, atol=args.atol)))
             except C.EarlyTerminationError as exc:
                 checks.append((f"{label}periodic-orbit",
-                               CheckReport.exact(str(exc), 0, violations=1)))
+                               CheckReport(False, 1.0, 0, str(exc))))
     else:
         notes.append(f"{label}solution-morphism skipped: no basepoint in the spec")
         if args.period is not None:

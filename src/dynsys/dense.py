@@ -19,7 +19,7 @@ from math import comb
 
 from . import expr as E
 from .continuous import (
-    EXIT_BISECT_TOL, PUNCTURE_TOL, TERM_BLOWUP, TERM_LEFT_DOMAIN, _bisect, _build, _comb, _each,
+    PUNCTURE_TOL, TERM_BLOWUP, TERM_LEFT_DOMAIN, _bisect, _build, _comb, _each,
 )
 from .core import _dot
 
@@ -189,13 +189,12 @@ def _first_exit(domain, escape_threshold, field, t0, y0, k1, step, stats):
 
     events: list[tuple[float, str]] = []
     if leaves_box:
-        events.append((_bisect(outside, t0, t1, EXIT_BISECT_TOL), TERM_LEFT_DOMAIN))
+        events.append((_bisect(outside, t0, t1), TERM_LEFT_DOMAIN))
     for q in near:
         hit = _closest_approach(q, segment, t0, t1, stats)
         if hit is not None:
             events.append((hit, TERM_LEFT_DOMAIN))
-    if escapes:  # to float resolution, as near a pole the norm passes any threshold fast;
-        # a start already past the threshold escapes at the step's end
+    if escapes:  # a start already past the threshold escapes at the step's end
         start_escaped = math.sqrt(_dot(y0, y0)) > escape_threshold
         events.append((t1 if start_escaped else _bisect(escaped, t0, t1), TERM_BLOWUP))
     if not events:

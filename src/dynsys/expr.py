@@ -595,16 +595,13 @@ def _code(src: str):
 
 
 # the function around a body: the value at one point, or (for
-# ``Expr._crossing``) the loop of ``continuous._bisect`` at tolerance 0 for
-# where ``(value >= y) == increasing`` flips, valuing a point whose body
-# raises DomainError by ``fallback`` instead: where a map of x1 crosses the
-# level y on a monotone piece, or (y = 5e-324) where a derivative turns
-# positive
+# ``Expr._crossing``) the loop of ``continuous._bisect`` for where
+# ``(value >= y) == increasing`` flips, valuing a point whose body raises
+# DomainError by ``fallback`` instead: where a map of x1 crosses the level y
+# on a monotone piece, or (y = 5e-324) where a derivative turns positive
 _VALUE = (4, "def compiled(point, t):\n{body}    return {ret}\n")
 _CROSSING = (12, """def compiled(good, bad, y, increasing, fallback, t=0.0):
     for _ in range(200):
-        if abs(bad - good) <= 0.0:
-            break
         mid = 0.5 * (good + bad)
         if mid == good or mid == bad:
             break

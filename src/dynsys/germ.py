@@ -277,12 +277,10 @@ def _monotone_pieces(pm: PartialMap) -> tuple[tuple[float, float, float, float, 
         if not evaluable[c]:
             outcomes.append(NonMonotoneError(f"derivative of {m} not evaluable on ({lo}, {hi})"))
         elif flat[c]:
-            try:
-                v = _limit_value(m, 0.5 * (blo + bhi), 0.0, bhi - blo)
-            except NonMonotoneError as exc:
-                outcomes.append(exc)
-            else:
-                outcomes.append([(lo, hi, v, v, 0)])
+            mid = 0.5 * (blo + bhi)
+            v = _walk_value(m, mid)
+            outcomes.append(NonMonotoneError(f"cannot evaluate {m} near {mid}") if math.isnan(v)
+                            else [(lo, hi, v, v, 0)])
         else:
             cuts = [lo] + crossings[c] + [hi]
             spans += [(c, p_lo, p_hi, max(p_lo, -_CLIP), min(p_hi, _CLIP))
@@ -399,7 +397,7 @@ def germ_equal(a: Germ, b: Germ, tol: float = 1e-12) -> CheckReport:
     never equal.
     """
     if a.basepoint != b.basepoint:
-        return CheckReport.exact(f"no common basepoint: {a.basepoint} vs {b.basepoint}", 0, 1)
+        return CheckReport(False, 1.0, 0, f"no common basepoint: {a.basepoint} vs {b.basepoint}")
     inter = a.representative.domain.intersect(b.representative.domain)
     comp = inter.component_containing(a.basepoint)
     if comp is None:

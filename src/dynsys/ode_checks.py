@@ -102,27 +102,19 @@ def check_solution_preservation(
     traj_x = C.integrate(x_sys, x0, span, rtol=rtol, atol=atol)
     y0 = f([float(v) for v in x0])
     traj_y = C.integrate(y_sys, y0, span, rtol=rtol, atol=atol)
-    return _compare_on_common_span(
-        traj_x, traj_y, span, lambda t: _distance(f(traj_x._sample(t), t=t), traj_y._sample(t)),
-        tol, _PRESERVATION_GRID,
-        witness=lambda residual, t: f"max deviation {residual:.6g} at t={t}",
-    )
-
-
-def _compare_on_common_span(a: Trajectory, b: Trajectory, span: float, gap, tol: float,
-                            grid: int, witness) -> CheckReport:
-    """The sup of ``gap(t)`` over ``grid`` times on the span both trajectories
-    reached, which the note gives when early termination cut it short."""
-    lo = max(a.t_lo, b.t_lo)
-    hi = min(a.t_hi, b.t_hi)
+    lo = max(traj_x.t_lo, traj_y.t_lo)
+    hi = min(traj_x.t_hi, traj_y.t_hi)
     if hi <= lo:
         return CheckReport(False, math.inf, 0, witness="no common span to compare")
     full = (0.0, span) if span > 0 else (span, 0.0)
     note = None
     if abs(lo - full[0]) > 1e-12 or abs(hi - full[1]) > 1e-12:
         note = f"compared on [{lo:.17g}, {hi:.17g}] (early termination)"
-    return CheckReport.worst(((gap(t), t) for t in _linspace(lo, hi, grid)), tol,
-                             witness=witness, note=note)
+    return CheckReport.worst(
+        ((_distance(f(traj_x._sample(t), t=t), traj_y._sample(t)), t)
+         for t in _linspace(lo, hi, _PRESERVATION_GRID)), tol,
+        witness=lambda residual, t: f"max deviation {residual:.6g} at t={t}", note=note,
+    )
 
 
 # --- equilibria and periodic orbits ------------------------------------------
@@ -216,7 +208,8 @@ def check_equilibrium_morphism(
     if not sys.domain.contains(pt):
         raise ValueError(f"candidate {pt} outside the domain")
     residual = _norm(E.evaluate_vector(sys.field, pt))
-    return CheckReport.numerical(residual, tol, 1, witness=f"|X({pt})| = {residual:.6g}")
+    return CheckReport.worst([(residual, pt)], tol,
+                             witness=lambda residual, pt: f"|X({pt})| = {residual:.6g}")
 
 
 def check_periodic_orbit(
@@ -242,7 +235,8 @@ def check_periodic_orbit(
         )
     end = traj._states[-1]
     closure = _distance(end, [float(v) for v in x0])
-    return CheckReport.numerical(closure, tol, len(traj._times), witness=f"endpoint {tuple(end)}")
+    return CheckReport.worst([(closure, tuple(end))], tol,
+                             witness=lambda closure, end: f"endpoint {end}")
 
 
 def solution_morphism_report(

@@ -113,7 +113,7 @@ def reference_integrate(sys, x0, span, rtol=1e-9, atol=1e-12, escape_threshold=C
             dk = [p - q for p, q in zip(k13, k12)]
             dz = [p - q for p, q in zip(y_new, z12)]
             dk, dz = C._dot(dk, dk), C._dot(dz, dz)
-            stiff = (h * h * dk / (C._DOP_STABLE ** 2 * dz)) ** 4 if dz else 0.0
+            stiff = min(h * h * dk / (C._DOP_STABLE ** 2 * dz), 1e77) ** 4 if dz else 0.0
             if stiff > err_norm:
                 err_norm = stiff
             finite = all(math.isfinite(v) for v in y_new)

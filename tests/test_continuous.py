@@ -199,9 +199,17 @@ def test_left_domain_bisected():
     assert traj.states[-1][0] == pytest.approx(2.0, abs=1e-6)
 
 
+def test_box_exit_is_bisected_to_float_resolution():
+    # the exit is the first float at which the dense output leaves the box:
+    # one float earlier it is still inside
+    traj = C.integrate(line("1", hi=2.0), [1.0], 5.0)
+    assert traj.states[-1][0] >= 2.0
+    assert traj._sample(math.nextafter(traj.t_hi, 0.0))[0] < 2.0
+
+
 def test_exit_time_beyond_bisection_resolution():
-    # the exit at t = 5e7 has an ulp (~7e-9) wider than EXIT_BISECT_TOL, so
-    # the crossing bisection must stop at float resolution
+    # the exit at t = 5e7, where an ulp is ~7e-9: the crossing bisection
+    # must stop at float resolution, not loop on a bracket it cannot halve
     traj = C.integrate(line("1e-8", lo=0.0, hi=1.0), [0.5], 1e8)
     assert traj.termination == "left-domain"
     assert traj.t_hi == pytest.approx(5e7, rel=1e-9)
@@ -473,8 +481,12 @@ def _assert_matches_reference(sys, x0, span, **kwargs):
     (C.ContinuousSystem(C.full_space(3), E.parse_vector(LORENZ, 3)), [1.1, 0.9, 1.2], -0.5, {}),
     (C.ContinuousSystem(C.full_space(4), E.parse_vector(["x2", "-x1", "x4", "-x3"], 4)),
      [1.0, 0.0, -0.0, 1.0], 2.0, {}),
+    # the stability estimate's 4th power passes the float range (it raised OverflowError)
+    (C.ContinuousSystem(C.full_space(4), E.parse_vector(
+        ["exp(x1^3) - (cos(x1) - sin(0.531))", "0.926", "1.084", "0.927"], 4)),
+     [0.0] * 4, 2.0, {"rtol": 1e-6, "atol": 1e-9}),
 ], ids=["stall", "underflow", "retries", "step-limit", "blow-up", "box-exit", "puncture-1d",
-        "puncture-2d", "puncture-3d", "max-step", "lorenz-backward", "4d"])
+        "puncture-2d", "puncture-3d", "max-step", "lorenz-backward", "4d", "stability-overflow"])
 def test_integrate_matches_reference_loop(sys, x0, span, kwargs):
     _assert_matches_reference(sys, x0, span, **kwargs)
 
@@ -526,6 +538,20 @@ def test_initial_step_survives_an_overflowing_norm():
     traj = C.integrate(oscillator(), [1e300, 0.0], 1.0)
     assert traj.termination == "blow-up"
     assert all(math.isfinite(v) for row in traj._states + traj._derivs for v in row)
+
+
+def test_infinite_stability_ratio_is_a_finite_error():
+    # stages 1-11 are 0, stage 12 moves the state by ~4e-157 and stage 13 is 1e10:
+    # |h*lambda|^2 = h*h*dk / dz divides by a subnormal dz and is inf, which the
+    # step must still read as a stiff step, not as an overflowed error norm
+    calls = []
+
+    def field(x, t):
+        calls.append(t)
+        return [0.0] if len(calls) < 11 else [1e-155] if len(calls) == 11 else [1e10]
+
+    out = C._dop_step(1)(field, [0.0], [0.0], 0.0, 1.0, 1e-6, 1e-9, [(-math.inf, math.inf)])
+    assert len(calls) == 12 and out[2] == 1e308
 
 
 @pytest.mark.parametrize("x0", [[1e308, 1e308], [1.7e308, 0.0]])
@@ -751,6 +777,18 @@ def test_equilibria_singular_jacobian_gives_up():
 ], ids=["punctured-oscillator", "half-line-growth"])
 def test_equilibria_outside_domain_are_dropped(sys):
     assert C.find_equilibria(sys) == []
+
+
+@pytest.mark.parametrize("rate, expected", [
+    # undefined on the scan's outer points and at Newton's full first steps
+    ("sqrt(1 - x1*x1) - 0.5", [(-0.8660254037844388,), (0.8660254037844388,)]),
+    # the Jacobian (x1 + x1) / (2 * sqrt(x1 * x1)) is undefined at the one seed, x1 = 0
+    ("sqrt(x1*x1) + 1", []),
+    # the one root lies outside the default search box [-5, 5]
+    ("x1 - 5.2", []),
+], ids=["undefined-in-scan-and-line-search", "undefined-jacobian-at-seed", "root-outside-box"])
+def test_equilibria_past_undefined_points_and_the_box(rate, expected):
+    assert C.find_equilibria(line(rate)) == expected
 
 
 def test_integrate_rejects_zero_atol():

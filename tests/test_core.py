@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dynsys import continuous as C
-from dynsys import category, core, discrete
+from dynsys import category, core, discrete, ode_checks
 from dynsys import expr as E
 from reference_checks import reference_enumerate
 
@@ -16,16 +16,17 @@ def line_system(rate: str) -> C.ContinuousSystem:
 
 
 def test_check_report_invariant():
-    rep = category.CheckReport.numerical(0.5, 1.0, 10)
-    assert rep.passed and rep.verdict == "pass"
-    rep = category.CheckReport.numerical(2.0, 1.0, 10, witness="w")
-    assert not rep.passed and rep.witness == "w"
-    rep = category.CheckReport.exact(None, 5)
-    assert rep.passed and rep.residual == 0.0
-    rep = category.CheckReport.exact("bad at a", 5, violations=2)
-    assert not rep.passed and rep.residual == 2.0
-    with pytest.raises(ValueError):
-        category.CheckReport.exact("oops", 1, violations=0)
+    def witness(residual, where):
+        return "w"
+
+    rep = category.CheckReport.worst([(0.5, "a")], 1.0, witness=witness)
+    assert rep.passed and rep.verdict == "pass" and rep.witness is None
+    rep = category.CheckReport.worst([(2.0, "a")], 1.0, witness=witness)
+    assert not rep.passed and rep.verdict == "fail" and rep.witness == "w"
+    # a tally's witness is its first violation, so the two cannot disagree
+    assert category.CheckReport.tally([None] * 5) == category.CheckReport(True, 0.0, 5)
+    rep = category.CheckReport.tally([None, "bad at a", "bad at b", None, None])
+    assert rep == category.CheckReport(False, 2.0, 5, "bad at a")
 
 
 def test_worst_reports_the_first_of_equal_gaps():
@@ -48,10 +49,15 @@ BAD_TOLERANCES = pytest.mark.parametrize(
 
 @BAD_TOLERANCES
 def test_numerical_refuses_a_nan_or_negative_tolerance(tol):
-    with pytest.raises(ValueError, match=f"tolerance {tol!r} is nan or negative"):
-        category.CheckReport.numerical(0.0, tol, 1)
-    assert category.CheckReport.numerical(0.0, 0.0, 1).passed
-    assert category.CheckReport.numerical(0.0, math.inf, 1).passed
+    # the checks of one comparison each; x' = -x rests at 0, so both residuals are 0
+    sys_ = line_system("0 - x1")
+    checks = [lambda tol: ode_checks.check_equilibrium_morphism(sys_, [0.0], tol=tol),
+              lambda tol: ode_checks.check_periodic_orbit(sys_, [0.0], 1.0, tol=tol)]
+    for check in checks:
+        with pytest.raises(ValueError, match=f"tolerance {tol!r} is nan or negative"):
+            check(tol)
+        assert check(0.0) == category.CheckReport(True, 0.0, 1)
+        assert check(math.inf).passed
 
 
 @BAD_TOLERANCES

@@ -183,6 +183,17 @@ def test_non_monotone_rejected():
         G.compose_partial(f, g)
 
 
+def test_flat_component_without_a_value_is_evaluated_once(monkeypatch):
+    # log(0 - 1) has derivative 0 and no value anywhere: its one flat
+    # component is valued at its midpoint alone, and refused
+    calls, walk = [], G._walk_value
+    monkeypatch.setattr(G, "_walk_value", lambda m, x: calls.append(x) or walk(m, x))
+    pm = G.partial_map("log(0 - 1)", G.open_set((100.0, 200.0)))
+    with pytest.raises(G.NonMonotoneError, match=r"^cannot evaluate log\(0 - 1\) near 150\.0$"):
+        G.preimage(pm, G.open_set((0.0, 1.0)))
+    assert calls == [150.0]
+
+
 # Domains of germgen composites from seed 1207 (20 pairs, then 2 triples), as
 # the per-sample sign loop of reference_germ.py and one evaluation per probe
 # computed them.  The seed was picked so that both triples are nonempty.

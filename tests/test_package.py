@@ -342,9 +342,8 @@ MOVED = {
     "continuous": ("ode_checks", ["_SAMPLE_CLIP", "_EQUILIBRIUM_GRID", "_PRESERVATION_GRID",
                                   "_PRIMES", "_radical_inverse", "default_samples",
                                   "check_f_relatedness", "check_solution_preservation",
-                                  "_compare_on_common_span", "find_equilibria",
-                                  "check_equilibrium_morphism", "check_periodic_orbit",
-                                  "solution_morphism_report"]),
+                                  "find_equilibria", "check_equilibrium_morphism",
+                                  "check_periodic_orbit", "solution_morphism_report"]),
 }
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

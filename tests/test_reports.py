@@ -60,7 +60,7 @@ CASES = [
      'check: name=compose-associativity verdict=pass residual=0.0 samples=25 witness=- note=-\n'
      'check: name=equilibrium-morphisms verdict=pass residual=0.0 samples=1 witness=- note=-\n'
      'check: name=solution-morphism verdict=pass residual=4.10333683790734e-14 samples=494 witness=- note=-\n'
-     'check: name=periodic-orbit verdict=pass residual=4.720329753052611e-10 samples=19 witness=- note=-\n'
+     'check: name=periodic-orbit verdict=pass residual=4.720329753052611e-10 samples=1 witness=- note=-\n'
      'note: equilibria: 1 found\n'
      'result: pass\n'),
     ('laws-oscillator-wrong-period', ['laws', 'osc.txt', '--period', '3'], 3,
@@ -72,7 +72,7 @@ CASES = [
      'check: name=compose-associativity verdict=pass residual=0.0 samples=25 witness=- note=-\n'
      'check: name=equilibrium-morphisms verdict=pass residual=0.0 samples=1 witness=- note=-\n'
      'check: name=solution-morphism verdict=pass residual=4.10333683790734e-14 samples=494 witness=- note=-\n'
-     'check: name=periodic-orbit verdict=fail residual=1.9949899731594418 samples=11 witness="endpoint (-0.9899924965369095, -0.14112000826781745)" note=-\n'
+     'check: name=periodic-orbit verdict=fail residual=1.9949899731594418 samples=1 witness="endpoint (-0.9899924965369095, -0.14112000826781745)" note=-\n'
      'note: equilibria: 1 found\n'
      'result: fail\n'),
     ('laws-quad', ['laws', 'quad.txt'], 0,
